@@ -21,13 +21,14 @@ import numpy as np
 from . import __version__
 from . import work_stats as ws
 from .entanglement import negativity, negativity_cartan_basis
-from .errors import WorkFdrError, ValidationError
-from .linalg import identity, kron
-from .model import CartanCoefficients, SeparableXZXParams, cartan_entangler, rotation_x, rxx, separable_xzx
+from .entanglers import ENTANGLERS
+from .errors import WorkFdrError, ValidationError, require_finite
+from .model import CartanCoefficients, bipartite_quench, cartan_entangler
 from .sampler import ProtocolConfig, estimate
 from .verify import run_all
 
-_ANGLE_KEYS = ("dtheta", "dphi", "theta", "phi", "c1", "c2", "c3", "c", "l", "m", "nz")
+_TOTAL_KEYS = ("phi", "c1", "c2", "c3", "c", "l", "m", "nz")  # ProtocolConfig's total_* fields, in order
+_ANGLE_KEYS = ("dtheta", "dphi", "theta", *_TOTAL_KEYS)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -86,45 +87,23 @@ def _jsonable(value):
     return float(value)
 
 
-def _entangler_matrix(kind: str, p: dict) -> np.ndarray:
-    if kind == "none":
-        return identity(4)
-    if kind == "rxx":
-        return rxx(p["dphi"])
-    if kind == "cartan":
-        return cartan_entangler(CartanCoefficients(p["c1"], p["c2"], p["c3"]))
-    return separable_xzx(SeparableXZXParams(p["c"], p["l"], p["m"], p["nz"]))
+def _single_qubit(p: dict) -> bool:
+    return ENTANGLERS[p["entangler"]].reduces_to_single_qubit and not p["two_qubit"]
 
 
-def _closed_form_single(beta: float, dtheta: float) -> ws.WorkDistribution:
-    # the textbook per-step expressions; the independent cross-check column
-    s = math.sin(dtheta / 2.0) ** 2
-    w = math.exp(-beta)
-    return ws.WorkDistribution.from_weights(
-        {-1: w * s / (1.0 + w), 0: 1.0 - s, 1: s / (1.0 + w)}
-    )
-
-
-def _closed_form_bipartite(kind: str, beta: float, dtheta: float, p: dict) -> ws.WorkDistribution:
-    if kind == "rxx":
-        return ws.closed_form_distribution_cartan(beta, dtheta, p["dphi"] / 2.0, 0.0)
-    if kind == "cartan":
-        return ws.closed_form_distribution_cartan(beta, dtheta, p["c1"], p["c2"])
-    if kind == "separable_xzx":
-        return ws.closed_form_distribution_separable(beta, dtheta, p["c"], p["m"])
-    return ws.closed_form_distribution_cartan(beta, dtheta, 0.0, 0.0)
+def _config(p: dict) -> ProtocolConfig:
+    return ProtocolConfig(p["beta"], p["n"], p["theta"], p["entangler"], *(p[k] for k in _TOTAL_KEYS))
 
 
 def cmd_dist(args) -> int:
     p = _params(args)
-    beta, dtheta, kind = p["beta"], p["dtheta"], p["entangler"]
-    if kind == "none" and not p["two_qubit"]:
+    beta, dtheta, entangler = p["beta"], p["dtheta"], ENTANGLERS[p["entangler"]]
+    if _single_qubit(p):
         exact = ws.step_distribution_single(beta, dtheta)
-        closed = _closed_form_single(beta, dtheta)
+        closed = ws.closed_form_distribution_single(beta, dtheta)
     else:
-        quench = kron(rotation_x(dtheta), rotation_x(dtheta))
-        exact = ws.step_distribution_bipartite(beta, quench, _entangler_matrix(kind, p))
-        closed = _closed_form_bipartite(kind, beta, dtheta, p)
+        exact = ws.step_distribution_bipartite(beta, bipartite_quench(dtheta), entangler.unitary(p))
+        closed = entangler.closed_form(beta, dtheta, p)
     support = sorted(set(exact.support) | set(closed.support))
     rows = [
         [w, float(exact.prob(w)), float(closed.prob(w)), float(abs(exact.prob(w) - closed.prob(w)))]
@@ -135,40 +114,16 @@ def cmd_dist(args) -> int:
 
 
 def _q_report(p: dict) -> dict:
-    beta, n, kind = p["beta"], p["n"], p["entangler"]
-    dtheta = p["theta"] / n
-    f_value = ws.f_beta(beta)
-    g_value = ws.g_beta(beta)
-    if kind == "none" and not p["two_qubit"]:
-        report = ws.q_correction(ws.step_distribution_single(beta, dtheta), beta, n)
-        f_term = ws.q_single_smallangle(n, beta, dtheta)
-        g_term = 0.0
+    config = _config(p)
+    beta, n, dtheta = config.beta, config.n_steps, config.delta_theta
+    if _single_qubit(p):
+        step = ws.step_distribution_single(beta, dtheta)
+        f_term, g_term = ws.q_single_smallangle(n, beta, dtheta), 0.0
     else:
-        quench = kron(rotation_x(dtheta), rotation_x(dtheta))
-        per_step = {
-            "dphi": p["phi"] / n,
-            "c1": p["c1"] / n,
-            "c2": p["c2"] / n,
-            "c3": p["c3"] / n,
-            "c": p["c"] / n,
-            "l": p["l"] / n,
-            "m": p["m"] / n,
-            "nz": p["nz"] / n,
-        }
-        dist = ws.step_distribution_bipartite(beta, quench, _entangler_matrix(kind, per_step))
-        report = ws.q_correction(dist, beta, n)
-        if kind == "rxx":
-            f_term = n * dtheta**2 / 2.0 * f_value
-            g_term = n * per_step["dphi"] ** 2 / 2.0 * g_value
-        elif kind == "cartan":
-            f_term = n * dtheta**2 / 2.0 * f_value
-            g_term = n * 2.0 * (per_step["c1"] - per_step["c2"]) ** 2 * g_value
-        elif kind == "separable_xzx":
-            f_term = ws.q_separable_smallangle(n, beta, dtheta, per_step["c"], per_step["m"])
-            g_term = 0.0
-        else:
-            f_term = n * dtheta**2 / 2.0 * f_value
-            g_term = 0.0
+        step = ws.step_distribution_bipartite(beta, config.step_quench(), config.step_entangler())
+        entangler = ENTANGLERS[config.entangler_kind]
+        f_term, g_term = entangler.small_angle(n, beta, dtheta, config.step_params())
+    report = ws.q_correction(step, beta, n)
     prediction = f_term + g_term
     relative_gap = abs(report.q_value - prediction) / abs(report.q_value) if report.q_value else 0.0
     return {
@@ -179,8 +134,8 @@ def _q_report(p: dict) -> dict:
         "q_exact": report.q_value,
         "small_angle_prediction": prediction,
         "relative_gap": relative_gap,
-        "f_beta": f_value,
-        "g_beta": g_value,
+        "f_beta": ws.f_beta(beta),
+        "g_beta": ws.g_beta(beta),
         "f_term": f_term,
         "g_term": g_term,
         "beta": beta,
@@ -259,21 +214,7 @@ def cmd_sample(args) -> int:
     p = _params(args)
     if p["seed"] is None or p["trajectories"] is None:
         raise ValidationError("sample needs --seed and --trajectories")
-    kind = p["entangler"]
-    config = ProtocolConfig(
-        beta=p["beta"],
-        n_steps=p["n"],
-        total_theta=p["theta"],
-        entangler_kind=kind,
-        total_phi=p["phi"],
-        total_c1=p["c1"],
-        total_c2=p["c2"],
-        total_c3=p["c3"],
-        total_c=p["c"],
-        total_l=p["l"],
-        total_m=p["m"],
-        total_n=p["nz"],
-    )
+    config = _config(p)
     stats = estimate(config, p["trajectories"], p["seed"], workers=p["workers"])
     step = ws.step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
     mean_ref, var_ref = ws.moments(ws.convolve_n(step, config.n_steps))
@@ -321,17 +262,7 @@ def cmd_verify(args) -> int:
 _COMMON_DEFAULTS = {
     "beta": 1.0,
     "n": 100,
-    "dtheta": 0.0,
-    "dphi": 0.0,
-    "theta": 0.0,
-    "phi": 0.0,
-    "c1": 0.0,
-    "c2": 0.0,
-    "c3": 0.0,
-    "c": 0.0,
-    "l": 0.0,
-    "m": 0.0,
-    "nz": 0.0,
+    **dict.fromkeys(_ANGLE_KEYS, 0.0),
     "entangler": "none",
     "two_qubit": False,
     "trajectories": None,
@@ -356,20 +287,24 @@ def _params(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    # --config values keep their JSON types (argparse types the flags); bool is no number here
+    for key in ("beta", *_ANGLE_KEYS):
+        if type(merged[key]) not in (int, float):
+            raise ValidationError(f"{key} must be a number, got {merged[key]!r}")
+    for key in ("n", "workers", "trajectories", "seed"):
+        value = merged[key]
+        if value is not None:
+            if not (type(value) is int or type(value) is float and value.is_integer()):
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
+            merged[key] = int(value)
+    if type(merged["two_qubit"]) is not bool:
+        raise ValidationError(f"two_qubit must be true or false, got {merged['two_qubit']!r}")
+    if not isinstance(merged["entangler"], str) or merged["entangler"] not in ENTANGLERS:
+        raise ValidationError(f"unknown entangler {merged['entangler']!r}")
     if getattr(args, "degrees", False):
         for key in _ANGLE_KEYS:
             merged[key] = math.radians(merged[key])
-    for key in ("beta", "dtheta", "dphi", "theta", "phi", "c1", "c2", "c3", "c", "l", "m", "nz"):
-        if not math.isfinite(merged[key]):
-            raise ValidationError(f"{key} must be finite")
-    for key in ("n", "workers"):
-        merged[key] = int(merged[key])
-    if merged["trajectories"] is not None:
-        merged["trajectories"] = int(merged["trajectories"])
-    if merged["seed"] is not None:
-        merged["seed"] = int(merged["seed"])
-    if merged["entangler"] not in ("none", "rxx", "cartan", "separable_xzx"):
-        raise ValidationError(f"unknown entangler {merged['entangler']!r}")
+    require_finite(**{key: merged[key] for key in ("beta", *_ANGLE_KEYS)})
     return merged
 
 
@@ -379,7 +314,7 @@ def _spec_echo(p: dict) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, default=None, help="inverse bath temperature (>= 0)")
-    parser.add_argument("--entangler", choices=["none", "rxx", "cartan", "separable_xzx"], default=None)
+    parser.add_argument("--entangler", choices=list(ENTANGLERS), default=None)
     parser.add_argument("--two-qubit", dest="two_qubit", action="store_const", const=True,
                         default=None, help="use two qubits even without an entangler")
     parser.add_argument("--output", default=None, help="output path (default: stdout)")

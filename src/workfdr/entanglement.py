@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailureError, ValidationError
+from .errors import NumericFailureError, ValidationError, require_finite
 from .linalg import check_density, hermitian_eigenvalues, partial_transpose_A
 
 CROSS_CHECK_TOL = 1e-10
@@ -53,9 +53,7 @@ def negativity_cartan_basis(u: int, c1: float, c2: float) -> float:
     """
     if u not in (0, 1, 2, 3):
         raise ValidationError(f"basis index must be 0..3, got {u!r}")
-    for name, value in (("c1", c1), ("c2", c2)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+    require_finite(c1=c1, c2=c2)
     if u in (1, 2):
         return 0.5 * abs(math.sin(2.0 * c1 + 2.0 * c2))
     return 0.5 * abs(math.sin(2.0 * c1 - 2.0 * c2))

@@ -1,0 +1,89 @@
+"""The entangler registry: one entry per two-qubit entangler kind, read by the
+CLI, ProtocolConfig and the small-angle functions, so a new kind is one entry.
+
+An entry holds the per-step parameter names, the per-step 4x4 unitary, the
+closed-form step distribution, and the small-angle Q as (f_term, g_term). Its
+callables take the per-step parameters as a mapping keyed by those names and
+look functions up on their modules at call time, so a replaced module
+attribute (a test's mutant, a profiler's wrapper) is seen here too.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Mapping
+
+import numpy as np
+
+from . import linalg, model
+from . import work_stats as ws
+
+
+@dataclass(frozen=True)
+class Entangler:
+    """One entangler kind. `reduces_to_single_qubit` marks the identity, under
+    which the two qubits are independent copies of the single-qubit model."""
+
+    params: tuple[str, ...]
+    unitary: Callable[[Mapping], np.ndarray]
+    closed_form: Callable[[float, float, Mapping], ws.WorkDistribution]
+    small_angle: Callable[[int, float, float, Mapping], tuple[float, float]]
+    reduces_to_single_qubit: bool = False
+
+
+def _local_term(n: int, beta: float, delta_theta: float) -> float:
+    # N*(dth^2/2)*f(beta), the f term of the two local quenches
+    return n * delta_theta**2 / 2.0 * ws.f_beta(beta)
+
+
+ENTANGLERS = {
+    "none": Entangler(
+        params=(),
+        unitary=lambda p: linalg.identity(4),
+        closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, 0.0, 0.0),
+        small_angle=lambda n, beta, dth, p: (_local_term(n, beta, dth), 0.0),
+        reduces_to_single_qubit=True,
+    ),
+    "rxx": Entangler(
+        params=("dphi",),
+        unitary=lambda p: model.rxx(p["dphi"]),
+        closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, p["dphi"] / 2.0, 0.0),
+        small_angle=lambda n, beta, dth, p: (
+            _local_term(n, beta, dth),
+            n * p["dphi"] ** 2 / 2.0 * ws.g_beta(beta),
+        ),
+    ),
+    "cartan": Entangler(
+        params=("c1", "c2", "c3"),
+        unitary=lambda p: model.cartan_entangler(model.CartanCoefficients(p["c1"], p["c2"], p["c3"])),
+        closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, p["c1"], p["c2"]),
+        small_angle=lambda n, beta, dth, p: (
+            _local_term(n, beta, dth),
+            n * 2.0 * (p["c1"] - p["c2"]) ** 2 * ws.g_beta(beta),
+        ),
+    ),
+    "separable_xzx": Entangler(
+        params=("c", "l", "m", "nz"),
+        unitary=lambda p: model.separable_xzx(model.SeparableXZXParams(p["c"], p["l"], p["m"], p["nz"])),
+        closed_form=lambda beta, dth, p: ws.closed_form_distribution_separable(beta, dth, p["c"], p["m"]),
+        small_angle=lambda n, beta, dth, p: (
+            n * ws.f_beta(beta) * ((p["c"] + dth) ** 2 / 4.0 + (p["m"] + dth) ** 2 / 4.0),
+            0.0,
+        ),
+    ),
+}
+
+
+def q_bipartite_smallangle_rxx(n: int, beta: float, delta_theta: float, delta_phi: float) -> float:
+    """Small-angle two-qubit correction N*[(dth^2/2) f + (dphi^2/2) g] for the xx entangler."""
+    return sum(ENTANGLERS["rxx"].small_angle(n, beta, delta_theta, {"dphi": delta_phi}))
+
+
+def q_bipartite_smallangle_cartan(n: int, beta: float, delta_theta: float, c1: float, c2: float) -> float:
+    """Small-angle two-qubit correction N*[(dth^2/2) f + 2(c1-c2)^2 g]; independent of c3."""
+    return sum(ENTANGLERS["cartan"].small_angle(n, beta, delta_theta, {"c1": c1, "c2": c2}))
+
+
+def q_separable_smallangle(n: int, beta: float, delta_theta: float, c: float, m: float) -> float:
+    """Small-angle correction N*f(beta)*[(c+dth)^2/4 + (m+dth)^2/4]; no g term for separable driving."""
+    return sum(ENTANGLERS["separable_xzx"].small_angle(n, beta, delta_theta, {"c": c, "m": m}))

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
+
+from __future__ import annotations
+
+import math
 
 
 class WorkFdrError(Exception):
@@ -19,3 +23,18 @@ class ContractViolationError(WorkFdrError):
 
 class NumericFailureError(WorkFdrError):
     """An internal numerical routine failed to converge or failed a self-check."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValidationError naming the first keyword value that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def require_beta(beta: float) -> float:
+    """Check an inverse temperature (finite, >= 0) and return it as a float."""
+    require_finite(beta=beta)
+    if beta < 0.0:
+        raise ValidationError(f"beta must be non-negative, got {beta}")
+    return float(beta)

@@ -14,18 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import require_beta, require_finite
 from .linalg import _freeze, kron
 
 PAULI_X = _freeze(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 PAULI_Y = _freeze(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
 PAULI_Z = _freeze(np.array([[1, 0], [0, -1]], dtype=np.complex128))
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 def _fold_angle(angle: float) -> float:
@@ -63,7 +57,7 @@ class CartanCoefficients:
     c3: float = 0.0
 
     def __post_init__(self):
-        _require_finite(c1=self.c1, c2=self.c2, c3=self.c3)
+        require_finite(c1=self.c1, c2=self.c2, c3=self.c3)
         object.__setattr__(self, "c1", _fold_angle(self.c1))
         object.__setattr__(self, "c2", _fold_angle(self.c2))
         object.__setattr__(self, "c3", _fold_angle(self.c3))
@@ -79,12 +73,12 @@ class SeparableXZXParams:
     n: float
 
     def __post_init__(self):
-        _require_finite(c=self.c, l=self.l, m=self.m, n=self.n)
+        require_finite(c=self.c, l=self.l, m=self.m, n=self.n)
 
 
 def rotation_x(angle: float) -> np.ndarray:
     """exp(-i*angle*sigma_x/2) as a 2x2 closed form."""
-    _require_finite(angle=angle)
+    require_finite(angle=angle)
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
     return _freeze(np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128))
@@ -92,7 +86,7 @@ def rotation_x(angle: float) -> np.ndarray:
 
 def rotation_z(angle: float) -> np.ndarray:
     """exp(-i*angle*sigma_z/2) as a 2x2 closed form."""
-    _require_finite(angle=angle)
+    require_finite(angle=angle)
     return _freeze(
         np.array(
             [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]],
@@ -103,7 +97,7 @@ def rotation_z(angle: float) -> np.ndarray:
 
 def rxx(delta_phi: float) -> np.ndarray:
     """exp(-i*(delta_phi/2)*sigma_x (x) sigma_x): cos(d/2)*I - i*sin(d/2)*XX."""
-    _require_finite(delta_phi=delta_phi)
+    require_finite(delta_phi=delta_phi)
     c = math.cos(delta_phi / 2.0)
     s = math.sin(delta_phi / 2.0)
     return _freeze(c * np.eye(4, dtype=np.complex128) - 1j * s * np.kron(PAULI_X, PAULI_X))
@@ -126,19 +120,19 @@ def separable_xzx(params: SeparableXZXParams) -> np.ndarray:
     return kron(local_a, local_b)
 
 
+def bipartite_quench(delta_theta: float) -> np.ndarray:
+    """Per-step two-qubit quench R_X(delta_theta) (x) R_X(delta_theta)."""
+    u = rotation_x(delta_theta)
+    return kron(u, u)
+
+
+def gibbs_populations(beta: float, hamiltonian: QubitHamiltonian, dtype=np.float64) -> np.ndarray:
+    """Thermal populations exp(-beta*E)/Z; exact enumeration takes dtype=numpy.longdouble."""
+    require_beta(beta)
+    weights = np.exp(-dtype(beta) * np.asarray(hamiltonian.energies, dtype=dtype))
+    return _freeze(weights / weights.sum())
+
+
 def gibbs_state(beta: float, hamiltonian: QubitHamiltonian) -> np.ndarray:
     """Thermal state exp(-beta*H)/Z as a diagonal density matrix."""
-    _require_finite(beta=beta)
-    if beta < 0.0:
-        raise ValidationError(f"beta must be non-negative, got {beta}")
-    weights = np.exp(-beta * np.asarray(hamiltonian.energies, dtype=np.float64))
-    return _freeze(np.diag(weights / weights.sum()).astype(np.complex128))
-
-
-def gibbs_populations(beta: float, hamiltonian: QubitHamiltonian) -> np.ndarray:
-    """Diagonal of the Gibbs state as a real probability vector."""
-    _require_finite(beta=beta)
-    if beta < 0.0:
-        raise ValidationError(f"beta must be non-negative, got {beta}")
-    weights = np.exp(-beta * np.asarray(hamiltonian.energies, dtype=np.float64))
-    return _freeze(weights / weights.sum())
+    return _freeze(np.diag(gibbs_populations(beta, hamiltonian)).astype(np.complex128))

@@ -20,24 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ContractViolationError, ValidationError
-from .linalg import check_unitary, identity, kron
-from .model import (
-    CartanCoefficients,
-    QubitHamiltonian,
-    SeparableXZXParams,
-    cartan_entangler,
-    gibbs_populations,
-    rotation_x,
-    rxx,
-    separable_xzx,
-)
+from .entanglers import ENTANGLERS
+from .errors import ContractViolationError, ValidationError, require_beta, require_finite
+from .linalg import check_unitary
+from .model import QubitHamiltonian, bipartite_quench, gibbs_populations
 
 BORN_NORMALIZATION_TOL = 1e-10
 _DRAWS_PER_STEP = 2
 _BATCH_SIZE = 8192
-
-ENTANGLER_KINDS = ("none", "rxx", "cartan", "separable_xzx")
 
 
 @dataclass(frozen=True)
@@ -58,40 +48,30 @@ class ProtocolConfig:
     total_n: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.beta) or self.beta < 0.0:
-            raise ValidationError(f"beta must be finite and non-negative, got {self.beta!r}")
+        require_beta(self.beta)
         if self.n_steps <= 0 or self.n_steps != int(self.n_steps):
             raise ValidationError(f"n_steps must be a positive integer, got {self.n_steps!r}")
-        if self.entangler_kind not in ENTANGLER_KINDS:
+        if self.entangler_kind not in ENTANGLERS:
             raise ValidationError(
-                f"entangler_kind must be one of {ENTANGLER_KINDS}, got {self.entangler_kind!r}"
+                f"entangler_kind must be one of {tuple(ENTANGLERS)}, got {self.entangler_kind!r}"
             )
-        for name in ("total_theta", "total_phi", "total_c1", "total_c2", "total_c3",
-                     "total_c", "total_l", "total_m", "total_n"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        require_finite(**{k: v for k, v in vars(self).items() if k.startswith("total_")})
 
     @property
     def delta_theta(self) -> float:
         return self.total_theta / self.n_steps
 
+    def step_params(self) -> dict[str, float]:
+        """Per-step entangler parameters (total / n_steps), keyed by the registry entry's names."""
+        totals = {"dphi": self.total_phi, "c1": self.total_c1, "c2": self.total_c2, "c3": self.total_c3,
+                  "c": self.total_c, "l": self.total_l, "m": self.total_m, "nz": self.total_n}
+        return {name: totals[name] / self.n_steps for name in ENTANGLERS[self.entangler_kind].params}
+
     def step_quench(self) -> np.ndarray:
-        u = rotation_x(self.delta_theta)
-        return kron(u, u)
+        return bipartite_quench(self.delta_theta)
 
     def step_entangler(self) -> np.ndarray:
-        n = self.n_steps
-        if self.entangler_kind == "none":
-            return identity(4)
-        if self.entangler_kind == "rxx":
-            return rxx(self.total_phi / n)
-        if self.entangler_kind == "cartan":
-            return cartan_entangler(
-                CartanCoefficients(self.total_c1 / n, self.total_c2 / n, self.total_c3 / n)
-            )
-        return separable_xzx(
-            SeparableXZXParams(self.total_c / n, self.total_l / n, self.total_m / n, self.total_n / n)
-        )
+        return ENTANGLERS[self.entangler_kind].unitary(self.step_params())
 
 
 @dataclass(frozen=True)

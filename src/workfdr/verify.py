@@ -21,8 +21,9 @@ import numpy as np
 
 from . import work_stats as ws
 from .entanglement import negativity, negativity_cartan_basis
-from .linalg import identity, kron
-from .model import CartanCoefficients, SeparableXZXParams, cartan_entangler, rotation_x, rxx, separable_xzx
+from .entanglers import q_bipartite_smallangle_cartan, q_bipartite_smallangle_rxx
+from .linalg import identity
+from .model import CartanCoefficients, SeparableXZXParams, bipartite_quench, cartan_entangler, rxx, separable_xzx
 from .sampler import ProtocolConfig, estimate
 
 _RNG_SEED = 20250810
@@ -38,11 +39,6 @@ class CheckResult:
 
 def _rel_gap(value: float, reference: float) -> float:
     return abs(value - reference) / max(1.0, abs(reference))
-
-
-def _bipartite_quench(delta_theta: float) -> np.ndarray:
-    u = rotation_x(delta_theta)
-    return kron(u, u)
 
 
 def check_01_single_qubit_exact_q() -> CheckResult:
@@ -74,23 +70,23 @@ def check_02_small_angle_convergence() -> CheckResult:
         ),
         "rxx": gaps(
             lambda n: ws.q_correction(
-                ws.step_distribution_bipartite(beta, _bipartite_quench(1.0 / n), rxx(1.0 / n)),
+                ws.step_distribution_bipartite(beta, bipartite_quench(1.0 / n), rxx(1.0 / n)),
                 beta,
                 n,
             ).q_value,
-            lambda n: ws.q_bipartite_smallangle_rxx(n, beta, 1.0 / n, 1.0 / n),
+            lambda n: q_bipartite_smallangle_rxx(n, beta, 1.0 / n, 1.0 / n),
         ),
         "cartan": gaps(
             lambda n: ws.q_correction(
                 ws.step_distribution_bipartite(
                     beta,
-                    _bipartite_quench(1.0 / n),
+                    bipartite_quench(1.0 / n),
                     cartan_entangler(CartanCoefficients(0.8 / n, 0.3 / n, 0.2 / n)),
                 ),
                 beta,
                 n,
             ).q_value,
-            lambda n: ws.q_bipartite_smallangle_cartan(n, beta, 1.0 / n, 0.8 / n, 0.3 / n),
+            lambda n: q_bipartite_smallangle_cartan(n, beta, 1.0 / n, 0.8 / n, 0.3 / n),
         ),
     }
     ratios = {
@@ -117,7 +113,7 @@ def check_03_no_entangler_reduction() -> CheckResult:
         dth = float(rng.uniform(0.01, 1.0))
         n = int(rng.integers(1, 201))
         q_two = ws.q_correction(
-            ws.step_distribution_bipartite(beta, _bipartite_quench(dth), identity(4)), beta, n
+            ws.step_distribution_bipartite(beta, bipartite_quench(dth), identity(4)), beta, n
         ).q_value
         q_one = ws.q_correction(ws.step_distribution_single(beta, dth), beta, n).q_value
         worst = max(worst, _rel_gap(q_two, 2.0 * q_one))
@@ -136,7 +132,7 @@ def check_04_distribution_invariances() -> CheckResult:
         for dth in rng.uniform(0.05, 1.0, 3):
             for _ in range(3):
                 c1, c2 = rng.uniform(-0.8, 0.8, 2)
-                quench = _bipartite_quench(float(dth))
+                quench = bipartite_quench(float(dth))
                 base = ws.step_distribution_bipartite(
                     float(beta), quench, cartan_entangler(CartanCoefficients(c1, c2, 0.0))
                 )
@@ -166,7 +162,7 @@ def check_04_distribution_invariances() -> CheckResult:
 def check_05_separable_null_result() -> CheckResult:
     n = 200
     dth, c, l, m, nz = 1.0 / n, 0.4 / n, 0.3 / n, 0.6 / n, 0.2 / n
-    quench = _bipartite_quench(dth)
+    quench = bipartite_quench(dth)
     entangler = separable_xzx(SeparableXZXParams(c, l, m, nz))
     betas = np.arange(0.2, 5.0 + 1e-9, 0.05)
     per_step_q = np.array(
@@ -231,7 +227,7 @@ def check_07_jarzynski() -> CheckResult:
         if kind == 0:
             dist = ws.step_distribution_single(beta, dth)
         else:
-            quench = _bipartite_quench(dth)
+            quench = bipartite_quench(dth)
             if kind == 1:
                 entangler = rxx(float(rng.uniform(0.0, 0.8)))
             elif kind == 2:
@@ -330,7 +326,7 @@ def check_10_cross_oracle() -> CheckResult:
                 (0.7, 0.1, 1.3),
             ):
                 enumerated = ws.step_distribution_bipartite(
-                    beta, _bipartite_quench(dth), cartan_entangler(CartanCoefficients(c1, c2, c3))
+                    beta, bipartite_quench(dth), cartan_entangler(CartanCoefficients(c1, c2, c3))
                 )
                 closed = ws.closed_form_distribution_cartan(beta, dth, c1, c2)
                 worst = max(worst, ws.distribution_distance(enumerated, closed))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError, ValidationError
+from .errors import UnsupportedDimensionError, ValidationError, require_beta, require_finite
 from .linalg import check_unitary
-from .model import QubitHamiltonian, rotation_x
+from .model import QubitHamiltonian, gibbs_populations, rotation_x
 
 PROB_CLAMP = 1e-14
 NORMALIZATION_TOL = 1e-12
@@ -88,36 +88,17 @@ class QReport:
     small_angle_prediction: float | None = None
 
 
-def _check_beta(beta: float) -> float:
-    if not math.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta!r}")
-    if beta < 0.0:
-        raise ValidationError(f"beta must be non-negative, got {beta}")
-    return float(beta)
-
-
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-
-
 def f_beta(beta: float) -> float:
     """Local-coherence temperature profile beta/2 - tanh(beta/2); zero at beta = 0."""
-    beta = _check_beta(beta)
+    beta = require_beta(beta)
     return beta / 2.0 - math.tanh(beta / 2.0)
 
 
 def g_beta(beta: float) -> float:
     """Entanglement temperature profile beta/(1 + sech(beta)) - tanh(beta/2)."""
-    beta = _check_beta(beta)
+    beta = require_beta(beta)
     sech = 2.0 * math.exp(-beta) / (1.0 + math.exp(-2.0 * beta))
     return beta / (1.0 + sech) - math.tanh(beta / 2.0)
-
-
-def _thermal_populations(beta: float, hamiltonian: QubitHamiltonian) -> np.ndarray:
-    weights = np.exp(-_LD(beta) * np.asarray(hamiltonian.energies, dtype=_LD))
-    return weights / weights.sum()
 
 
 def _distribution_from_transition(populations, transition, energies) -> WorkDistribution:
@@ -134,11 +115,11 @@ def _distribution_from_transition(populations, transition, energies) -> WorkDist
 
 def step_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
     """Work distribution of one single-qubit step, by enumeration of both outcomes."""
-    beta = _check_beta(beta)
+    beta = require_beta(beta)
     hamiltonian = QubitHamiltonian.single()
     transition = np.abs(rotation_x(delta_theta)).astype(_LD) ** 2
     return _distribution_from_transition(
-        _thermal_populations(beta, hamiltonian), transition, hamiltonian.energies
+        gibbs_populations(beta, hamiltonian, dtype=_LD), transition, hamiltonian.energies
     )
 
 
@@ -158,7 +139,7 @@ def step_distribution_bipartite(beta: float, quench: np.ndarray, entangler: np.n
     from the diagonal two-qubit Gibbs populations; outcome pairs with equal
     work (the degenerate |01>/|10> levels) are aggregated.
     """
-    beta = _check_beta(beta)
+    beta = require_beta(beta)
     if np.shape(quench) != (4, 4) or np.shape(entangler) != (4, 4):
         raise UnsupportedDimensionError("bipartite step needs 4x4 quench and entangler")
     quench = check_unitary(quench)
@@ -166,8 +147,17 @@ def step_distribution_bipartite(beta: float, quench: np.ndarray, entangler: np.n
     hamiltonian = QubitHamiltonian.two_qubit()
     transition = np.abs(quench @ entangler).astype(_LD) ** 2
     return _distribution_from_transition(
-        _thermal_populations(beta, hamiltonian), transition, hamiltonian.energies
+        gibbs_populations(beta, hamiltonian, dtype=_LD), transition, hamiltonian.energies
     )
+
+
+def closed_form_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
+    """Closed-form single-qubit step distribution in float64: P(+-1) = sin^2(dth/2) * population."""
+    beta = require_beta(beta)
+    require_finite(delta_theta=delta_theta)
+    s = math.sin(delta_theta / 2.0) ** 2
+    w = math.exp(-beta)
+    return WorkDistribution.from_weights({-1: w * s / (1.0 + w), 0: 1.0 - s, 1: s / (1.0 + w)})
 
 
 def closed_form_distribution_cartan(
@@ -178,8 +168,8 @@ def closed_form_distribution_cartan(
     Depends on the entangler only through c1 - c2; P(0) is obtained by
     normalization. Written with exp(-beta) factors so it is stable at any beta.
     """
-    beta = _check_beta(beta)
-    _check_finite(delta_theta=delta_theta, c1=c1, c2=c2)
+    beta = require_beta(beta)
+    require_finite(delta_theta=delta_theta, c1=c1, c2=c2)
     w = np.exp(-_LD(beta))
     denom = (1 + w) ** 2
     half = _LD(delta_theta) / 2
@@ -205,8 +195,8 @@ def closed_form_distribution_separable(
     computational-basis columns before the X structure acts), so only the two
     X angles c and m enter; P(0) is obtained by normalization.
     """
-    beta = _check_beta(beta)
-    _check_finite(delta_theta=delta_theta, c=c, m=m)
+    beta = require_beta(beta)
+    require_finite(delta_theta=delta_theta, c=c, m=m)
     w = np.exp(-_LD(beta))
     denom = (1 + w) ** 2
     dth = _LD(delta_theta)
@@ -282,7 +272,7 @@ def jarzynski_check(dist: WorkDistribution, beta: float) -> float:
     Terms are evaluated as exp(log p - beta*w) so deep convolution tails with
     large |beta*w| neither overflow nor produce inf*0.
     """
-    beta = _check_beta(beta)
+    beta = require_beta(beta)
     support = np.asarray(dist.support, dtype=_LD)
     probs = np.asarray(dist.probs, dtype=_LD)
     return float(np.sum(np.exp(np.log(probs) - _LD(beta) * support)))
@@ -300,7 +290,7 @@ def q_correction(
     delta_f must be 0: every unitary in scope preserves the spectrum, so the
     free-energy change vanishes by construction.
     """
-    beta = _check_beta(beta)
+    beta = require_beta(beta)
     if n <= 0 or n != int(n):
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if delta_f != 0.0:
@@ -323,7 +313,7 @@ def q_correction(
 
 def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
     """Closed-form single-qubit correction N*sin^2(dth/2)*[(b/2)(1 - sin^2(dth/2)tanh^2(b/2)) - tanh(b/2)]."""
-    beta = _check_beta(beta)
+    beta = require_beta(beta)
     s = math.sin(delta_theta / 2.0) ** 2
     t = math.tanh(beta / 2.0)
     return n * s * ((beta / 2.0) * (1.0 - s * t * t) - t)
@@ -332,18 +322,3 @@ def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
 def q_single_smallangle(n: int, beta: float, delta_theta: float) -> float:
     """Leading small-angle single-qubit correction N*(dth^2/4)*f(beta)."""
     return n * delta_theta**2 * f_beta(beta) / 4.0
-
-
-def q_bipartite_smallangle_rxx(n: int, beta: float, delta_theta: float, delta_phi: float) -> float:
-    """Small-angle two-qubit correction N*[(dth^2/2) f + (dphi^2/2) g] for the xx entangler."""
-    return n * (delta_theta**2 / 2.0 * f_beta(beta) + delta_phi**2 / 2.0 * g_beta(beta))
-
-
-def q_bipartite_smallangle_cartan(n: int, beta: float, delta_theta: float, c1: float, c2: float) -> float:
-    """Small-angle two-qubit correction N*[(dth^2/2) f + 2(c1-c2)^2 g]; independent of c3."""
-    return n * (delta_theta**2 / 2.0 * f_beta(beta) + 2.0 * (c1 - c2) ** 2 * g_beta(beta))
-
-
-def q_separable_smallangle(n: int, beta: float, delta_theta: float, c: float, m: float) -> float:
-    """Small-angle correction N*f(beta)*[(c+dth)^2/4 + (m+dth)^2/4]; no g term for separable driving."""
-    return n * f_beta(beta) * ((c + delta_theta) ** 2 / 4.0 + (m + delta_theta) ** 2 / 4.0)

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from workfdr.cli import main
+from workfdr.cli import build_parser, main
+from workfdr.entanglers import ENTANGLERS
 
 Q_SMALL_RXX = 9.1270909498508389e-04
 
@@ -209,12 +210,43 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert not list(tmp_path.glob(".workfdr-*"))  # no temp litter
 
 
-def test_invalid_inputs_exit_2(capsys):
+def test_invalid_inputs_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "q", "--beta", "-1", "--n", "10", "--theta", "0.1")
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     code, _, _ = run_cli(capsys, "dist", "--beta", "1", "--dtheta", "nan")
     assert code == 2
+    for argv in (["q", "--n", "0", "--theta", "1"], ["sweep", "--n", "0", "--theta", "1", "--beta-grid", "1,2"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "n_steps" in err
+    config = tmp_path / "bad.json"
+    for values in ({"beta": "x"}, {"theta": True}, {"n": 2.7}, {"seed": 1.5}, {"workers": "2"},
+                   {"two_qubit": "no"}, {"entangler": ["rxx"]}):
+        config.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, "q", "--config", str(config))
+        assert code == 2 and out == "", values
+        assert err.startswith("error:") and next(iter(values)) in err, (values, err)
+
+
+# per-step angles for every registry parameter; each kind reads only its own
+ALL_STEP_ANGLES = ["--dtheta", "0.3", "--dphi", "0.2", "--c1", "0.25", "--c2", "-0.1", "--c3", "0.4",
+                   "--c", "0.2", "--l", "0.1", "--m", "-0.15", "--nz", "0.3"]
+
+
+@pytest.mark.parametrize("kind", list(ENTANGLERS))
+def test_registry_kind_dist_closed_form_matches_enumeration(capsys, kind):
+    code, out, _ = run_cli(capsys, "dist", "--beta", "0.8", "--entangler", kind, *ALL_STEP_ANGLES)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert len(rows) >= 3
+    assert max(float(r[header.index("abs_diff")]) for r in rows) <= 1e-11
+
+
+def test_entangler_choices_are_the_registry_keys():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    for name in ("dist", "q", "sweep", "sample"):
+        entangler = next(a for a in subparsers.choices[name]._actions if a.dest == "entangler")
+        assert list(entangler.choices) == list(ENTANGLERS)
 
 
 def test_verify_fast_run_reports_and_exit_code(capsys):
