@@ -22,13 +22,14 @@ from . import __version__
 from . import work_stats as ws
 from .entanglement import negativity, negativity_cartan_basis
 from .entanglers import ENTANGLERS
-from .errors import WorkFdrError, ValidationError, require_finite
+from .errors import WorkFdrError, ValidationError, require_finite, require_int
 from .model import CartanCoefficients, bipartite_quench, cartan_entangler
 from .sampler import ProtocolConfig, estimate
 from .verify import run_all
 
 _TOTAL_KEYS = ("phi", "c1", "c2", "c3", "c", "l", "m", "nz")  # ProtocolConfig's total_* fields, in order
 _ANGLE_KEYS = ("dtheta", "dphi", "theta", *_TOTAL_KEYS)
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -155,25 +156,30 @@ def cmd_q(args) -> int:
 
 
 def _parse_grid(text: str, integral: bool) -> list:
-    """Parse 'start:stop:step' (inclusive endpoints) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+    """Parse 'start:stop:step' (inclusive endpoints, at most _MAX_GRID_POINTS) or a comma list."""
+    is_range = ":" in text
+    try:
+        items = [float(x) for x in text.split(":" if is_range else ",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"grid values must be numbers, got {text!r}") from None
+    for item in items:
+        require_finite(**{f"grid {text!r} value": item})
+    if is_range:
+        if len(items) != 3:
             raise ValidationError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = items
         if step <= 0 or stop < start:
             raise ValidationError(f"grid needs stop >= start and step > 0, got {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + k * step for k in range(count)]
+        span = (stop - start) / step + 1e-9
+        if span >= _MAX_GRID_POINTS:
+            raise ValidationError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        values = [start + k * step for k in range(int(span) + 1)]
     else:
-        values = [float(x) for x in text.split(",") if x.strip()]
+        values = items
     if not values:
         raise ValidationError(f"grid {text!r} is empty")
     if integral:
-        for v in values:
-            if v != int(v) or v <= 0:
-                raise ValidationError(f"step-count grid must hold positive integers, got {text!r}")
-        return [int(v) for v in values]
+        return [require_int("n-grid value", v) for v in values]
     return values
 
 
@@ -186,7 +192,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for beta in sorted(betas):
         for n in sorted(steps):
-            point = dict(p, beta=float(beta), n=int(n))
+            point = dict(p, beta=float(beta), n=n)
             r = _q_report(point)
             rows.append(
                 [beta, n, r["q_exact"], r["small_angle_prediction"], r["f_beta"], r["g_beta"], r["relative_gap"]]
@@ -291,20 +297,18 @@ def _params(args) -> dict:
     for key in ("beta", *_ANGLE_KEYS):
         if type(merged[key]) not in (int, float):
             raise ValidationError(f"{key} must be a number, got {merged[key]!r}")
+    # integer type only: each range is checked by the library function that takes the value
     for key in ("n", "workers", "trajectories", "seed"):
-        value = merged[key]
-        if value is not None:
-            if not (type(value) is int or type(value) is float and value.is_integer()):
-                raise ValidationError(f"{key} must be an integer, got {value!r}")
-            merged[key] = int(value)
+        if merged[key] is not None:
+            merged[key] = require_int(key, merged[key])
     if type(merged["two_qubit"]) is not bool:
         raise ValidationError(f"two_qubit must be true or false, got {merged['two_qubit']!r}")
     if not isinstance(merged["entangler"], str) or merged["entangler"] not in ENTANGLERS:
         raise ValidationError(f"unknown entangler {merged['entangler']!r}")
+    require_finite(**{key: merged[key] for key in ("beta", *_ANGLE_KEYS)})
     if getattr(args, "degrees", False):
         for key in _ANGLE_KEYS:
             merged[key] = math.radians(merged[key])
-    require_finite(**{key: merged[key] for key in ("beta", *_ANGLE_KEYS)})
     return merged
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailureError, ValidationError, require_finite
+from .errors import NumericFailureError, ValidationError, require_finite, require_int
 from .linalg import check_density, hermitian_eigenvalues, partial_transpose_A
 
 CROSS_CHECK_TOL = 1e-10
@@ -51,8 +51,7 @@ def negativity_cartan_basis(u: int, c1: float, c2: float) -> float:
     non-degenerate pair |00>, |11> (u = 0, 3) gives |sin(2c1 - 2c2)|/2.
     Independent of the zz entangler angle.
     """
-    if u not in (0, 1, 2, 3):
-        raise ValidationError(f"basis index must be 0..3, got {u!r}")
+    u = require_int("u", u, minimum=0, maximum=3)
     require_finite(c1=c1, c2=c2)
     if u in (1, 2):
         return 0.5 * abs(math.sin(2.0 * c1 + 2.0 * c2))

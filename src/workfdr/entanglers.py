@@ -17,6 +17,7 @@ import numpy as np
 
 from . import linalg, model
 from . import work_stats as ws
+from .errors import require_int
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,17 @@ ENTANGLERS = {
 
 def q_bipartite_smallangle_rxx(n: int, beta: float, delta_theta: float, delta_phi: float) -> float:
     """Small-angle two-qubit correction N*[(dth^2/2) f + (dphi^2/2) g] for the xx entangler."""
+    n = require_int("n", n, minimum=1)
     return sum(ENTANGLERS["rxx"].small_angle(n, beta, delta_theta, {"dphi": delta_phi}))
 
 
 def q_bipartite_smallangle_cartan(n: int, beta: float, delta_theta: float, c1: float, c2: float) -> float:
     """Small-angle two-qubit correction N*[(dth^2/2) f + 2(c1-c2)^2 g]; independent of c3."""
+    n = require_int("n", n, minimum=1)
     return sum(ENTANGLERS["cartan"].small_angle(n, beta, delta_theta, {"c1": c1, "c2": c2}))
 
 
 def q_separable_smallangle(n: int, beta: float, delta_theta: float, c: float, m: float) -> float:
     """Small-angle correction N*f(beta)*[(c+dth)^2/4 + (m+dth)^2/4]; no g term for separable driving."""
+    n = require_int("n", n, minimum=1)
     return sum(ENTANGLERS["separable_xzx"].small_angle(n, beta, delta_theta, {"c": c, "m": m}))

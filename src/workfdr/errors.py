@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 
 class WorkFdrError(Exception):
@@ -26,10 +27,37 @@ class NumericFailureError(WorkFdrError):
 
 
 def require_finite(**values: float) -> None:
-    """Raise ValidationError naming the first keyword value that is not finite."""
+    """Raise ValidationError naming the first keyword value that is not finite.
+
+    An int too large for a float counts as not finite.
+    """
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def require_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """Check a count, index or seed and return it as an int.
+
+    Accepts an int, a numpy integer or an integral float; rejects bool (a flag
+    is not a count) and everything else. Both bounds are inclusive.
+    """
+    integral = not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    )
+    if not integral:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    result = int(value)
+    if minimum is not None and result < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and result > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
+    return result
 
 
 def require_beta(beta: float) -> float:

@@ -8,7 +8,8 @@ results depend only on (config, master_seed, trajectory count) -- never on
 batching, scheduling, or worker count. Outcome sampling is inverse-CDF over at
 most four outcomes, drawn from the Born amplitudes directly rather than from
 the exact work-distribution pipeline, so statistical agreement with that
-pipeline is an independent check.
+pipeline is an independent check. A scalar one-step-at-a-time version of the
+batch kernel is kept in the test suite (tests/mc_oracle.py) as its oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .entanglers import ENTANGLERS
-from .errors import ContractViolationError, ValidationError, require_beta, require_finite
+from .errors import ContractViolationError, ValidationError, require_beta, require_finite, require_int
 from .linalg import check_unitary
 from .model import QubitHamiltonian, bipartite_quench, gibbs_populations
 
@@ -49,8 +50,7 @@ class ProtocolConfig:
 
     def __post_init__(self):
         require_beta(self.beta)
-        if self.n_steps <= 0 or self.n_steps != int(self.n_steps):
-            raise ValidationError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        object.__setattr__(self, "n_steps", require_int("n_steps", self.n_steps, minimum=1))
         if self.entangler_kind not in ENTANGLERS:
             raise ValidationError(
                 f"entangler_kind must be one of {tuple(ENTANGLERS)}, got {self.entangler_kind!r}"
@@ -92,15 +92,6 @@ def _blocks_per_trajectory(n_steps: int) -> int:
     return (_DRAWS_PER_STEP * n_steps + 3) // 4
 
 
-def trajectory_stream(master_seed: int, trajectory_index: int, n_steps: int) -> Generator:
-    """Random stream positioned at the counter block owned by one trajectory."""
-    if trajectory_index < 0:
-        raise ValidationError(f"trajectory_index must be non-negative, got {trajectory_index}")
-    bits = Philox(key=np.uint64(master_seed))
-    bits.advance(trajectory_index * _blocks_per_trajectory(n_steps))
-    return Generator(bits)
-
-
 def _born_matrix(quench: np.ndarray, entangler: np.ndarray) -> np.ndarray:
     """Column-stochastic Born matrix T[second, first] = |<second|quench@entangler|first>|^2."""
     quench = check_unitary(quench)
@@ -113,37 +104,6 @@ def _born_matrix(quench: np.ndarray, entangler: np.ndarray) -> np.ndarray:
             f"Born probabilities fail to normalize: max |sum - 1| = {deviation:.3e}"
         )
     return transition / column_sums
-
-
-def _pick(cdf: np.ndarray, u: float) -> int:
-    # inverse CDF with right-closed boundaries; clip guards u landing on cdf[-1]
-    return int(min(np.count_nonzero(u >= cdf), len(cdf) - 1))
-
-
-def sample_step(
-    beta: float, quench: np.ndarray, entangler: np.ndarray, stream: Generator
-) -> tuple[int, int, int]:
-    """Draw one TPM step: thermal first outcome, Born second outcome, work difference."""
-    hamiltonian = QubitHamiltonian.two_qubit() if np.shape(quench) == (4, 4) else QubitHamiltonian.single()
-    populations = gibbs_populations(beta, hamiltonian)
-    born = _born_matrix(quench, entangler)
-    population_cdf = np.cumsum(populations)
-    first = _pick(population_cdf, stream.random())
-    second = _pick(np.cumsum(born[:, first]), stream.random())
-    energies = hamiltonian.energies
-    return first, second, int(round(energies[second] - energies[first]))
-
-
-def run_protocol(config: ProtocolConfig, trajectory_index: int, master_seed: int) -> int:
-    """Total work of one trajectory: n_steps i.i.d. TPM steps (thermal reset between steps)."""
-    quench = config.step_quench()
-    entangler = config.step_entangler()
-    stream = trajectory_stream(master_seed, trajectory_index, config.n_steps)
-    total = 0
-    for _ in range(config.n_steps):
-        _, _, work = sample_step(config.beta, quench, entangler, stream)
-        total += work
-    return total
 
 
 def _simulate_batch(
@@ -186,11 +146,12 @@ def estimate(
     n_trajectories : int
         Number of independent trajectories, >= 2.
     master_seed : int
-        Seed of the counter-based stream family.
+        Seed of the counter-based stream family: the 64-bit Philox key, in
+        [0, 2**64).
     workers : int
-        Thread count for batch processing. Batches have a fixed size and the
-        reduction is over exact integer power sums, so the result is identical
-        for any worker count.
+        Thread count for batch processing, >= 1. Batches have a fixed size and
+        the reduction is over exact integer power sums, so the result is
+        identical for any worker count.
 
     Returns
     -------
@@ -199,10 +160,9 @@ def estimate(
         fourth central moment), and q_estimate = (beta/2)*var - mean with a
         delta-method standard error that keeps the mean-variance covariance.
     """
-    if n_trajectories < 2 or n_trajectories != int(n_trajectories):
-        raise ValidationError(f"n_trajectories must be an integer >= 2, got {n_trajectories!r}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    n_trajectories = require_int("n_trajectories", n_trajectories, minimum=2)
+    master_seed = require_int("master_seed", master_seed, minimum=0, maximum=2**64 - 1)
+    workers = require_int("workers", workers, minimum=1)
     hamiltonian = QubitHamiltonian.two_qubit()
     population_cdf = np.cumsum(gibbs_populations(config.beta, hamiltonian))
     born = _born_matrix(config.step_quench(), config.step_entangler())
@@ -254,5 +214,5 @@ def estimate(
         se_var=se_var,
         q_estimate=q_estimate,
         q_se=math.sqrt(q_var),
-        master_seed=int(master_seed),
+        master_seed=master_seed,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError, ValidationError, require_beta, require_finite
+from .errors import UnsupportedDimensionError, ValidationError, require_beta, require_finite, require_int
 from .linalg import check_unitary
 from .model import QubitHamiltonian, gibbs_populations, rotation_x
 
@@ -85,7 +85,6 @@ class QReport:
     q_value: float
     beta: float
     n_steps: int
-    small_angle_prediction: float | None = None
 
 
 def f_beta(beta: float) -> float:
@@ -245,9 +244,7 @@ def moments(dist: WorkDistribution) -> tuple[float, float]:
 
 def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
     """Exact n-fold convolution of an integer-support distribution (n = 0: point mass)."""
-    if n < 0 or n != int(n):
-        raise ValidationError(f"n must be a non-negative integer, got {n!r}")
-    n = int(n)
+    n = require_int("n", n, minimum=0)
     if n == 0:
         return WorkDistribution.point_mass(0)
     lo, hi = step.support[0], step.support[-1]
@@ -278,41 +275,34 @@ def jarzynski_check(dist: WorkDistribution, beta: float) -> float:
     return float(np.sum(np.exp(np.log(probs) - _LD(beta) * support)))
 
 
-def q_correction(
-    dist: WorkDistribution, beta: float, n: int, delta_f: float = 0.0
-) -> QReport:
+def q_correction(dist: WorkDistribution, beta: float, n: int) -> QReport:
     """FDR correction of the N-step protocol built on a per-step distribution.
 
     Uses cumulant additivity of independent identical steps:
     mean and variance of the total work are n times the per-step values, and
-    Q = (beta/2) * n * Var(w) - (n * <w> - delta_f).
-
-    delta_f must be 0: every unitary in scope preserves the spectrum, so the
-    free-energy change vanishes by construction.
+    Q = (beta/2) * n * Var(w) - n * <w>. Every unitary in scope preserves the
+    spectrum, so the free-energy change is 0 and W_diss is the mean work.
     """
     beta = require_beta(beta)
-    if n <= 0 or n != int(n):
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if delta_f != 0.0:
-        raise ValidationError("delta_f must be 0 for spectrum-preserving protocols")
+    n = require_int("n", n, minimum=1)
     mean_step, var_step = _moments_extended(dist)
     mean_work = n * mean_step
     var_work = n * var_step
-    w_diss = mean_work - _LD(delta_f)
-    q_value = (_LD(beta) / 2) * var_work - w_diss
+    q_value = (_LD(beta) / 2) * var_work - mean_work
     return QReport(
         mean_work=float(mean_work),
         var_work=float(var_work),
-        delta_f=float(delta_f),
-        w_diss=float(w_diss),
+        delta_f=0.0,
+        w_diss=float(mean_work),
         q_value=float(q_value),
         beta=beta,
-        n_steps=int(n),
+        n_steps=n,
     )
 
 
 def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
     """Closed-form single-qubit correction N*sin^2(dth/2)*[(b/2)(1 - sin^2(dth/2)tanh^2(b/2)) - tanh(b/2)]."""
+    n = require_int("n", n, minimum=1)
     beta = require_beta(beta)
     s = math.sin(delta_theta / 2.0) ** 2
     t = math.tanh(beta / 2.0)
@@ -321,4 +311,5 @@ def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
 
 def q_single_smallangle(n: int, beta: float, delta_theta: float) -> float:
     """Leading small-angle single-qubit correction N*(dth^2/4)*f(beta)."""
+    n = require_int("n", n, minimum=1)
     return n * delta_theta**2 * f_beta(beta) / 4.0

@@ -226,6 +226,19 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, "q", "--config", str(config))
         assert code == 2 and out == "", values
         assert err.startswith("error:") and next(iter(values)) in err, (values, err)
+    # a beta too large for a float, written out in full as a JSON integer
+    config.write_text('{"beta": 1' + "0" * 400 + "}")
+    bad = [["q", "--config", str(config)]]
+    mc = ["--trajectories", "100"]
+    for seed in ("-1", str(2**64)):
+        bad += [["sample", "--n", "5", "--theta", "0.1", *mc, "--seed", seed], ["verify", *mc, "--seed", seed]]
+    for flag, grid in (("--beta-grid", "1,x"), ("--beta-grid", "1:x:1"), ("--n-grid", "1:inf:1"),
+                       ("--n-grid", "2.5"), ("--beta-grid", "0:1e308:1e-308")):
+        bad.append(["sweep", "--theta", "1", flag, grid])
+    for argv in bad:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 # per-step angles for every registry parameter; each kind reads only its own

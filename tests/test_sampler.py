@@ -12,12 +12,12 @@ from workfdr import (
     ValidationError,
     estimate,
     identity,
-    run_protocol,
-    sample_step,
 )
 from workfdr.model import QubitHamiltonian, gibbs_populations
-from workfdr.sampler import _born_matrix, _simulate_batch, trajectory_stream
+from workfdr.sampler import _born_matrix, _simulate_batch
 from workfdr.work_stats import convolve_n, moments, step_distribution_bipartite
+
+from mc_oracle import run_protocol, sample_step, trajectory_stream
 
 
 def batch_works(config, master_seed, start, count):

@@ -280,11 +280,6 @@ def test_q_correction_matches_closed_form():
                 assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_q_correction_rejects_nonzero_delta_f():
-    with pytest.raises(ValidationError):
-        q_correction(step_distribution_single(1.0, 0.1), 1.0, 10, delta_f=0.5)
-
-
 def test_q_single_exact_limits():
     assert q_single_exact(50, 1.0, 0.0) == 0.0
     assert q_single_exact(50, 0.0, 0.7) == 0.0
