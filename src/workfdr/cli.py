@@ -24,7 +24,7 @@ from .entanglement import negativity, negativity_cartan_basis
 from .entanglers import ENTANGLERS
 from .errors import WorkFdrError, ValidationError, require_finite, require_int
 from .model import CartanCoefficients, bipartite_quench, cartan_entangler
-from .sampler import ProtocolConfig, estimate
+from .sampler import ProtocolConfig, estimate, require_run
 from .verify import run_all
 
 _TOTAL_KEYS = ("phi", "c1", "c2", "c3", "c", "l", "m", "nz")  # ProtocolConfig's total_* fields, in order
@@ -117,13 +117,18 @@ def cmd_dist(args) -> int:
 def _q_report(p: dict) -> dict:
     config = _config(p)
     beta, n, dtheta = config.beta, config.n_steps, config.delta_theta
-    if _single_qubit(p):
+    single = _single_qubit(p)
+    try:  # the small-angle terms square per-step angles; float ** raises past about 1.3e154
+        if single:
+            f_term, g_term = ws.q_single_smallangle(n, beta, dtheta), 0.0
+        else:
+            f_term, g_term = ENTANGLERS[config.entangler_kind].small_angle(n, beta, dtheta, config.step_params())
+    except OverflowError:
+        raise ValidationError("angles too large: the small-angle prediction overflows a float") from None
+    if single:
         step = ws.step_distribution_single(beta, dtheta)
-        f_term, g_term = ws.q_single_smallangle(n, beta, dtheta), 0.0
     else:
         step = ws.step_distribution_bipartite(beta, config.step_quench(), config.step_entangler())
-        entangler = ENTANGLERS[config.entangler_kind]
-        f_term, g_term = entangler.small_angle(n, beta, dtheta, config.step_params())
     report = ws.q_correction(step, beta, n)
     prediction = f_term + g_term
     relative_gap = abs(report.q_value - prediction) / abs(report.q_value) if report.q_value else 0.0
@@ -221,10 +226,12 @@ def cmd_sample(args) -> int:
     if p["seed"] is None or p["trajectories"] is None:
         raise ValidationError("sample needs --seed and --trajectories")
     config = _config(p)
-    stats = estimate(config, p["trajectories"], p["seed"], workers=p["workers"])
+    # every input and the exact reference first, so a failure comes before the Monte Carlo run
+    require_run(p["trajectories"], p["seed"], p["workers"])
     step = ws.step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
     mean_ref, var_ref = ws.moments(ws.convolve_n(step, config.n_steps))
     q_ref = ws.q_correction(step, config.beta, config.n_steps).q_value
+    stats = estimate(config, p["trajectories"], p["seed"], workers=p["workers"])
     results = {
         "estimates": {
             "n_trajectories": stats.n_trajectories,
@@ -306,6 +313,8 @@ def _params(args) -> dict:
     if not isinstance(merged["entangler"], str) or merged["entangler"] not in ENTANGLERS:
         raise ValidationError(f"unknown entangler {merged['entangler']!r}")
     require_finite(**{key: merged[key] for key in ("beta", *_ANGLE_KEYS)})
+    for key in ("beta", *_ANGLE_KEYS):  # as from a flag: a --config 2 prints as 2.0
+        merged[key] = float(merged[key])
     if getattr(args, "degrees", False):
         for key in _ANGLE_KEYS:
             merged[key] = math.radians(merged[key])

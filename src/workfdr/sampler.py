@@ -2,14 +2,19 @@
 
 Random streams are counter-based: a Philox generator keyed by the master seed,
 with trajectory i owning counter blocks [i*B, (i+1)*B) where B = ceil(2N/4)
-(one block yields four doubles) and draws ordered (step, outcome) with two
-draws per step. Every trajectory is therefore reproducible in isolation, and
-results depend only on (config, master_seed, trajectory count) -- never on
+(one block yields four 64-bit words) and draws ordered (step, outcome) with
+two draws per step. Every trajectory is therefore reproducible in isolation,
+and results depend only on (config, master_seed, trajectory count) -- never on
 batching, scheduling, or worker count. Outcome sampling is inverse-CDF over at
 most four outcomes, drawn from the Born amplitudes directly rather than from
 the exact work-distribution pipeline, so statistical agreement with that
 pipeline is an independent check. A scalar one-step-at-a-time version of the
 batch kernel is kept in the test suite (tests/mc_oracle.py) as its oracle.
+
+The batch kernel compares raw Philox words with integer thresholds, which
+picks the same outcomes as the oracle's float uniforms (see _thresholds), and
+a batch holds as many trajectories as fit in _DRAWS_PER_BATCH raw words, so
+its memory does not grow with the trajectory count.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .entanglers import ENTANGLERS
 from .errors import ContractViolationError, ValidationError, require_beta, require_finite, require_int
@@ -28,7 +33,9 @@ from .model import QubitHamiltonian, bipartite_quench, gibbs_populations
 
 BORN_NORMALIZATION_TOL = 1e-10
 _DRAWS_PER_STEP = 2
-_BATCH_SIZE = 8192
+_WORDS_PER_BLOCK = 4
+_DRAWS_PER_BATCH = 2**18  # raw words drawn per batch, padding included: about 2 MB
+_UNIFORM_BITS = 53  # Generator.random keeps the top 53 bits of each raw Philox word
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class ProtocolConfig:
     total_n: float = 0.0
 
     def __post_init__(self):
-        require_beta(self.beta)
+        object.__setattr__(self, "beta", require_beta(self.beta))
         object.__setattr__(self, "n_steps", require_int("n_steps", self.n_steps, minimum=1))
         if self.entangler_kind not in ENTANGLERS:
             raise ValidationError(
@@ -89,7 +96,17 @@ class SampleStats:
 
 
 def _blocks_per_trajectory(n_steps: int) -> int:
-    return (_DRAWS_PER_STEP * n_steps + 3) // 4
+    return (_DRAWS_PER_STEP * n_steps + _WORDS_PER_BLOCK - 1) // _WORDS_PER_BLOCK
+
+
+def require_run(n_trajectories: int, master_seed: int, workers: int = 1) -> tuple[int, int, int]:
+    """Check the trajectory count (>= 2), the master seed (a 64-bit Philox key) and the
+    worker count (>= 1) of a Monte Carlo run; return them as ints."""
+    return (
+        require_int("n_trajectories", n_trajectories, minimum=2),
+        require_int("master_seed", master_seed, minimum=0, maximum=2**64 - 1),
+        require_int("workers", workers, minimum=1),
+    )
 
 
 def _born_matrix(quench: np.ndarray, entangler: np.ndarray) -> np.ndarray:
@@ -106,6 +123,12 @@ def _born_matrix(quench: np.ndarray, entangler: np.ndarray) -> np.ndarray:
     return transition / column_sums
 
 
+def _thresholds(cdf: np.ndarray) -> np.ndarray:
+    """uint64 t with (r >> 11) >= t exactly when (r >> 11) * 2**-53 >= cdf, the
+    uniform Generator.random makes from the raw Philox word r."""
+    return np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.uint64)
+
+
 def _simulate_batch(
     master_seed: int,
     start: int,
@@ -115,20 +138,40 @@ def _simulate_batch(
     born_cdf_rows: np.ndarray,
     energies: np.ndarray,
 ) -> np.ndarray:
-    """Integer total work for trajectories [start, start+count), vectorized."""
+    """Integer total work for trajectories [start, start+count), vectorized.
+
+    An outcome is the number of CDF entries at or below its uniform, capped at
+    the last outcome; as a CDF never decreases, that is the count over all
+    entries but the last.
+    """
     blocks = _blocks_per_trajectory(n_steps)
+    first_thresholds = _thresholds(population_cdf[:-1])
+    second_thresholds = _thresholds(born_cdf_rows[:, :-1])  # [first outcome, j]
+    work = (energies - energies[:, None]).astype(np.int8).ravel()  # work[4*first + second]
     bits = Philox(key=np.uint64(master_seed))
     bits.advance(start * blocks)
-    uniforms = Generator(bits).random(count * 4 * blocks).reshape(count, 4 * blocks)
-    uniforms = uniforms[:, : _DRAWS_PER_STEP * n_steps].reshape(count, n_steps, _DRAWS_PER_STEP)
-    first = np.minimum(
-        (uniforms[:, :, 0][..., None] >= population_cdf).sum(axis=-1), len(population_cdf) - 1
-    )
-    row_cdf = born_cdf_rows[first]
-    second = np.minimum(
-        (uniforms[:, :, 1][..., None] >= row_cdf).sum(axis=-1), born_cdf_rows.shape[1] - 1
-    )
-    return (energies[second] - energies[first]).sum(axis=1)
+    words = bits.random_raw(count * _WORDS_PER_BLOCK * blocks)
+    words >>= np.uint64(64 - _UNIFORM_BITS)
+    draws = words.reshape(count, -1, _DRAWS_PER_STEP)[:, :n_steps]
+    first_draws, second_draws = draws[..., 0], draws[..., 1]
+    # a bool array viewed as int8 holds 0 and 1: each pass adds one compare in place
+    first = (first_draws >= first_thresholds[0]).view(np.int8)
+    for threshold in first_thresholds[1:]:
+        first += first_draws >= threshold
+    # threshold j of each draw's Born row: column j taken at the draw's first outcome
+    second = (second_draws >= second_thresholds[:, 0].take(first)).view(np.int8)
+    for column in second_thresholds.T[1:]:
+        second += second_draws >= column.take(first)
+    first *= len(energies)
+    first += second
+    return work.take(first).sum(axis=1, dtype=np.int64)
+
+
+def _power_sums(w: np.ndarray) -> tuple[int, int, int, int]:
+    """Exact sums of w, w**2, w**3 and w**4 as Python ints; int64 powers wrap once |w| >= 55,109."""
+    values, counts = np.unique(w, return_counts=True)
+    pairs = list(zip(values.tolist(), counts.tolist()))
+    return tuple(sum(c * v**k for v, c in pairs) for k in (1, 2, 3, 4))
 
 
 def estimate(
@@ -149,9 +192,11 @@ def estimate(
         Seed of the counter-based stream family: the 64-bit Philox key, in
         [0, 2**64).
     workers : int
-        Thread count for batch processing, >= 1. Batches have a fixed size and
-        the reduction is over exact integer power sums, so the result is
-        identical for any worker count.
+        Thread count for batch processing, >= 1. A batch holds as many
+        trajectories as fit in a fixed budget of raw Philox words (at least
+        one), so its memory depends on N but not on n_trajectories. The
+        reduction is over exact integer power sums, so the result is identical
+        for any worker count or batch schedule.
 
     Returns
     -------
@@ -160,27 +205,23 @@ def estimate(
         fourth central moment), and q_estimate = (beta/2)*var - mean with a
         delta-method standard error that keeps the mean-variance covariance.
     """
-    n_trajectories = require_int("n_trajectories", n_trajectories, minimum=2)
-    master_seed = require_int("master_seed", master_seed, minimum=0, maximum=2**64 - 1)
-    workers = require_int("workers", workers, minimum=1)
+    n_trajectories, master_seed, workers = require_run(n_trajectories, master_seed, workers)
     hamiltonian = QubitHamiltonian.two_qubit()
     population_cdf = np.cumsum(gibbs_populations(config.beta, hamiltonian))
     born = _born_matrix(config.step_quench(), config.step_entangler())
     born_cdf_rows = np.cumsum(born, axis=0).T.copy()
     energies = np.asarray(hamiltonian.energies, dtype=np.int64)
 
+    per_batch = max(1, _DRAWS_PER_BATCH // (_WORDS_PER_BLOCK * _blocks_per_trajectory(config.n_steps)))
     batches = [
-        (start, min(_BATCH_SIZE, n_trajectories - start))
-        for start in range(0, n_trajectories, _BATCH_SIZE)
+        (start, min(per_batch, n_trajectories - start)) for start in range(0, n_trajectories, per_batch)
     ]
 
     def power_sums(batch: tuple[int, int]) -> tuple[int, int, int, int]:
         start, count = batch
-        w = _simulate_batch(
-            master_seed, start, count, config.n_steps, population_cdf, born_cdf_rows, energies
+        return _power_sums(
+            _simulate_batch(master_seed, start, count, config.n_steps, population_cdf, born_cdf_rows, energies)
         )
-        w2 = w * w
-        return (int(w.sum()), int(w2.sum()), int((w2 * w).sum()), int((w2 * w2).sum()))
 
     if workers == 1:
         partials = [power_sums(batch) for batch in batches]

@@ -24,7 +24,7 @@ from .entanglement import negativity, negativity_cartan_basis
 from .entanglers import q_bipartite_smallangle_cartan, q_bipartite_smallangle_rxx
 from .linalg import identity
 from .model import CartanCoefficients, SeparableXZXParams, bipartite_quench, cartan_entangler, rxx, separable_xzx
-from .sampler import ProtocolConfig, estimate
+from .sampler import ProtocolConfig, estimate, require_run
 
 _RNG_SEED = 20250810
 
@@ -343,7 +343,11 @@ def check_10_cross_oracle() -> CheckResult:
 
 
 def run_all(mc_trajectories: int = 100_000, mc_seed: int = 42) -> list[CheckResult]:
-    """Run every acceptance check in order; deterministic given the same inputs."""
+    """Run every acceptance check in order; deterministic given the same inputs.
+
+    The Monte Carlo count and seed are checked before the first check runs.
+    """
+    require_run(mc_trajectories, mc_seed)
     return [
         check_01_single_qubit_exact_q(),
         check_02_small_angle_convergence(),

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from workfdr import ValidationError, cli, verify, work_stats
 from workfdr.cli import build_parser, main
 from workfdr.entanglers import ENTANGLERS
 
@@ -184,6 +185,42 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert json.loads(out_override)["results"]["beta"] == 2.0
 
 
+def test_config_integers_print_like_flags(capsys, tmp_path):
+    # JSON integers for float keys give the bytes the same flags give
+    config = tmp_path / "integers.json"
+    config.write_text(json.dumps({"beta": 2, "n": 10, "theta": 1, "entangler": "rxx", "phi": 1}))
+    flags = ["--beta", "2", "--n", "10", "--theta", "1", "--entangler", "rxx", "--phi", "1"]
+    mc = ["--trajectories", "300", "--seed", "4"]
+    for command, extra in (("q", ["--format", "json"]), ("sweep", ["--n-grid", "5,10"]), ("sample", mc)):
+        _, out_file, _ = run_cli(capsys, command, "--config", str(config), *extra)
+        _, out_flags, _ = run_cli(capsys, command, *flags, *extra)
+        assert out_file == out_flags, command
+    assert '"beta": 2.0' in out_file
+
+
+def test_sample_builds_exact_reference_before_monte_carlo(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValidationError("probabilities sum to 0.99, expected 1")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("estimate ran before the exact reference")
+
+    monkeypatch.setattr(work_stats, "convolve_n", fail)
+    monkeypatch.setattr(cli, "estimate", must_not_run)
+    code, out, err = run_cli(capsys, "sample", "--n", "5", "--theta", "0.1", "--trajectories", "100", "--seed", "1")
+    assert code == 2 and out == "" and "probabilities" in err
+
+
+def test_verify_checks_seed_and_count_before_check_1(capsys, monkeypatch):
+    def must_not_run():
+        raise AssertionError("check 1 ran before the Monte Carlo inputs were checked")
+
+    monkeypatch.setattr(verify, "check_01_single_qubit_exact_q", must_not_run)
+    for argv in (["--seed", "-1"], ["--trajectories", "1"], ["--seed", str(2**64)]):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
 def test_unknown_config_key_rejected(capsys, tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"bogus": 1}))
@@ -229,6 +266,14 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     # a beta too large for a float, written out in full as a JSON integer
     config.write_text('{"beta": 1' + "0" * 400 + "}")
     bad = [["q", "--config", str(config)]]
+    # angles whose square overflows a float in the small-angle prediction
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"theta": 1' + "0" * 300 + "}")
+    bad += [["q", "--config", str(huge)], ["q", "--n", "1", "--theta", "1e200"],
+            ["q", "--n", "1", "--entangler", "rxx", "--phi=-1e200"],
+            ["q", "--n", "2", "--entangler", "cartan", "--c1", "1e300", "--c2=-1e300"],
+            ["q", "--n", "1", "--entangler", "separable_xzx", "--c", "1e160"],
+            ["sweep", "--n", "1", "--theta", "1e200", "--beta-grid", "1,2"]]
     mc = ["--trajectories", "100"]
     for seed in ("-1", str(2**64)):
         bad += [["sample", "--n", "5", "--theta", "0.1", *mc, "--seed", seed], ["verify", *mc, "--seed", seed]]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats as scipy_stats
 
 from workfdr import (
@@ -13,8 +14,9 @@ from workfdr import (
     estimate,
     identity,
 )
+from workfdr import sampler
 from workfdr.model import QubitHamiltonian, gibbs_populations
-from workfdr.sampler import _born_matrix, _simulate_batch
+from workfdr.sampler import _blocks_per_trajectory, _born_matrix, _power_sums, _simulate_batch
 from workfdr.work_stats import convolve_n, moments, step_distribution_bipartite
 
 from mc_oracle import run_protocol, sample_step, trajectory_stream
@@ -125,6 +127,103 @@ def test_sample_step_draws_and_born_contract():
     assert work == [0, 1, 1, 2][second] - [0, 1, 1, 2][first]
     with pytest.raises(ContractViolationError):
         sample_step(1.0, 0.9 * identity(4), identity(4), stream)
+
+
+def test_integer_thresholds_agree_with_float_uniforms():
+    # Philox's Generator.random is the top 53 bits of the raw word times 2**-53
+    raw = Philox(key=np.uint64(9)).random_raw(1000)
+    assert np.array_equal(Generator(Philox(key=np.uint64(9))).random(1000), (raw >> np.uint64(11)) * 2.0**-53)
+    populations = np.cumsum(gibbs_populations(50.0, QubitHamiltonian.two_qubit()))
+    for c in [0.0, 5e-324, 2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, *populations]:
+        t = int(sampler._thresholds(np.array([c]))[0])
+        for k in (t - 1, t, t + 1):
+            if 0 <= k < 2**53:
+                assert (k >= t) == (k * 2.0**-53 >= c), (c, k)
+
+
+# odd N (two padding draws per trajectory), beta = 0, beta = 50 (population
+# thresholds at or next to 1.0) and theta = 0 (Born rows of exact 0 and 1)
+EDGE_CONFIGS = {
+    "odd_n": ProtocolConfig(beta=0.8, n_steps=7, total_theta=6.0, entangler_kind="cartan",
+                            total_c1=3.0, total_c2=-1.0, total_c3=2.0),
+    "beta_0": ProtocolConfig(beta=0.0, n_steps=6, total_theta=0.9, entangler_kind="rxx", total_phi=1.4),
+    "beta_50": ProtocolConfig(beta=50.0, n_steps=5, total_theta=2.0, entangler_kind="rxx", total_phi=0.7),
+    "theta_0": ProtocolConfig(beta=1.0, n_steps=8, total_theta=0.0),
+}
+EDGE_COUNT = 23
+
+
+def _recorded_estimate(monkeypatch, config, n_trajectories, seed):
+    """Run estimate and return its stats with every batch it ran, as (start, count, works)."""
+    calls = []
+
+    def recording(master_seed, start, count, *args):
+        works = _simulate_batch(master_seed, start, count, *args)
+        calls.append((start, count, works))
+        return works
+
+    monkeypatch.setattr(sampler, "_simulate_batch", recording)
+    stats = estimate(config, n_trajectories, seed)
+    return stats, sorted(calls, key=lambda call: call[0])
+
+
+@pytest.mark.parametrize("name", list(EDGE_CONFIGS))
+def test_batch_kernel_matches_scalar_oracle_for_any_draw_budget(monkeypatch, name):
+    config = EDGE_CONFIGS[name]
+    oracle = [run_protocol(config, i, 31) for i in range(EDGE_COUNT)]
+    words = 4 * _blocks_per_trajectory(config.n_steps)
+    # one trajectory per batch, 5 per batch (not a divisor of 23), the default budget
+    budgets = {1: words, 5: 5 * words + words // 2, None: sampler._DRAWS_PER_BATCH}
+    results = []
+    for per_batch, budget in budgets.items():
+        monkeypatch.setattr(sampler, "_DRAWS_PER_BATCH", budget)
+        stats, calls = _recorded_estimate(monkeypatch, config, EDGE_COUNT, 31)
+        assert [start for start, _, _ in calls] == list(range(0, EDGE_COUNT, per_batch or EDGE_COUNT))
+        assert np.concatenate([works for _, _, works in calls]).tolist() == oracle, (name, per_batch)
+        results.append(stats)
+    assert results[0] == results[1] == results[2]
+    # the stats are those of the oracle's totals
+    mean = sum(oracle) / EDGE_COUNT
+    assert results[0].mean_w == mean
+    assert results[0].var_w == pytest.approx(sum((w - mean) ** 2 for w in oracle) / (EDGE_COUNT - 1), abs=1e-12)
+
+
+@pytest.mark.parametrize(("n_steps", "n_trajectories"), [(1, 300_000), (50, 20_000), (4000, 70), (70_000, 3)])
+def test_no_batch_draws_more_than_the_budget(monkeypatch, n_steps, n_trajectories):
+    monkeypatch.setattr(sampler, "_DRAWS_PER_BATCH", 2**16)  # 70_000 steps need 140_000 words
+    config = ProtocolConfig(beta=1.0, n_steps=n_steps, total_theta=0.3)
+    _, calls = _recorded_estimate(monkeypatch, config, n_trajectories, 5)
+    words = 4 * _blocks_per_trajectory(n_steps)
+    assert [start for start, _, _ in calls] == list(np.cumsum([0] + [count for _, count, _ in calls[:-1]]))
+    assert sum(count for _, count, _ in calls) == n_trajectories
+    for _, count, _ in calls:
+        assert count * words <= 2**16 or count == 1
+    # batches are as full as the budget allows
+    assert calls[0][1] == min(n_trajectories, max(1, 2**16 // words))
+
+
+def test_power_sums_are_exact_past_the_int64_wrap():
+    # w**4 passes 2**63 at |w| = 55,109; int64 arithmetic wraps there
+    w = np.array([55_108, 55_109, -55_109, 60_000, -60_000, 60_000, 0], dtype=np.int64)
+    expected = tuple(sum(int(v) ** k for v in w) for k in (1, 2, 3, 4))
+    assert _power_sums(w) == expected
+    assert _power_sums(w)[3] > 2**63
+
+
+def test_estimate_moments_of_a_wide_distribution_past_the_int64_wrap():
+    # a pi rotation per step takes |00> to |11> (w = +2) and |11> to |00> (w = -2);
+    # at beta = 2 that puts every total near 61,000 with a spread of about 200
+    n = 40_000
+    config = ProtocolConfig(beta=2.0, n_steps=n, total_theta=math.pi * n)
+    stats = estimate(config, 64, 3)
+    works = batch_works(config, 3, 0, 64).astype(np.float64)
+    assert works.min() >= 55_109
+    deviations = works - works.mean()
+    var = deviations.var(ddof=1)
+    var_of_var = (np.mean(deviations**4) - (64 - 3) / (64 - 1) * var**2) / 64
+    assert stats.var_w == pytest.approx(var, rel=1e-12)
+    assert stats.se_var == pytest.approx(math.sqrt(var_of_var), rel=1e-4)
+    assert stats.q_se > 0.0
 
 
 def test_validation_errors():
