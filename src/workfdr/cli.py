@@ -3,8 +3,9 @@ Monte Carlo runs, and the verification suite, emitting deterministic CSV/JSON.
 
 Conventions: `dist` takes per-step angles (--dtheta, --dphi, --c1, ...);
 `q`, `sweep`, and `sample` take protocol totals (--theta, --phi, --c1, ...)
-that are divided by the step count N. Angles are radians unless --degrees is
-given. Exit codes: 0 success, 1 verification failure, 2 invalid input.
+that are divided by the step count N; the entangler flags and --config keys
+come from the registry's parameter specs. Angles are radians unless --degrees
+is given. Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ import numpy as np
 from . import __version__
 from . import work_stats as ws
 from .entanglement import negativity, negativity_cartan_basis
-from .entanglers import ENTANGLERS
+from .entanglers import ENTANGLERS, Param, all_params
 from .errors import WorkFdrError, ValidationError, require_finite, require_int
-from .model import CartanCoefficients, bipartite_quench, cartan_entangler
+from .model import bipartite_quench
 from .sampler import ProtocolConfig, estimate, require_run
 from .verify import run_all
 
-_TOTAL_KEYS = ("phi", "c1", "c2", "c3", "c", "l", "m", "nz")  # ProtocolConfig's total_* fields, in order
-_ANGLE_KEYS = ("dtheta", "dphi", "theta", *_TOTAL_KEYS)
 _MAX_GRID_POINTS = 1_000_000
+_QUENCH = Param("dtheta", "theta", "local quench angle")  # every kind's, named like an entangler angle
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -93,7 +93,8 @@ def _single_qubit(p: dict) -> bool:
 
 
 def _config(p: dict) -> ProtocolConfig:
-    return ProtocolConfig(p["beta"], p["n"], p["theta"], p["entangler"], *(p[k] for k in _TOTAL_KEYS))
+    totals = {f"total_{spec.total}": p[spec.total] for spec in ENTANGLERS[p["entangler"]].params}
+    return ProtocolConfig(p["beta"], p["n"], p["theta"], p["entangler"], **totals)
 
 
 def cmd_dist(args) -> int:
@@ -209,7 +210,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_negativity(args) -> int:
     p = _params(args)
-    entangler = cartan_entangler(CartanCoefficients(p["c1"], p["c2"], p["c3"]))
+    entangler = ENTANGLERS["cartan"].unitary(p)
     rows = []
     for u in range(4):
         column = entangler[:, u]
@@ -275,7 +276,6 @@ def cmd_verify(args) -> int:
 _COMMON_DEFAULTS = {
     "beta": 1.0,
     "n": 100,
-    **dict.fromkeys(_ANGLE_KEYS, 0.0),
     "entangler": "none",
     "two_qubit": False,
     "trajectories": None,
@@ -286,10 +286,15 @@ _COMMON_DEFAULTS = {
 
 def _params(args) -> dict:
     """Merge defaults, --config file values, and explicit flags (flags win)."""
-    merged = dict(_COMMON_DEFAULTS)
+    specs = [_QUENCH, *all_params()]
+    angles = dict.fromkeys([*(s.step for s in specs), *(s.total for s in specs)], 0.0)
+    merged = {**_COMMON_DEFAULTS, **angles}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            file_values = json.load(handle)
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                file_values = json.load(handle)
+        except (ValueError, RecursionError) as error:  # bad UTF-8, bad JSON, or nesting too deep
+            raise ValidationError(f"--config {args.config}: {error}") from None
         if not isinstance(file_values, dict):
             raise ValidationError("--config must hold a JSON object of parameter values")
         for key, value in file_values.items():
@@ -300,10 +305,6 @@ def _params(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    # --config values keep their JSON types (argparse types the flags); bool is no number here
-    for key in ("beta", *_ANGLE_KEYS):
-        if type(merged[key]) not in (int, float):
-            raise ValidationError(f"{key} must be a number, got {merged[key]!r}")
     # integer type only: each range is checked by the library function that takes the value
     for key in ("n", "workers", "trajectories", "seed"):
         if merged[key] is not None:
@@ -312,11 +313,12 @@ def _params(args) -> dict:
         raise ValidationError(f"two_qubit must be true or false, got {merged['two_qubit']!r}")
     if not isinstance(merged["entangler"], str) or merged["entangler"] not in ENTANGLERS:
         raise ValidationError(f"unknown entangler {merged['entangler']!r}")
-    require_finite(**{key: merged[key] for key in ("beta", *_ANGLE_KEYS)})
-    for key in ("beta", *_ANGLE_KEYS):  # as from a flag: a --config 2 prints as 2.0
+    # --config values keep their JSON types (argparse types the flags): a string or a bool fails here
+    require_finite(**{key: merged[key] for key in ("beta", *angles)})
+    for key in ("beta", *angles):  # as from a flag: a --config 2 prints as 2.0
         merged[key] = float(merged[key])
     if getattr(args, "degrees", False):
-        for key in _ANGLE_KEYS:
+        for key in angles:
             merged[key] = math.radians(merged[key])
     return merged
 
@@ -336,27 +338,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--degrees", action="store_true", help="interpret angle inputs as degrees")
 
 
-def _add_per_step_angles(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dtheta", type=float, default=None, help="per-step local quench angle")
-    parser.add_argument("--dphi", type=float, default=None, help="per-step xx entangler angle")
-    for flag, text in (("--c1", "xx"), ("--c2", "yy"), ("--c3", "zz")):
-        parser.add_argument(flag, type=float, default=None, help=f"per-step {text} entangler angle")
-    parser.add_argument("--c", type=float, default=None, help="separable: X angle, qubit A")
-    parser.add_argument("--l", type=float, default=None, help="separable: Z angle, qubit A")
-    parser.add_argument("--m", type=float, default=None, help="separable: X angle, qubit B")
-    parser.add_argument("--nz", type=float, default=None, help="separable: Z angle, qubit B")
+def _add_angles(parser: argparse.ArgumentParser, per_step: bool) -> None:
+    """The quench and entangler angles, per step or as totals; totals come with --n."""
+    if not per_step:
+        parser.add_argument("--n", type=int, default=None, help="number of protocol steps N")
+    _add_params(parser, [_QUENCH, *all_params()], per_step)
 
 
-def _add_totals(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None, help="number of protocol steps N")
-    parser.add_argument("--theta", type=float, default=None, help="total local quench angle")
-    parser.add_argument("--phi", type=float, default=None, help="total xx entangler angle")
-    for flag, text in (("--c1", "xx"), ("--c2", "yy"), ("--c3", "zz")):
-        parser.add_argument(flag, type=float, default=None, help=f"total {text} entangler angle")
-    parser.add_argument("--c", type=float, default=None, help="separable: total X angle, qubit A")
-    parser.add_argument("--l", type=float, default=None, help="separable: total Z angle, qubit A")
-    parser.add_argument("--m", type=float, default=None, help="separable: total X angle, qubit B")
-    parser.add_argument("--nz", type=float, default=None, help="separable: total Z angle, qubit B")
+def _add_params(parser: argparse.ArgumentParser, specs, per_step: bool) -> None:
+    """One float flag per parameter spec, named by its per-step or its total name."""
+    for spec in specs:
+        name, which = (spec.step, "per-step") if per_step else (spec.total, "total")
+        parser.add_argument(f"--{name}", type=float, default=None, help=f"{which} {spec.help}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,30 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dist = sub.add_parser("dist", help="per-step work distribution: exact vs closed form")
-    _add_per_step_angles(p_dist)
+    _add_angles(p_dist, per_step=True)
     _add_common(p_dist)
     p_dist.set_defaults(func=cmd_dist)
 
     p_q = sub.add_parser("q", help="FDR correction report for an N-step protocol")
-    _add_totals(p_q)
+    _add_angles(p_q, per_step=False)
     _add_common(p_q)
     p_q.set_defaults(func=cmd_q)
 
     p_sweep = sub.add_parser("sweep", help="Q and small-angle gap over a beta and/or N grid")
-    _add_totals(p_sweep)
+    _add_angles(p_sweep, per_step=False)
     p_sweep.add_argument("--beta-grid", default=None, help="start:stop:step or comma list")
     p_sweep.add_argument("--n-grid", default=None, help="start:stop:step or comma list of integers")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_neg = sub.add_parser("negativity", help="negativity of entangled basis states: numeric vs closed form")
-    for flag in ("--c1", "--c2", "--c3"):
-        p_neg.add_argument(flag, type=float, default=None)
+    _add_params(p_neg, ENTANGLERS["cartan"].params, per_step=True)
     _add_common(p_neg)
     p_neg.set_defaults(func=cmd_negativity)
 
     p_sample = sub.add_parser("sample", help="seeded Monte Carlo estimate with exact references")
-    _add_totals(p_sample)
+    _add_angles(p_sample, per_step=False)
     p_sample.add_argument("--trajectories", type=int, default=None)
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--workers", type=int, default=None)
@@ -412,10 +404,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WorkFdrError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as error:
+    except (WorkFdrError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

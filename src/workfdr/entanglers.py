@@ -1,11 +1,13 @@
 """The entangler registry: one entry per two-qubit entangler kind, read by the
 CLI, ProtocolConfig and the small-angle functions, so a new kind is one entry.
 
-An entry holds the per-step parameter names, the per-step 4x4 unitary, the
-closed-form step distribution, and the small-angle Q as (f_term, g_term). Its
-callables take the per-step parameters as a mapping keyed by those names and
-look functions up on their modules at call time, so a replaced module
-attribute (a test's mutant, a profiler's wrapper) is seen here too.
+An entry holds its parameter specs, the per-step 4x4 unitary, the closed-form
+step distribution, and the small-angle Q as (f_term, g_term). This is the one
+place a parameter is named: the CLI flags, --config keys and ProtocolConfig's
+total_<name> keywords are derived from the specs when they are used. The
+callables take the per-step parameters as a mapping keyed by the specs' step
+names and look functions up on their modules at call time, so a replaced
+module attribute (a test's mutant, a profiler's wrapper) is seen here too.
 """
 
 from __future__ import annotations
@@ -21,11 +23,22 @@ from .errors import require_int
 
 
 @dataclass(frozen=True)
+class Param:
+    """One entangler angle: `step` is its per-step name (a `dist` flag and a
+    step-mapping key), `total` its protocol-total name (a `q`/`sweep`/`sample`
+    flag, a --config key and ProtocolConfig's total_<total> keyword)."""
+
+    step: str
+    total: str
+    help: str
+
+
+@dataclass(frozen=True)
 class Entangler:
     """One entangler kind. `reduces_to_single_qubit` marks the identity, under
     which the two qubits are independent copies of the single-qubit model."""
 
-    params: tuple[str, ...]
+    params: tuple[Param, ...]
     unitary: Callable[[Mapping], np.ndarray]
     closed_form: Callable[[float, float, Mapping], ws.WorkDistribution]
     small_angle: Callable[[int, float, float, Mapping], tuple[float, float]]
@@ -46,7 +59,7 @@ ENTANGLERS = {
         reduces_to_single_qubit=True,
     ),
     "rxx": Entangler(
-        params=("dphi",),
+        params=(Param("dphi", "phi", "xx entangler angle"),),
         unitary=lambda p: model.rxx(p["dphi"]),
         closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, p["dphi"] / 2.0, 0.0),
         small_angle=lambda n, beta, dth, p: (
@@ -55,7 +68,11 @@ ENTANGLERS = {
         ),
     ),
     "cartan": Entangler(
-        params=("c1", "c2", "c3"),
+        params=(
+            Param("c1", "c1", "xx entangler angle"),
+            Param("c2", "c2", "yy entangler angle"),
+            Param("c3", "c3", "zz entangler angle"),
+        ),
         unitary=lambda p: model.cartan_entangler(model.CartanCoefficients(p["c1"], p["c2"], p["c3"])),
         closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, p["c1"], p["c2"]),
         small_angle=lambda n, beta, dth, p: (
@@ -64,7 +81,12 @@ ENTANGLERS = {
         ),
     ),
     "separable_xzx": Entangler(
-        params=("c", "l", "m", "nz"),
+        params=(
+            Param("c", "c", "separable X angle, qubit A"),
+            Param("l", "l", "separable Z angle, qubit A"),
+            Param("m", "m", "separable X angle, qubit B"),
+            Param("nz", "nz", "separable Z angle, qubit B"),
+        ),
         unitary=lambda p: model.separable_xzx(model.SeparableXZXParams(p["c"], p["l"], p["m"], p["nz"])),
         closed_form=lambda beta, dth, p: ws.closed_form_distribution_separable(beta, dth, p["c"], p["m"]),
         small_angle=lambda n, beta, dth, p: (
@@ -73,6 +95,11 @@ ENTANGLERS = {
         ),
     ),
 }
+
+
+def all_params() -> list[Param]:
+    """Every parameter spec of the registry once, in registry order."""
+    return list(dict.fromkeys(spec for entry in ENTANGLERS.values() for spec in entry.params))
 
 
 def q_bipartite_smallangle_rxx(n: int, beta: float, delta_theta: float, delta_phi: float) -> float:

@@ -27,11 +27,14 @@ class NumericFailureError(WorkFdrError):
 
 
 def require_finite(**values: float) -> None:
-    """Raise ValidationError naming the first keyword value that is not finite.
+    """Raise ValidationError naming the first keyword value that is not a finite real number.
 
-    An int too large for a float counts as not finite.
+    A bool is not a number here, and an int too large for a float is not finite.
     """
     for name, value in values.items():
+        # float and int listed first: the abstract numbers.Real check alone takes about 1 us
+        if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
         try:
             finite = math.isfinite(value)
         except OverflowError:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Philox
@@ -38,41 +38,43 @@ _DRAWS_PER_BATCH = 2**18  # raw words drawn per batch, padding included: about 2
 _UNIFORM_BITS = 53  # Generator.random keeps the top 53 bits of each raw Philox word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProtocolConfig:
-    """Two-qubit protocol description; angles are totals, per-step values are totals/n_steps."""
+    """Two-qubit protocol description; angles are totals, per-step values are totals/n_steps.
+
+    The entangler's totals are keywords total_<name>, one per total name of the
+    kind's registry specs (total_phi for rxx, total_c1..total_c3 for cartan, ...),
+    and are kept in `totals` under that name; an omitted total is 0.
+    """
 
     beta: float
     n_steps: int
     total_theta: float
-    entangler_kind: str = "none"
-    total_phi: float = 0.0
-    total_c1: float = 0.0
-    total_c2: float = 0.0
-    total_c3: float = 0.0
-    total_c: float = 0.0
-    total_l: float = 0.0
-    total_m: float = 0.0
-    total_n: float = 0.0
+    entangler_kind: str
+    totals: dict[str, float] = field(hash=False)  # unhashable; equal configs still hash equal
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", require_beta(self.beta))
-        object.__setattr__(self, "n_steps", require_int("n_steps", self.n_steps, minimum=1))
-        if self.entangler_kind not in ENTANGLERS:
-            raise ValidationError(
-                f"entangler_kind must be one of {tuple(ENTANGLERS)}, got {self.entangler_kind!r}"
-            )
-        require_finite(**{k: v for k, v in vars(self).items() if k.startswith("total_")})
+    def __init__(self, beta, n_steps, total_theta, entangler_kind="none", **totals):
+        object.__setattr__(self, "beta", require_beta(beta))
+        object.__setattr__(self, "n_steps", require_int("n_steps", n_steps, minimum=1))
+        if not isinstance(entangler_kind, str) or entangler_kind not in ENTANGLERS:
+            raise ValidationError(f"entangler_kind must be one of {tuple(ENTANGLERS)}, got {entangler_kind!r}")
+        require_finite(total_theta=total_theta, **totals)
+        names = [spec.total for spec in ENTANGLERS[entangler_kind].params]
+        values = {name: totals.pop(f"total_{name}", 0.0) for name in names}
+        if totals:
+            raise ValidationError(f"entangler {entangler_kind!r} takes no {', '.join(totals)}")
+        object.__setattr__(self, "total_theta", total_theta)
+        object.__setattr__(self, "entangler_kind", entangler_kind)
+        object.__setattr__(self, "totals", values)
 
     @property
     def delta_theta(self) -> float:
         return self.total_theta / self.n_steps
 
     def step_params(self) -> dict[str, float]:
-        """Per-step entangler parameters (total / n_steps), keyed by the registry entry's names."""
-        totals = {"dphi": self.total_phi, "c1": self.total_c1, "c2": self.total_c2, "c3": self.total_c3,
-                  "c": self.total_c, "l": self.total_l, "m": self.total_m, "nz": self.total_n}
-        return {name: totals[name] / self.n_steps for name in ENTANGLERS[self.entangler_kind].params}
+        """Per-step entangler parameters (total / n_steps), keyed by the registry specs' step names."""
+        params = ENTANGLERS[self.entangler_kind].params
+        return {spec.step: self.totals[spec.total] / self.n_steps for spec in params}
 
     def step_quench(self) -> np.ndarray:
         return bipartite_quench(self.delta_theta)

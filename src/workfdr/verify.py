@@ -21,9 +21,8 @@ import numpy as np
 
 from . import work_stats as ws
 from .entanglement import negativity, negativity_cartan_basis
-from .entanglers import q_bipartite_smallangle_cartan, q_bipartite_smallangle_rxx
-from .linalg import identity
-from .model import CartanCoefficients, SeparableXZXParams, bipartite_quench, cartan_entangler, rxx, separable_xzx
+from .entanglers import ENTANGLERS
+from .model import CartanCoefficients, SeparableXZXParams, bipartite_quench, cartan_entangler, separable_xzx
 from .sampler import ProtocolConfig, estimate, require_run
 
 _RNG_SEED = 20250810
@@ -60,38 +59,23 @@ def check_01_single_qubit_exact_q() -> CheckResult:
 def check_02_small_angle_convergence() -> CheckResult:
     beta, grid = 1.0, (25, 50, 100, 200)
 
-    def gaps(exact, approx):
-        return [abs(exact(n) - approx(n)) / abs(exact(n)) for n in grid]
+    def single(n: int) -> tuple[float, float]:
+        step = ws.step_distribution_single(beta, 1.0 / n)
+        return ws.q_correction(step, beta, n).q_value, ws.q_single_smallangle(n, beta, 1.0 / n)
+
+    def two_qubit(n: int, kind: str, **totals: float) -> tuple[float, float]:
+        config = ProtocolConfig(beta, n, 1.0, kind, **totals)
+        step = ws.step_distribution_bipartite(beta, config.step_quench(), config.step_entangler())
+        approx = ENTANGLERS[kind].small_angle(n, beta, config.delta_theta, config.step_params())
+        return ws.q_correction(step, beta, n).q_value, sum(approx)
 
     families = {
-        "single": gaps(
-            lambda n: ws.q_correction(ws.step_distribution_single(beta, 1.0 / n), beta, n).q_value,
-            lambda n: ws.q_single_smallangle(n, beta, 1.0 / n),
-        ),
-        "rxx": gaps(
-            lambda n: ws.q_correction(
-                ws.step_distribution_bipartite(beta, bipartite_quench(1.0 / n), rxx(1.0 / n)),
-                beta,
-                n,
-            ).q_value,
-            lambda n: q_bipartite_smallangle_rxx(n, beta, 1.0 / n, 1.0 / n),
-        ),
-        "cartan": gaps(
-            lambda n: ws.q_correction(
-                ws.step_distribution_bipartite(
-                    beta,
-                    bipartite_quench(1.0 / n),
-                    cartan_entangler(CartanCoefficients(0.8 / n, 0.3 / n, 0.2 / n)),
-                ),
-                beta,
-                n,
-            ).q_value,
-            lambda n: q_bipartite_smallangle_cartan(n, beta, 1.0 / n, 0.8 / n, 0.3 / n),
-        ),
+        "single": [single(n) for n in grid],
+        "rxx": [two_qubit(n, "rxx", total_phi=1.0) for n in grid],
+        "cartan": [two_qubit(n, "cartan", total_c1=0.8, total_c2=0.3, total_c3=0.2) for n in grid],
     }
-    ratios = {
-        name: [g[i] / g[i + 1] for i in range(len(g) - 1)] for name, g in families.items()
-    }
+    gaps = {name: [abs(q - approx) / abs(q) for q, approx in pairs] for name, pairs in families.items()}
+    ratios = {name: [g[i] / g[i + 1] for i in range(len(g) - 1)] for name, g in gaps.items()}
     ok = all(3.5 <= r <= 4.5 for rs in ratios.values() for r in rs)
     detail = "; ".join(
         f"{name} gap ratios per doubling: " + ", ".join(f"{r:.3f}" for r in rs)
@@ -113,7 +97,7 @@ def check_03_no_entangler_reduction() -> CheckResult:
         dth = float(rng.uniform(0.01, 1.0))
         n = int(rng.integers(1, 201))
         q_two = ws.q_correction(
-            ws.step_distribution_bipartite(beta, bipartite_quench(dth), identity(4)), beta, n
+            ws.step_distribution_bipartite(beta, bipartite_quench(dth), ENTANGLERS["none"].unitary({})), beta, n
         ).q_value
         q_one = ws.q_correction(ws.step_distribution_single(beta, dth), beta, n).q_value
         worst = max(worst, _rel_gap(q_two, 2.0 * q_one))
@@ -220,25 +204,19 @@ def check_07_jarzynski() -> CheckResult:
     rng = np.random.default_rng(_RNG_SEED + 3)
     worst_step = 0.0
     worst_total = 0.0
+    # per-step angle range of each entangler; every fourth step is a single-qubit one
+    ranges = {"rxx": (0.0, 0.8), "cartan": (-0.6, 0.6), "separable_xzx": (-0.8, 0.8)}
     for index in range(20):
         beta = float(rng.uniform(0.05, 2.5))
         dth = float(rng.uniform(0.0, 0.6))
-        kind = index % 4
-        if kind == 0:
+        kind = (None, *ranges)[index % 4]
+        if kind is None:
             dist = ws.step_distribution_single(beta, dth)
         else:
-            quench = bipartite_quench(dth)
-            if kind == 1:
-                entangler = rxx(float(rng.uniform(0.0, 0.8)))
-            elif kind == 2:
-                entangler = cartan_entangler(
-                    CartanCoefficients(*(float(x) for x in rng.uniform(-0.6, 0.6, 3)))
-                )
-            else:
-                entangler = separable_xzx(
-                    SeparableXZXParams(*(float(x) for x in rng.uniform(-0.8, 0.8, 4)))
-                )
-            dist = ws.step_distribution_bipartite(beta, quench, entangler)
+            specs = ENTANGLERS[kind].params
+            angles = rng.uniform(*ranges[kind], len(specs))
+            entangler = ENTANGLERS[kind].unitary({spec.step: float(a) for spec, a in zip(specs, angles)})
+            dist = ws.step_distribution_bipartite(beta, bipartite_quench(dth), entangler)
         worst_step = max(worst_step, abs(ws.jarzynski_check(dist, beta) - 1.0))
         worst_total = max(worst_total, abs(ws.jarzynski_check(ws.convolve_n(dist, 200), beta) - 1.0))
     passed = worst_step <= 1e-12 and worst_total <= 1e-11

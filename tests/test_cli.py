@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from workfdr import ValidationError, cli, verify, work_stats
+from workfdr import ProtocolConfig, ValidationError, cli, model, verify, work_stats
 from workfdr.cli import build_parser, main
-from workfdr.entanglers import ENTANGLERS
+from workfdr.entanglers import ENTANGLERS, Entangler, Param
 
 Q_SMALL_RXX = 9.1270909498508389e-04
 
@@ -266,6 +266,12 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     # a beta too large for a float, written out in full as a JSON integer
     config.write_text('{"beta": 1' + "0" * 400 + "}")
     bad = [["q", "--config", str(config)]]
+    # config files that are not UTF-8, or nest deeper than the JSON decoder recurses
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    bad += [["q", "--config", str(not_utf8)], ["q", "--config", str(deep)]]
     # angles whose square overflows a float in the small-angle prediction
     huge = tmp_path / "huge.json"
     huge.write_text('{"theta": 1' + "0" * 300 + "}")
@@ -305,6 +311,56 @@ def test_entangler_choices_are_the_registry_keys():
     for name in ("dist", "q", "sweep", "sample"):
         entangler = next(a for a in subparsers.choices[name]._actions if a.dest == "entangler")
         assert list(entangler.choices) == list(ENTANGLERS)
+    # every other flag is an angle flag, named after the registry's parameter specs
+    specs = [spec for entry in ENTANGLERS.values() for spec in entry.params]
+    totals = {"--n", "--theta", *(f"--{spec.total}" for spec in specs)}
+    angle_flags = {
+        "dist": {"--dtheta", *(f"--{spec.step}" for spec in specs)},
+        "q": totals,
+        "sweep": totals,
+        "sample": totals,
+        "negativity": {f"--{spec.step}" for spec in ENTANGLERS["cartan"].params},
+    }
+    common = {"-h", "--help", "--beta", "--entangler", "--two-qubit", "--output", "--format", "--config", "--degrees"}
+    own = {"sweep": {"--beta-grid", "--n-grid"}, "sample": {"--trajectories", "--seed", "--workers"}}
+    for name, expected in angle_flags.items():
+        flags = {flag for action in subparsers.choices[name]._actions for flag in action.option_strings}
+        assert flags - common - own.get(name, set()) == expected, name
+
+
+def test_a_new_entangler_kind_is_one_registry_entry(capsys, monkeypatch, tmp_path):
+    # always-on zz crosstalk: Cartan c3 alone, under a parameter no other kind has
+    crosstalk = Entangler(
+        params=(Param("dzz", "zz", "zz crosstalk angle"),),
+        unitary=lambda p: model.cartan_entangler(model.CartanCoefficients(0.0, 0.0, p["dzz"])),
+        closed_form=lambda beta, dth, p: work_stats.closed_form_distribution_cartan(beta, dth, 0.0, 0.0),
+        small_angle=lambda n, beta, dth, p: (n * dth**2 / 2.0 * work_stats.f_beta(beta), 0.0),
+    )
+    monkeypatch.setitem(ENTANGLERS, "zz", crosstalk)
+    config = ProtocolConfig(1.0, 10, 0.5, "zz", total_zz=0.7)
+    assert config.totals == {"zz": 0.7} and config.step_params() == {"dzz": 0.7 / 10}
+    zz_file = tmp_path / "zz.json"
+    zz_file.write_text(json.dumps({"zz": 0.7, "theta": 0.6}))
+    q = ["q", "--beta", "1.3", "--n", "20", "--format", "json"]
+    code, out, _ = run_cli(capsys, *q, "--theta", "0.6", "--entangler", "zz", "--zz", "0.7")
+    code_file, out_file, _ = run_cli(capsys, *q, "--entangler", "zz", "--config", str(zz_file))
+    code_ref, out_ref, _ = run_cli(capsys, *q, "--theta", "0.6", "--entangler", "none", "--two-qubit")
+    assert code == code_file == code_ref == 0 and out_file == out
+    document, reference = json.loads(out), json.loads(out_ref)["results"]
+    assert document["spec"]["zz"] == 0.7
+    # c3 only adds phases to the computational basis (check 4): no g term, and Q as without an entangler
+    assert document["results"]["g_term"] == 0.0
+    assert abs(document["results"]["q_exact"] - reference["q_exact"]) <= 1e-12 * abs(reference["q_exact"])
+    code, out, _ = run_cli(capsys, "dist", "--beta", "0.8", "--dtheta", "0.3", "--entangler", "zz", "--dzz", "0.4")
+    header, rows = parse_csv(out)
+    assert code == 0 and max(float(r[header.index("abs_diff")]) for r in rows) <= 1e-12
+    code, out, _ = run_cli(capsys, "sweep", "--entangler", "zz", "--config", str(zz_file), "--n-grid", "10,20")
+    assert code == 0 and len(parse_csv(out)[1]) == 2
+    code, out, _ = run_cli(capsys, "sample", "--entangler", "zz", "--config", str(zz_file), "--n", "10",
+                           "--trajectories", "2000", "--seed", "3")
+    document = json.loads(out)
+    assert code == 0 and document["spec"]["zz"] == 0.7
+    assert all(abs(z) <= 5.0 for z in document["results"]["z_scores"].values())
 
 
 def test_verify_fast_run_reports_and_exit_code(capsys):

@@ -233,6 +233,13 @@ def test_validation_errors():
         ProtocolConfig(beta=1.0, n_steps=0, total_theta=0.1)
     with pytest.raises(ValidationError):
         ProtocolConfig(beta=1.0, n_steps=10, total_theta=0.1, entangler_kind="bogus")
+    # non-numbers, bools, a non-string kind, and totals the kind does not take (separable_xzx has total_nz)
+    for bad in ({"total_phi": "0.5"}, {"total_phi": True}, {"total_theta": True}, {"entangler_kind": ["rxx"]},
+                {"total_c1": 0.5}, {"total_bogus": 0.5}, {"entangler_kind": "separable_xzx", "total_n": 0.5}):
+        with pytest.raises(ValidationError):
+            ProtocolConfig(**{"beta": 1.0, "n_steps": 10, "total_theta": 0.1, "entangler_kind": "rxx", **bad})
+    with pytest.raises(TypeError):  # totals are keywords only
+        ProtocolConfig(1.0, 10, 0.1, "rxx", 0.5)
     config = ProtocolConfig(beta=1.0, n_steps=10, total_theta=0.1)
     with pytest.raises(ValidationError):
         estimate(config, 1, 0)
