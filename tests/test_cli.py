@@ -266,12 +266,15 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     # a beta too large for a float, written out in full as a JSON integer
     config.write_text('{"beta": 1' + "0" * 400 + "}")
     bad = [["q", "--config", str(config)]]
-    # config files that are not UTF-8, or nest deeper than the JSON decoder recurses
+    # config files that are not UTF-8, or that nest deeper than the JSON decoder recurses
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b"\xff\xfe{}")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    bad += [["q", "--config", str(not_utf8)], ["q", "--config", str(deep)]]
+    # an integer longer than the 4,300 digits int() converts from a string
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"beta": 1' + "0" * 5000 + "}")
+    bad += [["q", "--config", str(path)] for path in (not_utf8, deep, long_int)]
     # angles whose square overflows a float in the small-angle prediction
     huge = tmp_path / "huge.json"
     huge.write_text('{"theta": 1' + "0" * 300 + "}")
