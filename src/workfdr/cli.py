@@ -115,39 +115,46 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _q_report(p: dict) -> dict:
-    config = _config(p)
-    beta, n, dtheta = config.beta, config.n_steps, config.delta_theta
+def _q_reports(p: dict, n: int, betas: list, fg: list):
+    """Q report of one N at each beta, one dict at a time, from one step-distribution grid;
+    fg holds (f_beta, g_beta) of each beta. Betas come sorted: inputs are checked at the first."""
+    config = _config(dict(p, beta=betas[0], n=n))
+    dtheta = config.delta_theta
     single = _single_qubit(p)
     try:  # the small-angle terms square per-step angles; float ** raises past about 1.3e154
         if single:
-            f_term, g_term = ws.q_single_smallangle(n, beta, dtheta), 0.0
+            terms = [(ws.q_single_smallangle(n, beta, dtheta), 0.0) for beta in betas]
         else:
-            f_term, g_term = ENTANGLERS[config.entangler_kind].small_angle(n, beta, dtheta, config.step_params())
+            small_angle, step_params = ENTANGLERS[config.entangler_kind].small_angle, config.step_params()
+            terms = [small_angle(n, beta, dtheta, step_params) for beta in betas]
     except OverflowError:
         raise ValidationError("angles too large: the small-angle prediction overflows a float") from None
     if single:
-        step = ws.step_distribution_single(beta, dtheta)
+        grid = ws.step_grid_single(betas, dtheta)
     else:
-        step = ws.step_distribution_bipartite(beta, config.step_quench(), config.step_entangler())
-    report = ws.q_correction(step, beta, n)
-    prediction = f_term + g_term
-    relative_gap = abs(report.q_value - prediction) / abs(report.q_value) if report.q_value else 0.0
-    return {
-        "mean_work": report.mean_work,
-        "var_work": report.var_work,
-        "delta_F": report.delta_f,
-        "w_diss": report.w_diss,
-        "q_exact": report.q_value,
-        "small_angle_prediction": prediction,
-        "relative_gap": relative_gap,
-        "f_beta": ws.f_beta(beta),
-        "g_beta": ws.g_beta(beta),
-        "f_term": f_term,
-        "g_term": g_term,
-        "beta": beta,
-        "n_steps": n,
-    }
+        grid = ws.step_grid_bipartite(betas, config.step_quench(), config.step_entangler())
+    columns = (column.tolist() for column in ws.q_grid(*grid, betas, n))
+    for beta, (f, g), (f_term, g_term), mean_work, var_work, q_value in zip(betas, fg, terms, *columns):
+        prediction = f_term + g_term
+        yield {
+            "mean_work": mean_work,
+            "var_work": var_work,
+            "delta_F": 0.0,
+            "w_diss": mean_work,
+            "q_exact": q_value,
+            "small_angle_prediction": prediction,
+            "relative_gap": abs(q_value - prediction) / abs(q_value) if q_value else 0.0,
+            "f_beta": f,
+            "g_beta": g,
+            "f_term": f_term,
+            "g_term": g_term,
+            "beta": beta,
+            "n_steps": n,
+        }
+
+
+def _q_report(p: dict) -> dict:
+    return next(_q_reports(p, p["n"], [p["beta"]], [(ws.f_beta(p["beta"]), ws.g_beta(p["beta"]))]))
 
 
 def cmd_q(args) -> int:
@@ -193,16 +200,12 @@ def cmd_sweep(args) -> int:
     p = _params(args)
     if args.beta_grid is None and args.n_grid is None:
         raise ValidationError("sweep needs --beta-grid and/or --n-grid")
-    betas = _parse_grid(args.beta_grid, integral=False) if args.beta_grid else [p["beta"]]
-    steps = _parse_grid(args.n_grid, integral=True) if args.n_grid else [p["n"]]
-    rows = []
-    for beta in sorted(betas):
-        for n in sorted(steps):
-            point = dict(p, beta=float(beta), n=n)
-            r = _q_report(point)
-            rows.append(
-                [beta, n, r["q_exact"], r["small_angle_prediction"], r["f_beta"], r["g_beta"], r["relative_gap"]]
-            )
+    betas = sorted(_parse_grid(args.beta_grid, integral=False) if args.beta_grid else [p["beta"]])
+    steps = sorted(_parse_grid(args.n_grid, integral=True) if args.n_grid else [p["n"]])
+    fg = [(ws.f_beta(beta), ws.g_beta(beta)) for beta in betas]
+    keys = ["beta", "n_steps", "q_exact", "small_angle_prediction", "f_beta", "g_beta", "relative_gap"]
+    by_n = {n: [[r[k] for k in keys] for r in _q_reports(p, n, betas, fg)] for n in dict.fromkeys(steps)}
+    rows = [by_n[n][i] for i in range(len(betas)) for n in steps]  # sorted beta outer, sorted N inner
     header = ["beta", "n", "Q_exact", "Q_small_angle", "f", "g", "relative_gap"]
     _emit_table(args, _spec_echo(p), header, rows)
     return 0
@@ -300,6 +303,8 @@ def _params(args) -> dict:
         for key, value in file_values.items():
             if key not in merged:
                 raise ValidationError(f"unknown config key {key!r}")
+            if key in angles and not hasattr(args, key):  # an angle this subcommand has no flag for
+                raise ValidationError(f"config key {key!r} is not an angle of `{args.command}`")
             merged[key] = value
     for key in merged:
         value = getattr(args, key, None)

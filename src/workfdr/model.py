@@ -126,11 +126,12 @@ def bipartite_quench(delta_theta: float) -> np.ndarray:
     return kron(u, u)
 
 
-def gibbs_populations(beta: float, hamiltonian: QubitHamiltonian, dtype=np.float64) -> np.ndarray:
-    """Thermal populations exp(-beta*E)/Z; exact enumeration takes dtype=numpy.longdouble."""
-    require_beta(beta)
-    weights = np.exp(-dtype(beta) * np.asarray(hamiltonian.energies, dtype=dtype))
-    return _freeze(weights / weights.sum())
+def gibbs_populations(beta, hamiltonian: QubitHamiltonian, dtype=np.float64) -> np.ndarray:
+    """Thermal populations exp(-beta*E)/Z, one row per beta if beta is a sequence; exact
+    enumeration takes dtype=numpy.longdouble."""
+    betas = np.array([require_beta(b) for b in (beta if np.ndim(beta) else [beta])], dtype=dtype)
+    weights = np.exp(-betas.reshape(np.shape(beta) + (1,)) * np.asarray(hamiltonian.energies, dtype=dtype))
+    return _freeze(weights / weights.sum(axis=-1, keepdims=True))
 
 
 def gibbs_state(beta: float, hamiltonian: QubitHamiltonian) -> np.ndarray:

@@ -148,14 +148,9 @@ def check_05_separable_null_result() -> CheckResult:
     dth, c, l, m, nz = 1.0 / n, 0.4 / n, 0.3 / n, 0.6 / n, 0.2 / n
     quench = bipartite_quench(dth)
     entangler = separable_xzx(SeparableXZXParams(c, l, m, nz))
-    betas = np.arange(0.2, 5.0 + 1e-9, 0.05)
-    per_step_q = np.array(
-        [
-            ws.q_correction(ws.step_distribution_bipartite(float(b), quench, entangler), float(b), 1).q_value
-            for b in betas
-        ]
-    )
-    design = np.column_stack([[ws.f_beta(float(b)) for b in betas], [ws.g_beta(float(b)) for b in betas]])
+    betas = np.arange(0.2, 5.0 + 1e-9, 0.05).tolist()
+    per_step_q = ws.q_grid(*ws.step_grid_bipartite(betas, quench, entangler), betas, 1)[2]
+    design = np.column_stack([[ws.f_beta(b) for b in betas], [ws.g_beta(b) for b in betas]])
     (coef_f, coef_g), *_ = np.linalg.lstsq(design, per_step_q, rcond=None)
     predicted_f = (c + dth) ** 2 / 4.0 + (m + dth) ** 2 / 4.0
     g_small = abs(coef_g) < 1e-3 * coef_f

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -46,21 +47,14 @@ class WorkDistribution:
     @classmethod
     def from_weights(cls, weights: dict) -> "WorkDistribution":
         """Build from a work -> probability map; clamps sub-roundoff noise, drops zeros."""
-        support = []
-        probs = []
-        for w in sorted(weights):
-            p = _LD(weights[w])
-            if p < -PROB_CLAMP or p > 1.0 + PROB_CLAMP:
-                raise ValidationError(f"probability {float(p)!r} at work {w} is outside [0, 1]")
-            p = min(max(p, _LD(0.0)), _LD(1.0))
-            if p == 0.0:
-                continue
-            support.append(int(w))
-            probs.append(p)
-        total = np.sum(np.array(probs, dtype=_LD))
-        if abs(float(total) - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(f"probabilities sum to {float(total)!r}, expected 1")
-        return cls(support=tuple(support), probs=tuple(probs))
+        support = sorted(weights)
+        return cls.from_row(support, _checked_rows(support, np.array([[weights[w] for w in support]], dtype=_LD))[0])
+
+    @classmethod
+    def from_row(cls, support, probs) -> "WorkDistribution":
+        """One checked row of a probability grid over `support`, zero probabilities dropped."""
+        nonzero = (np.asarray(probs) != 0.0).tolist()
+        return cls(support=tuple(int(w) for w in compress(support, nonzero)), probs=tuple(compress(probs, nonzero)))
 
     @classmethod
     def point_mass(cls, value: int = 0) -> "WorkDistribution":
@@ -100,54 +94,71 @@ def g_beta(beta: float) -> float:
     return beta / (1.0 + sech) - math.tanh(beta / 2.0)
 
 
-def _distribution_from_transition(populations, transition, energies) -> WorkDistribution:
-    # TPM enumeration: first outcome from the thermal populations, second from
-    # the Born matrix; equal work values from degenerate outcome pairs aggregate.
-    weights: dict[int, object] = {}
+def _checked_rows(support, probs: np.ndarray) -> np.ndarray:
+    """Every row of a (rows, k) probability array within PROB_CLAMP of [0, 1], clamped
+    into it, and summing to 1 within NORMALIZATION_TOL; returns the clamped rows."""
+    outside = (probs < -PROB_CLAMP) | (probs > 1.0 + PROB_CLAMP)
+    if outside.any():
+        row, col = np.argwhere(outside)[0]
+        raise ValidationError(f"probability {float(probs[row, col])!r} at work {support[col]} is outside [0, 1]")
+    probs = np.minimum(np.maximum(probs, _LD(0.0)), _LD(1.0))
+    totals = np.sum(probs, axis=1)
+    off = np.abs(totals.astype(np.float64) - 1.0) > NORMALIZATION_TOL
+    if off.any():
+        raise ValidationError(f"probabilities sum to {float(totals[np.argmax(off)])!r}, expected 1")
+    return probs
+
+
+def _enumerate(populations: np.ndarray, transition: np.ndarray, energies) -> tuple[tuple[int, ...], np.ndarray]:
+    # TPM enumeration, one row per row of populations: first outcome from the thermal
+    # populations, second from the Born matrix; equal work values from degenerate
+    # outcome pairs aggregate, in first-then-second order.
     dim = len(energies)
+    works = [[int(round(energies[second] - energies[first])) for second in range(dim)] for first in range(dim)]
+    support = sorted({w for row in works for w in row})
+    probs = np.zeros((len(populations), len(support)), dtype=_LD)
     for first in range(dim):
         for second in range(dim):
-            w = int(round(energies[second] - energies[first]))
-            weights[w] = weights.get(w, _LD(0.0)) + populations[first] * transition[second, first]
-    return WorkDistribution.from_weights(weights)
+            probs[:, support.index(works[first][second])] += populations[:, first] * transition[second, first]
+    return tuple(support), _checked_rows(support, probs)
+
+
+def step_grid_single(betas, delta_theta: float) -> tuple[tuple[int, ...], np.ndarray]:
+    """Single-qubit step distributions at every beta: the sorted support and one row of
+    probabilities per beta, zeros kept."""
+    hamiltonian = QubitHamiltonian.single()
+    transition = np.abs(rotation_x(delta_theta)).astype(_LD) ** 2
+    return _enumerate(gibbs_populations(betas, hamiltonian, dtype=_LD), transition, hamiltonian.energies)
 
 
 def step_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
     """Work distribution of one single-qubit step, by enumeration of both outcomes."""
-    beta = require_beta(beta)
-    hamiltonian = QubitHamiltonian.single()
-    transition = np.abs(rotation_x(delta_theta)).astype(_LD) ** 2
-    return _distribution_from_transition(
-        gibbs_populations(beta, hamiltonian, dtype=_LD), transition, hamiltonian.energies
-    )
+    support, probs = step_grid_single([require_beta(beta)], delta_theta)
+    return WorkDistribution.from_row(support, probs[0])
 
 
-def step_distribution_bipartite(beta: float, quench: np.ndarray, entangler: np.ndarray) -> WorkDistribution:
-    """Work distribution of one two-qubit step, by exhaustive 16-pair enumeration.
+def step_grid_bipartite(betas, quench: np.ndarray, entangler: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Two-qubit step distributions at every beta (each >= 0), by exhaustive 16-pair enumeration.
 
-    Parameters
-    ----------
-    beta : float
-        Inverse bath temperature, >= 0.
-    quench : ndarray
-        4x4 unitary rotating the local Hamiltonians.
-    entangler : ndarray
-        4x4 unitary applied to the state between the two measurements.
-
-    The Born amplitudes are taken from quench @ entangler, the first outcome
-    from the diagonal two-qubit Gibbs populations; outcome pairs with equal
-    work (the degenerate |01>/|10> levels) are aggregated.
+    The Born amplitudes are taken from quench @ entangler (4x4 unitaries: the
+    local quench, then the entangler applied between the two measurements), the
+    first outcome from the diagonal two-qubit Gibbs populations; outcome pairs
+    with equal work (the degenerate |01>/|10> levels) are aggregated. Returns
+    the sorted support and one longdouble row of probabilities per beta, zeros kept.
     """
-    beta = require_beta(beta)
     if np.shape(quench) != (4, 4) or np.shape(entangler) != (4, 4):
         raise UnsupportedDimensionError("bipartite step needs 4x4 quench and entangler")
     quench = check_unitary(quench)
     entangler = check_unitary(entangler)
     hamiltonian = QubitHamiltonian.two_qubit()
     transition = np.abs(quench @ entangler).astype(_LD) ** 2
-    return _distribution_from_transition(
-        gibbs_populations(beta, hamiltonian, dtype=_LD), transition, hamiltonian.energies
-    )
+    return _enumerate(gibbs_populations(betas, hamiltonian, dtype=_LD), transition, hamiltonian.energies)
+
+
+def step_distribution_bipartite(beta: float, quench: np.ndarray, entangler: np.ndarray) -> WorkDistribution:
+    """Work distribution of one two-qubit step: the one-beta case of step_grid_bipartite."""
+    support, probs = step_grid_bipartite([require_beta(beta)], quench, entangler)
+    return WorkDistribution.from_row(support, probs[0])
 
 
 def closed_form_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
@@ -228,18 +239,19 @@ def closed_form_distribution_separable(
     return WorkDistribution.from_weights(weights)
 
 
-def _moments_extended(dist: WorkDistribution):
-    support = np.asarray(dist.support, dtype=_LD)
-    probs = np.asarray(dist.probs, dtype=_LD)
-    mean = np.sum(support * probs)
-    second = np.sum(support * support * probs)
+def _moments_rows(support, probs):
+    # Zero entries, which a WorkDistribution drops, leave these sums unchanged
+    # while a row has fewer than 8 entries: numpy then adds them in order from 0.
+    support, probs = np.asarray(support, dtype=_LD), np.asarray(probs, dtype=_LD)
+    mean = np.sum(support * probs, axis=1)
+    second = np.sum(support * support * probs, axis=1)
     return mean, second - mean * mean
 
 
 def moments(dist: WorkDistribution) -> tuple[float, float]:
     """First two cumulants (mean, variance) by direct summation."""
-    mean, variance = _moments_extended(dist)
-    return float(mean), float(variance)
+    mean, variance = _moments_rows(dist.support, [dist.probs])
+    return float(mean[0]), float(variance[0])
 
 
 def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
@@ -254,7 +266,8 @@ def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
     result = dense
     for _ in range(n - 1):
         result = np.convolve(result, dense)
-    return WorkDistribution.from_weights({n * lo + k: p for k, p in enumerate(result)})
+    support = range(n * lo, n * lo + len(result))
+    return WorkDistribution.from_row(support, _checked_rows(support, result[None, :])[0])
 
 
 def distribution_distance(a: WorkDistribution, b: WorkDistribution) -> float:
@@ -275,6 +288,21 @@ def jarzynski_check(dist: WorkDistribution, beta: float) -> float:
     return float(np.sum(np.exp(np.log(probs) - _LD(beta) * support)))
 
 
+def q_grid(support, probs, betas, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q_correction over a grid: row i of probs is the step distribution over support at betas[i].
+
+    Returns float64 arrays (mean_work, var_work, q_value), each row computed in
+    q_correction's operation order.
+    """
+    betas = np.array([require_beta(b) for b in betas], dtype=_LD)
+    n = require_int("n", n, minimum=1)
+    mean_step, var_step = _moments_rows(support, probs)
+    mean_work = n * mean_step
+    var_work = n * var_step
+    q_value = (betas / 2) * var_work - mean_work
+    return mean_work.astype(np.float64), var_work.astype(np.float64), q_value.astype(np.float64)
+
+
 def q_correction(dist: WorkDistribution, beta: float, n: int) -> QReport:
     """FDR correction of the N-step protocol built on a per-step distribution.
 
@@ -285,19 +313,9 @@ def q_correction(dist: WorkDistribution, beta: float, n: int) -> QReport:
     """
     beta = require_beta(beta)
     n = require_int("n", n, minimum=1)
-    mean_step, var_step = _moments_extended(dist)
-    mean_work = n * mean_step
-    var_work = n * var_step
-    q_value = (_LD(beta) / 2) * var_work - mean_work
-    return QReport(
-        mean_work=float(mean_work),
-        var_work=float(var_work),
-        delta_f=0.0,
-        w_diss=float(mean_work),
-        q_value=float(q_value),
-        beta=beta,
-        n_steps=n,
-    )
+    mean_work, var_work, q_value = (float(x[0]) for x in q_grid(dist.support, [dist.probs], [beta], n))
+    return QReport(mean_work=mean_work, var_work=var_work, delta_f=0.0, w_diss=mean_work, q_value=q_value,
+                   beta=beta, n_steps=n)
 
 
 def q_single_exact(n: int, beta: float, delta_theta: float) -> float:

@@ -263,6 +263,13 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, "q", "--config", str(config))
         assert code == 2 and out == "", values
         assert err.startswith("error:") and next(iter(values)) in err, (values, err)
+    # an angle key the subcommand has no flag for: q reads totals only, dist per-step angles only
+    for argv, values in ((["q", "--n", "10", "--theta", "0.5", "--entangler", "rxx"], {"dphi": 0.5}),
+                         (["dist", "--dtheta", "0.5", "--entangler", "rxx"], {"phi": 0.5})):
+        config.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1 and next(iter(values)) in err, (argv, err)
     # a beta too large for a float, written out in full as a JSON integer
     config.write_text('{"beta": 1' + "0" * 400 + "}")
     bad = [["q", "--config", str(config)]]
