@@ -17,18 +17,17 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import __version__
 from . import work_stats as ws
-from .entanglement import negativity, negativity_cartan_basis
-from .entanglers import ENTANGLERS, Param, all_params
+from .entanglement import cartan_basis_negativities
+from .entanglers import DEFAULT_KIND, ENTANGLERS, Param, all_params
 from .errors import WorkFdrError, ValidationError, require_finite, require_int
 from .model import bipartite_quench
-from .sampler import ProtocolConfig, estimate, require_run
+from .sampler import ProtocolConfig, estimate, exact_reference, require_run
 from .verify import run_all
 
-_MAX_GRID_POINTS = 1_000_000
+_MAX_GRID_POINTS = 1_000_000  # per grid, and per sweep
+_MODEL_FLAGS = ("--beta", "--entangler", "--two-qubit", "--format", "--degrees")  # what dist, q and sweep read
 _QUENCH = Param("dtheta", "theta", "local quench angle")  # every kind's, named like an entangler angle
 
 
@@ -49,14 +48,11 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    """A table cell: an int as is, a float to 17 significant digits."""
+    return str(value) if isinstance(value, int) else f"{value:.17g}"
 
 
-def _csv_table(header: list[str], rows: list[list]) -> str:
+def _csv_table(header: list[str], rows: list) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -72,20 +68,12 @@ def _json_document(spec: dict, results, seed=None) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_table(args, spec: dict, header: list[str], rows: list[list], seed=None) -> None:
+def _emit_table(args, spec: dict, header: list[str], rows: list) -> None:
     if args.format == "csv":
         _write_output(_csv_table(header, rows), args.output)
     else:
-        results = {"rows": [dict(zip(header, [_jsonable(c) for c in row])) for row in rows]}
-        _write_output(_json_document(spec, results, seed=seed), args.output)
-
-
-def _jsonable(value):
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
+        results = {"rows": [dict(zip(header, row)) for row in rows]}
+        _write_output(_json_document(spec, results), args.output)
 
 
 def _single_qubit(p: dict) -> bool:
@@ -106,11 +94,7 @@ def cmd_dist(args) -> int:
     else:
         exact = ws.step_distribution_bipartite(beta, bipartite_quench(dtheta), entangler.unitary(p))
         closed = entangler.closed_form(beta, dtheta, p)
-    support = sorted(set(exact.support) | set(closed.support))
-    rows = [
-        [w, float(exact.prob(w)), float(closed.prob(w)), float(abs(exact.prob(w) - closed.prob(w)))]
-        for w in support
-    ]
+    rows = ws.distribution_rows(exact, closed)
     _emit_table(args, _spec_echo(p), ["w", "P_exact", "P_closed_form", "abs_diff"], rows)
     return 0
 
@@ -202,6 +186,8 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs --beta-grid and/or --n-grid")
     betas = sorted(_parse_grid(args.beta_grid, integral=False) if args.beta_grid else [p["beta"]])
     steps = sorted(_parse_grid(args.n_grid, integral=True) if args.n_grid else [p["n"]])
+    if len(betas) * len(steps) > _MAX_GRID_POINTS:
+        raise ValidationError(f"sweep has {len(betas)} x {len(steps)} points, more than {_MAX_GRID_POINTS}")
     fg = [(ws.f_beta(beta), ws.g_beta(beta)) for beta in betas]
     keys = ["beta", "n_steps", "q_exact", "small_angle_prediction", "f_beta", "g_beta", "relative_gap"]
     by_n = {n: [[r[k] for k in keys] for r in _q_reports(p, n, betas, fg)] for n in dict.fromkeys(steps)}
@@ -213,13 +199,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_negativity(args) -> int:
     p = _params(args)
-    entangler = ENTANGLERS["cartan"].unitary(p)
-    rows = []
-    for u in range(4):
-        column = entangler[:, u]
-        numerical = negativity(np.outer(column, column.conj())).value
-        closed = negativity_cartan_basis(u, p["c1"], p["c2"])
-        rows.append([u, numerical, closed, abs(numerical - closed)])
+    table = cartan_basis_negativities(p["c1"], p["c2"], p["c3"])
+    rows = [(u, numerical, closed, abs(numerical - closed)) for u, numerical, closed in table]
     header = ["u", "negativity_numerical", "negativity_closed_form", "abs_diff"]
     _emit_table(args, _spec_echo(p), header, rows)
     return 0
@@ -232,9 +213,7 @@ def cmd_sample(args) -> int:
     config = _config(p)
     # every input and the exact reference first, so a failure comes before the Monte Carlo run
     require_run(p["trajectories"], p["seed"], p["workers"])
-    step = ws.step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
-    mean_ref, var_ref = ws.moments(ws.convolve_n(step, config.n_steps))
-    q_ref = ws.q_correction(step, config.beta, config.n_steps).q_value
+    mean_ref, var_ref, q_ref = exact_reference(config)
     stats = estimate(config, p["trajectories"], p["seed"], workers=p["workers"])
     results = {
         "estimates": {
@@ -259,9 +238,8 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     p = _params(args)
-    trajectories = p["trajectories"] if p["trajectories"] is not None else 100_000
-    seed = p["seed"] if p["seed"] is not None else 42
-    results = run_all(mc_trajectories=trajectories, mc_seed=seed)
+    given = {"mc_trajectories": p["trajectories"], "mc_seed": p["seed"]}
+    results = run_all(**{name: value for name, value in given.items() if value is not None})
     lines = []
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -279,7 +257,7 @@ def cmd_verify(args) -> int:
 _COMMON_DEFAULTS = {
     "beta": 1.0,
     "n": 100,
-    "entangler": "none",
+    "entangler": DEFAULT_KIND,
     "two_qubit": False,
     "trajectories": None,
     "seed": None,
@@ -332,15 +310,20 @@ def _spec_echo(p: dict) -> dict:
     return {k: p[k] for k in sorted(p) if p[k] is not None}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", type=float, default=None, help="inverse bath temperature (>= 0)")
-    parser.add_argument("--entangler", choices=list(ENTANGLERS), default=None)
-    parser.add_argument("--two-qubit", dest="two_qubit", action="store_const", const=True,
-                        default=None, help="use two qubits even without an entangler")
-    parser.add_argument("--output", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--config", default=None, help="JSON file of parameter values; flags override")
-    parser.add_argument("--degrees", action="store_true", help="interpret angle inputs as degrees")
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """The named shared flags, then --output and --config, which every subcommand reads."""
+    definitions = {
+        "--beta": {"type": float, "help": "inverse bath temperature (>= 0)"},
+        "--entangler": {"choices": list(ENTANGLERS)},
+        "--two-qubit": {"dest": "two_qubit", "action": "store_const", "const": True,
+                        "help": "use two qubits even without an entangler"},
+        "--output": {"help": "output path (default: stdout)"},
+        "--format": {"choices": ["csv", "json"], "default": "csv"},
+        "--config": {"help": "JSON file of parameter values; flags override"},
+        "--degrees": {"action": "store_true", "help": "interpret angle inputs as degrees"},
+    }
+    for flag in (*flags, "--output", "--config"):
+        parser.add_argument(flag, **definitions[flag])
 
 
 def _add_angles(parser: argparse.ArgumentParser, per_step: bool) -> None:
@@ -367,24 +350,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="per-step work distribution: exact vs closed form")
     _add_angles(p_dist, per_step=True)
-    _add_common(p_dist)
+    _add_shared(p_dist, *_MODEL_FLAGS)
     p_dist.set_defaults(func=cmd_dist)
 
     p_q = sub.add_parser("q", help="FDR correction report for an N-step protocol")
     _add_angles(p_q, per_step=False)
-    _add_common(p_q)
+    _add_shared(p_q, *_MODEL_FLAGS)
     p_q.set_defaults(func=cmd_q)
 
     p_sweep = sub.add_parser("sweep", help="Q and small-angle gap over a beta and/or N grid")
     _add_angles(p_sweep, per_step=False)
     p_sweep.add_argument("--beta-grid", default=None, help="start:stop:step or comma list")
     p_sweep.add_argument("--n-grid", default=None, help="start:stop:step or comma list of integers")
-    _add_common(p_sweep)
+    _add_shared(p_sweep, *_MODEL_FLAGS)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_neg = sub.add_parser("negativity", help="negativity of entangled basis states: numeric vs closed form")
     _add_params(p_neg, ENTANGLERS["cartan"].params, per_step=True)
-    _add_common(p_neg)
+    _add_shared(p_neg, "--format", "--degrees")
     p_neg.set_defaults(func=cmd_negativity)
 
     p_sample = sub.add_parser("sample", help="seeded Monte Carlo estimate with exact references")
@@ -392,13 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--trajectories", type=int, default=None)
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--workers", type=int, default=None)
-    _add_common(p_sample)
+    _add_shared(p_sample, "--beta", "--entangler", "--degrees")  # JSON only, always two qubits
     p_sample.set_defaults(func=cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run the full acceptance suite (exit 1 on any failure)")
     p_verify.add_argument("--trajectories", type=int, default=None, help="Monte Carlo trajectory count")
     p_verify.add_argument("--seed", type=int, default=None, help="Monte Carlo master seed")
-    _add_common(p_verify)
+    _add_shared(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

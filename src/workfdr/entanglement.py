@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import NumericFailureError, ValidationError, require_finite, require_int
 from .linalg import check_density, hermitian_eigenvalues, partial_transpose_A
+from .model import CartanCoefficients, cartan_entangler
 
 CROSS_CHECK_TOL = 1e-10
 
@@ -56,3 +57,11 @@ def negativity_cartan_basis(u: int, c1: float, c2: float) -> float:
     if u in (1, 2):
         return 0.5 * abs(math.sin(2.0 * c1 + 2.0 * c2))
     return 0.5 * abs(math.sin(2.0 * c1 - 2.0 * c2))
+
+
+def cartan_basis_negativities(c1: float, c2: float, c3: float) -> list[tuple[int, float, float]]:
+    """(u, numerical, closed form) for each computational basis state u: the negativity of
+    its image under the Cartan entangler, by partial transpose and by negativity_cartan_basis."""
+    gate = cartan_entangler(CartanCoefficients(c1, c2, c3))
+    states = [np.outer(gate[:, u], gate[:, u].conj()) for u in range(4)]
+    return [(u, negativity(rho).value, negativity_cartan_basis(u, c1, c2)) for u, rho in enumerate(states)]

@@ -50,8 +50,9 @@ def _local_term(n: int, beta: float, delta_theta: float) -> float:
     return n * delta_theta**2 / 2.0 * ws.f_beta(beta)
 
 
+DEFAULT_KIND = "none"  # the identity, the kind a protocol has when no kind is given
 ENTANGLERS = {
-    "none": Entangler(
+    DEFAULT_KIND: Entangler(
         params=(),
         unitary=lambda p: linalg.identity(4),
         closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, 0.0, 0.0),

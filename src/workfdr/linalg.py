@@ -77,25 +77,28 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    u = as_matrix(u)
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0])) <= tol
-
-
-def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def check_unitary(u: np.ndarray) -> np.ndarray:
     u = as_matrix(u)
     dev = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > tol:
-        raise ContractViolationError(f"matrix is not unitary: max |U†U - I| = {dev:.3e} > {tol:.0e}")
+    if dev > UNITARY_TOL:
+        raise ContractViolationError(f"matrix is not unitary: max |U†U - I| = {dev:.3e} > {UNITARY_TOL:.0e}")
     return u
 
 
-def is_density(rho: np.ndarray) -> bool:
+def _passes(check, a: np.ndarray) -> bool:
     try:
-        check_density(rho)
+        check(a)
     except (ContractViolationError, UnsupportedDimensionError):
         return False
     return True
+
+
+def is_unitary(u: np.ndarray) -> bool:
+    return _passes(check_unitary, u)
+
+
+def is_density(rho: np.ndarray) -> bool:
+    return _passes(check_density, rho)
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:

@@ -43,10 +43,6 @@ class QubitHamiltonian:
         """Two non-interacting qubits: additive spectrum {0, 1, 1, 2} on |00>,|01>,|10>,|11>."""
         return cls(energies=(0.0, 1.0, 1.0, 2.0))
 
-    @property
-    def dim(self) -> int:
-        return len(self.energies)
-
 
 @dataclass(frozen=True)
 class CartanCoefficients:

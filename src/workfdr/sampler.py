@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Philox
 
-from .entanglers import ENTANGLERS
+from . import work_stats as ws
+from .entanglers import DEFAULT_KIND, ENTANGLERS
 from .errors import ContractViolationError, ValidationError, require_beta, require_finite, require_int
 from .linalg import check_unitary
 from .model import QubitHamiltonian, bipartite_quench, gibbs_populations
@@ -53,7 +54,7 @@ class ProtocolConfig:
     entangler_kind: str
     totals: dict[str, float] = field(hash=False)  # unhashable; equal configs still hash equal
 
-    def __init__(self, beta, n_steps, total_theta, entangler_kind="none", **totals):
+    def __init__(self, beta, n_steps, total_theta, entangler_kind=DEFAULT_KIND, **totals):
         object.__setattr__(self, "beta", require_beta(beta))
         object.__setattr__(self, "n_steps", require_int("n_steps", n_steps, minimum=1))
         if not isinstance(entangler_kind, str) or entangler_kind not in ENTANGLERS:
@@ -95,6 +96,14 @@ class SampleStats:
     q_estimate: float
     q_se: float
     master_seed: int
+
+
+def exact_reference(config: ProtocolConfig) -> tuple[float, float, float]:
+    """Exact (mean_W, var_W, q_value) a Monte Carlo run of config is compared with: the
+    moments of the N-fold convolution of the step distribution, and the step's Q."""
+    step = ws.step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
+    mean_w, var_w = ws.moments(ws.convolve_n(step, config.n_steps))
+    return mean_w, var_w, ws.q_correction(step, config.beta, config.n_steps).q_value
 
 
 def _blocks_per_trajectory(n_steps: int) -> int:
@@ -225,11 +234,8 @@ def estimate(
             _simulate_batch(master_seed, start, count, config.n_steps, population_cdf, born_cdf_rows, energies)
         )
 
-    if workers == 1:
-        partials = [power_sums(batch) for batch in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(power_sums, batches))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        partials = list(pool.map(power_sums, batches))
 
     s1 = sum(p[0] for p in partials)
     s2 = sum(p[1] for p in partials)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import work_stats as ws
-from .entanglement import negativity, negativity_cartan_basis
+from .entanglement import cartan_basis_negativities, negativity
 from .entanglers import ENTANGLERS
 from .model import CartanCoefficients, SeparableXZXParams, bipartite_quench, cartan_entangler, separable_xzx
-from .sampler import ProtocolConfig, estimate, require_run
+from .sampler import ProtocolConfig, estimate, exact_reference, require_run
 
 _RNG_SEED = 20250810
 
@@ -168,12 +168,7 @@ def check_06_negativity_closed_forms() -> CheckResult:
     worst = 0.0
     for c1 in np.arange(0.0, 0.5 + 1e-9, 0.05):
         for c2 in np.arange(0.0, 0.5 + 1e-9, 0.05):
-            entangler = cartan_entangler(CartanCoefficients(float(c1), float(c2), 0.37))
-            for u in range(4):
-                column = entangler[:, u]
-                rho = np.outer(column, column.conj())
-                numeric = negativity(rho).value
-                closed = negativity_cartan_basis(u, float(c1), float(c2))
+            for _, numeric, closed in cartan_basis_negativities(float(c1), float(c2), 0.37):
                 worst = max(worst, abs(numeric - closed))
     rng = np.random.default_rng(_RNG_SEED + 2)
     worst_separable = 0.0
@@ -260,7 +255,7 @@ def check_08c_fg_zero() -> CheckResult:
     )
 
 
-def check_09_monte_carlo(n_trajectories: int = 100_000, seed: int = 42) -> CheckResult:
+def check_09_monte_carlo(n_trajectories: int, seed: int) -> CheckResult:
     config = ProtocolConfig(
         beta=1.0, n_steps=50, total_theta=0.5, entangler_kind="rxx", total_phi=0.5
     )
@@ -268,8 +263,7 @@ def check_09_monte_carlo(n_trajectories: int = 100_000, seed: int = 42) -> Check
     stats = estimate(config, n_trajectories, seed, workers=1)
     elapsed = time.perf_counter() - started
     stats_parallel = estimate(config, n_trajectories, seed, workers=8)
-    step = ws.step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
-    mean_ref, var_ref = ws.moments(ws.convolve_n(step, config.n_steps))
+    mean_ref, var_ref, _ = exact_reference(config)
     z_mean = (stats.mean_w - mean_ref) / stats.se_mean
     z_var = (stats.var_w - var_ref) / stats.se_var
     deterministic = stats == stats_parallel

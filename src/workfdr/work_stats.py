@@ -270,10 +270,15 @@ def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
     return WorkDistribution.from_row(support, _checked_rows(support, result[None, :])[0])
 
 
+def distribution_rows(a: WorkDistribution, b: WorkDistribution) -> list[tuple[int, float, float, float]]:
+    """(w, P_a(w), P_b(w), |P_a(w) - P_b(w)|) at each w of the sorted union of the two supports."""
+    support = sorted(set(a.support) | set(b.support))
+    return [(w, float(a.prob(w)), float(b.prob(w)), float(abs(a.prob(w) - b.prob(w)))) for w in support]
+
+
 def distribution_distance(a: WorkDistribution, b: WorkDistribution) -> float:
     """Largest absolute probability difference over the union of supports."""
-    values = set(a.support) | set(b.support)
-    return float(max(abs(a.prob(w) - b.prob(w)) for w in values))
+    return max(row[3] for row in distribution_rows(a, b))
 
 
 def jarzynski_check(dist: WorkDistribution, beta: float) -> float:

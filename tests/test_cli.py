@@ -296,10 +296,24 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     for flag, grid in (("--beta-grid", "1,x"), ("--beta-grid", "1:x:1"), ("--n-grid", "1:inf:1"),
                        ("--n-grid", "2.5"), ("--beta-grid", "0:1e308:1e-308")):
         bad.append(["sweep", "--theta", "1", flag, grid])
+    # each grid within the cap, their product of 1,500,003 points above it
+    bad.append(["sweep", "--theta", "1", "--beta-grid", "0:1:2e-6", "--n-grid", "1,2,3"])
     for argv in bad:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    # a flag its command would not read is no flag of that subcommand: argparse exits 2
+    removed = {
+        ("verify", "--trajectories", "100"): [["--beta", "2"], ["--entangler", "rxx"], ["--two-qubit"],
+                                              ["--format", "json"], ["--degrees"]],
+        ("negativity", "--c1", "0.1"): [["--beta", "2"], ["--entangler", "rxx"], ["--two-qubit"]],
+        ("sample", "--n", "5", "--theta", "0.1", *mc, "--seed", "1"): [["--format", "csv"], ["--two-qubit"]],
+    }
+    for argv, flags in removed.items():
+        for flag in flags:
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, *flag])
+            assert exit_info.value.code == 2, (argv, flag)
 
 
 # per-step angles for every registry parameter; each kind reads only its own
@@ -330,12 +344,21 @@ def test_entangler_choices_are_the_registry_keys():
         "sweep": totals,
         "sample": totals,
         "negativity": {f"--{spec.step}" for spec in ENTANGLERS["cartan"].params},
+        "verify": set(),
     }
-    common = {"-h", "--help", "--beta", "--entangler", "--two-qubit", "--output", "--format", "--config", "--degrees"}
-    own = {"sweep": {"--beta-grid", "--n-grid"}, "sample": {"--trajectories", "--seed", "--workers"}}
+    # and the rest are exactly the flags each command reads
+    model = {"--beta", "--entangler", "--two-qubit", "--format", "--degrees"}
+    other = {
+        "dist": model,
+        "q": model,
+        "sweep": model | {"--beta-grid", "--n-grid"},
+        "negativity": {"--format", "--degrees"},
+        "sample": {"--beta", "--entangler", "--degrees", "--trajectories", "--seed", "--workers"},
+        "verify": {"--trajectories", "--seed"},
+    }
     for name, expected in angle_flags.items():
         flags = {flag for action in subparsers.choices[name]._actions for flag in action.option_strings}
-        assert flags - common - own.get(name, set()) == expected, name
+        assert flags == {"-h", "--help", "--output", "--config"} | other[name] | expected, name
 
 
 def test_a_new_entangler_kind_is_one_registry_entry(capsys, monkeypatch, tmp_path):

@@ -21,6 +21,7 @@ from workfdr import (
     rxx,
     separable_xzx,
 )
+from workfdr.entanglement import cartan_basis_negativities
 
 RNG = np.random.default_rng(31415)
 
@@ -73,10 +74,12 @@ def test_closed_form_matches_numerics_on_grid():
     for c1 in np.arange(0.0, 0.51, 0.1):
         for c2 in np.arange(0.0, 0.51, 0.1):
             gate = cartan_entangler(CartanCoefficients(float(c1), float(c2), 0.45))
+            table = cartan_basis_negativities(float(c1), float(c2), 0.45)
             for u in range(4):
                 numeric = negativity(pure_state(gate[:, u])).value
                 closed = negativity_cartan_basis(u, float(c1), float(c2))
                 assert abs(numeric - closed) <= 1e-10
+                assert table[u] == (u, numeric, closed)
 
 
 def test_negativity_invariant_under_local_unitaries():
