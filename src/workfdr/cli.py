@@ -184,6 +184,10 @@ def cmd_sweep(args) -> int:
     p = _params(args)
     if args.beta_grid is None and args.n_grid is None:
         raise ValidationError("sweep needs --beta-grid and/or --n-grid")
+    # a grid replaces its scalar; a --config value is a default the grid overrides
+    for scalar, grid in (("beta", "beta_grid"), ("n", "n_grid")):
+        if getattr(args, scalar) is not None and getattr(args, grid) is not None:
+            raise ValidationError(f"sweep takes --{scalar} or --{grid.replace('_', '-')}, not both")
     betas = sorted(_parse_grid(args.beta_grid, integral=False) if args.beta_grid else [p["beta"]])
     steps = sorted(_parse_grid(args.n_grid, integral=True) if args.n_grid else [p["n"]])
     if len(betas) * len(steps) > _MAX_GRID_POINTS:

@@ -12,9 +12,17 @@ pipeline is an independent check. A scalar one-step-at-a-time version of the
 batch kernel is kept in the test suite (tests/mc_oracle.py) as its oracle.
 
 The batch kernel compares raw Philox words with integer thresholds, which
-picks the same outcomes as the oracle's float uniforms (see _thresholds), and
-a batch holds as many trajectories as fit in _DRAWS_PER_BATCH raw words, so
-its memory does not grow with the trajectory count.
+picks the same outcomes as the oracle's float uniforms (see _thresholds). One
+pass copies the interleaved (step, outcome) words into contiguous first and
+second draws, so every compare after it is contiguous. A step's work is a sum
+over energy rises: with the levels in ascending energy, an outcome lies at or
+above level j+1 exactly when its draw reaches threshold j, so
+W = sum_j (E[j+1] - E[j]) * ([second >= j+1] - [first >= j+1]), and the
+degenerate |01>/|10> rise of 0 costs nothing. A batch holds as many
+trajectories as fit in _DRAWS_PER_BATCH raw words (1 MB); a longer trajectory
+runs alone, in chunks of whole Philox blocks that each fit the budget, and its
+partial totals add up to its exact total. Memory is therefore bounded for any
+N and any trajectory count.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .model import QubitHamiltonian, bipartite_quench, gibbs_populations
 BORN_NORMALIZATION_TOL = 1e-10
 _DRAWS_PER_STEP = 2
 _WORDS_PER_BLOCK = 4
-_DRAWS_PER_BATCH = 2**18  # raw words drawn per batch, padding included: about 2 MB
+_DRAWS_PER_BATCH = 2**17  # raw words drawn per kernel call, padding included: 1 MB
 _UNIFORM_BITS = 53  # Generator.random keeps the top 53 bits of each raw Philox word
 
 
@@ -140,6 +148,27 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     return np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.uint64)
 
 
+class _Scratch:
+    """Arrays that one worker thread reuses from kernel call to kernel call.
+
+    Allocated afresh on each call, a batch's megabyte-sized arrays come back
+    as fresh pages (glibc malloc hands the freed top of the heap back to the
+    system between calls): about 500 page faults a batch, which took 40% of
+    estimate's time at N = 50 on a 2-vCPU VM.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised array of this shape, kept under name for the next call."""
+        size = math.prod(shape)
+        held = self._arrays.get(name)
+        if held is None or held.size < size:
+            held = self._arrays[name] = np.empty(size, dtype)
+        return held[:size].reshape(shape)
+
+
 def _simulate_batch(
     master_seed: int,
     start: int,
@@ -148,34 +177,54 @@ def _simulate_batch(
     population_cdf: np.ndarray,
     born_cdf_rows: np.ndarray,
     energies: np.ndarray,
+    first_step: int = 0,
+    last_step: int | None = None,
+    scratch: _Scratch | None = None,
 ) -> np.ndarray:
-    """Integer total work for trajectories [start, start+count), vectorized.
+    """Integer work of steps [first_step, last_step) of trajectories [start, start+count),
+    vectorized; by default all n_steps steps.
 
-    An outcome is the number of CDF entries at or below its uniform, capped at
-    the last outcome; as a CDF never decreases, that is the count over all
-    entries but the last.
+    A partial range must start at an even step (a Philox block holds two steps)
+    and is for a single trajectory, whose words are then contiguous.
     """
-    blocks = _blocks_per_trajectory(n_steps)
+    last_step = n_steps if last_step is None else last_step
+    scratch = _Scratch() if scratch is None else scratch
+    shape = (count, last_step - first_step)
     first_thresholds = _thresholds(population_cdf[:-1])
     second_thresholds = _thresholds(born_cdf_rows[:, :-1])  # [first outcome, j]
-    work = (energies - energies[:, None]).astype(np.int8).ravel()  # work[4*first + second]
     bits = Philox(key=np.uint64(master_seed))
-    bits.advance(start * blocks)
-    words = bits.random_raw(count * _WORDS_PER_BLOCK * blocks)
-    words >>= np.uint64(64 - _UNIFORM_BITS)
-    draws = words.reshape(count, -1, _DRAWS_PER_STEP)[:, :n_steps]
-    first_draws, second_draws = draws[..., 0], draws[..., 1]
-    # a bool array viewed as int8 holds 0 and 1: each pass adds one compare in place
-    first = (first_draws >= first_thresholds[0]).view(np.int8)
-    for threshold in first_thresholds[1:]:
-        first += first_draws >= threshold
-    # threshold j of each draw's Born row: column j taken at the draw's first outcome
-    second = (second_draws >= second_thresholds[:, 0].take(first)).view(np.int8)
-    for column in second_thresholds.T[1:]:
-        second += second_draws >= column.take(first)
-    first *= len(energies)
-    first += second
-    return work.take(first).sum(axis=1, dtype=np.int64)
+    bits.advance(start * _blocks_per_trajectory(n_steps) + first_step // _DRAWS_PER_STEP)
+    words = bits.random_raw(count * _WORDS_PER_BLOCK * _blocks_per_trajectory(shape[1]))
+    # one pass from interleaved (step, outcome) words to contiguous draws [outcome, trajectory, step]
+    first_draws, second_draws = np.right_shift(
+        words.reshape(count, -1, _DRAWS_PER_STEP)[:, : shape[1]].transpose(2, 0, 1),
+        np.uint64(64 - _UNIFORM_BITS),
+        out=scratch.array("draws", (_DRAWS_PER_STEP, *shape), np.uint64),
+    )
+    del words
+    # [first >= j+1] as int8 0/1: a bool array viewed as int8
+    first_above = [
+        np.greater_equal(first_draws, threshold, out=scratch.array(f"above{j}", shape, np.bool_)).view(np.int8)
+        for j, threshold in enumerate(first_thresholds)
+    ]
+    # the first outcome is the count of thresholds its draw reaches, as intp so
+    # that take indexes with it uncast
+    first = np.add(first_above[0], first_above[1], out=scratch.array("first", shape, np.intp))
+    for above in first_above[2:]:
+        first += above
+    gathered = scratch.array("gathered", shape, np.uint64)
+    second_above = scratch.array("second_above", shape, np.bool_)
+    work = scratch.array("work", shape, np.int8)
+    work.fill(0)
+    rises = np.diff(energies)
+    for j in np.flatnonzero(rises):
+        # threshold j of each draw's Born row: column j taken at the draw's first outcome
+        np.take(second_thresholds[:, j], first, out=gathered)
+        step_rise = np.greater_equal(second_draws, gathered, out=second_above).view(np.int8)
+        step_rise -= first_above[j]
+        step_rise *= np.int8(rises[j])
+        work += step_rise
+    return work.sum(axis=1, dtype=np.int64)
 
 
 def _power_sums(w: np.ndarray) -> tuple[int, int, int, int]:
@@ -205,9 +254,10 @@ def estimate(
     workers : int
         Thread count for batch processing, >= 1. A batch holds as many
         trajectories as fit in a fixed budget of raw Philox words (at least
-        one), so its memory depends on N but not on n_trajectories. The
-        reduction is over exact integer power sums, so the result is identical
-        for any worker count or batch schedule.
+        one, in chunks of steps when one does not fit), so its memory depends
+        on neither N nor n_trajectories. The reduction is over exact integer
+        power sums, so the result is identical for any worker count or batch
+        schedule.
 
     Returns
     -------
@@ -223,19 +273,33 @@ def estimate(
     born_cdf_rows = np.cumsum(born, axis=0).T.copy()
     energies = np.asarray(hamiltonian.energies, dtype=np.int64)
 
-    per_batch = max(1, _DRAWS_PER_BATCH // (_WORDS_PER_BLOCK * _blocks_per_trajectory(config.n_steps)))
+    n_steps = config.n_steps
+    per_batch = max(1, _DRAWS_PER_BATCH // (_WORDS_PER_BLOCK * _blocks_per_trajectory(n_steps)))
     batches = [
         (start, min(per_batch, n_trajectories - start)) for start in range(0, n_trajectories, per_batch)
     ]
+    # steps per kernel call: all of them, or for a trajectory past the budget as
+    # many whole Philox blocks as the budget holds
+    steps_per_block = _WORDS_PER_BLOCK // _DRAWS_PER_STEP
+    chunk = min(n_steps, steps_per_block * max(1, _DRAWS_PER_BATCH // _WORDS_PER_BLOCK))
 
-    def power_sums(batch: tuple[int, int]) -> tuple[int, int, int, int]:
-        start, count = batch
-        return _power_sums(
-            _simulate_batch(master_seed, start, count, config.n_steps, population_cdf, born_cdf_rows, energies)
-        )
+    def power_sums(worker_batches: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+        scratch = _Scratch()
+        sums = []
+        for start, count in worker_batches:
+            totals = sum(
+                _simulate_batch(
+                    master_seed, start, count, n_steps, population_cdf, born_cdf_rows, energies,
+                    first, min(first + chunk, n_steps), scratch,
+                )
+                for first in range(0, n_steps, chunk)
+            )
+            sums.append(_power_sums(totals))
+        return sums
 
+    # one task, and so one scratch space, per worker thread
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(power_sums, batches))
+        partials = [p for sums in pool.map(power_sums, [batches[w::workers] for w in range(workers)]) for p in sums]
 
     s1 = sum(p[0] for p in partials)
     s2 = sum(p[1] for p in partials)

@@ -188,13 +188,15 @@ def test_config_file_with_flag_override(capsys, tmp_path):
 def test_config_integers_print_like_flags(capsys, tmp_path):
     # JSON integers for float keys give the bytes the same flags give
     config = tmp_path / "integers.json"
-    config.write_text(json.dumps({"beta": 2, "n": 10, "theta": 1, "entangler": "rxx", "phi": 1}))
-    flags = ["--beta", "2", "--n", "10", "--theta", "1", "--entangler", "rxx", "--phi", "1"]
+    values = {"beta": 2, "n": 10, "theta": 1, "entangler": "rxx", "phi": 1}
     mc = ["--trajectories", "300", "--seed", "4"]
     for command, extra in (("q", ["--format", "json"]), ("sweep", ["--n-grid", "5,10"]), ("sample", mc)):
-        _, out_file, _ = run_cli(capsys, command, "--config", str(config), *extra)
-        _, out_flags, _ = run_cli(capsys, command, *flags, *extra)
-        assert out_file == out_flags, command
+        keys = [key for key in values if (command, key) != ("sweep", "n")]  # --n next to --n-grid exits 2
+        config.write_text(json.dumps({key: values[key] for key in keys}))
+        flags = [word for key in keys for word in (f"--{key}", str(values[key]))]
+        code_file, out_file, _ = run_cli(capsys, command, "--config", str(config), *extra)
+        code_flags, out_flags, _ = run_cli(capsys, command, *flags, *extra)
+        assert code_file == code_flags == 0 and out_file == out_flags, command
     assert '"beta": 2.0' in out_file
 
 
@@ -296,6 +298,9 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     for flag, grid in (("--beta-grid", "1,x"), ("--beta-grid", "1:x:1"), ("--n-grid", "1:inf:1"),
                        ("--n-grid", "2.5"), ("--beta-grid", "0:1e308:1e-308")):
         bad.append(["sweep", "--theta", "1", flag, grid])
+    # a scalar flag next to its own grid would be ignored
+    bad += [["sweep", "--theta", "1", "--beta", "2", "--beta-grid", "1,2"],
+            ["sweep", "--theta", "1", "--n", "5", "--n-grid", "5,10"]]
     # each grid within the cap, their product of 1,500,003 points above it
     bad.append(["sweep", "--theta", "1", "--beta-grid", "0:1:2e-6", "--n-grid", "1,2,3"])
     for argv in bad:

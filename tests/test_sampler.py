@@ -1,6 +1,7 @@
 """Monte Carlo sampler: determinism, statistical agreement with the exact pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,17 +155,26 @@ EDGE_COUNT = 23
 
 
 def _recorded_estimate(monkeypatch, config, n_trajectories, seed):
-    """Run estimate and return its stats with every batch it ran, as (start, count, works)."""
-    calls = []
+    """Run estimate and return its stats with every kernel call it made, as
+    (start, count, first_step, last_step, works), and the raw words each call drew."""
+    calls, drawn = [], []
 
-    def recording(master_seed, start, count, *args):
-        works = _simulate_batch(master_seed, start, count, *args)
-        calls.append((start, count, works))
+    class CountingPhilox(Philox):
+        def random_raw(self, size=None, output=True):
+            drawn.append(size)
+            return super().random_raw(size, output)
+
+    def recording(master_seed, start, count, n_steps, *args):
+        works = _simulate_batch(master_seed, start, count, n_steps, *args)
+        first_step, last_step = args[3:5]
+        calls.append((start, count, first_step, last_step, works))
         return works
 
+    monkeypatch.setattr(sampler, "Philox", CountingPhilox)
     monkeypatch.setattr(sampler, "_simulate_batch", recording)
     stats = estimate(config, n_trajectories, seed)
-    return stats, sorted(calls, key=lambda call: call[0])
+    order = sorted(range(len(calls)), key=lambda i: calls[i][:3])
+    return stats, [calls[i] for i in order], [drawn[i] for i in order]
 
 
 @pytest.mark.parametrize("name", list(EDGE_CONFIGS))
@@ -177,9 +187,9 @@ def test_batch_kernel_matches_scalar_oracle_for_any_draw_budget(monkeypatch, nam
     results = []
     for per_batch, budget in budgets.items():
         monkeypatch.setattr(sampler, "_DRAWS_PER_BATCH", budget)
-        stats, calls = _recorded_estimate(monkeypatch, config, EDGE_COUNT, 31)
-        assert [start for start, _, _ in calls] == list(range(0, EDGE_COUNT, per_batch or EDGE_COUNT))
-        assert np.concatenate([works for _, _, works in calls]).tolist() == oracle, (name, per_batch)
+        stats, calls, _ = _recorded_estimate(monkeypatch, config, EDGE_COUNT, 31)
+        assert [call[0] for call in calls] == list(range(0, EDGE_COUNT, per_batch or EDGE_COUNT))
+        assert np.concatenate([call[-1] for call in calls]).tolist() == oracle, (name, per_batch)
         results.append(stats)
     assert results[0] == results[1] == results[2]
     # the stats are those of the oracle's totals
@@ -192,14 +202,54 @@ def test_batch_kernel_matches_scalar_oracle_for_any_draw_budget(monkeypatch, nam
 def test_no_batch_draws_more_than_the_budget(monkeypatch, n_steps, n_trajectories):
     monkeypatch.setattr(sampler, "_DRAWS_PER_BATCH", 2**16)  # 70_000 steps need 140_000 words
     config = ProtocolConfig(beta=1.0, n_steps=n_steps, total_theta=0.3)
-    _, calls = _recorded_estimate(monkeypatch, config, n_trajectories, 5)
+    _, calls, drawn = _recorded_estimate(monkeypatch, config, n_trajectories, 5)
     words = 4 * _blocks_per_trajectory(n_steps)
-    assert [start for start, _, _ in calls] == list(np.cumsum([0] + [count for _, count, _ in calls[:-1]]))
-    assert sum(count for _, count, _ in calls) == n_trajectories
-    for _, count, _ in calls:
-        assert count * words <= 2**16 or count == 1
+    # every call draws within the budget, and no word is drawn twice
+    assert len(drawn) == len(calls) and max(drawn) <= 2**16
+    assert sum(drawn) == n_trajectories * words
+    # batches tile the trajectories in order, and each batch's chunks tile its
+    # steps from even step indices (a Philox block holds two steps)
+    batches = sorted({(start, count) for start, count, _, _, _ in calls})
+    assert [start for start, _ in batches] == list(np.cumsum([0] + [count for _, count in batches[:-1]]))
+    assert sum(count for _, count in batches) == n_trajectories
+    for start, count in batches:
+        ranges = [(first, last) for s, c, first, last, _ in calls if (s, c) == (start, count)]
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_steps
+        assert all(last == next_first for (_, last), (next_first, _) in zip(ranges, ranges[1:]))
+        assert all(first % 2 == 0 for first, _ in ranges)
+        assert len(ranges) == 1 or count == 1
     # batches are as full as the budget allows
     assert calls[0][1] == min(n_trajectories, max(1, 2**16 // words))
+
+
+@pytest.mark.parametrize("n_steps", [13, 14])
+def test_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps):
+    # a budget of 8 words is 2 Philox blocks, 4 steps: every trajectory runs in
+    # chunks, and at odd N the last chunk ends in two padding words
+    config = ProtocolConfig(beta=0.8, n_steps=n_steps, total_theta=6.0, entangler_kind="cartan",
+                            total_c1=3.0, total_c2=-1.0, total_c3=2.0)
+    oracle = [run_protocol(config, i, 17) for i in range(9)]
+    unchunked = estimate(config, 9, 17)
+    monkeypatch.setattr(sampler, "_DRAWS_PER_BATCH", 8)
+    stats, calls, drawn = _recorded_estimate(monkeypatch, config, 9, 17)
+    assert max(drawn) == 8 and len(calls) == 9 * math.ceil(n_steps / 4)
+    totals = [sum(int(works[0]) for start, _, _, _, works in calls if start == i) for i in range(9)]
+    assert totals == oracle
+    assert stats == unchunked
+
+
+@pytest.mark.parametrize(("n_steps", "n_trajectories"), [(50, 20_000), (300_000, 2)])
+def test_estimate_memory_is_bounded_by_the_draw_budget(n_steps, n_trajectories):
+    # numpy reports its array buffers to tracemalloc; one batch's words and
+    # kernel arrays come to about 3.3 times the budget's bytes
+    config = ProtocolConfig(beta=1.0, n_steps=n_steps, total_theta=0.3)
+    tracemalloc.start()
+    try:
+        estimate(config, n_trajectories, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * sampler._DRAWS_PER_BATCH * 8
 
 
 def test_power_sums_are_exact_past_the_int64_wrap():
