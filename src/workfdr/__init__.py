@@ -3,13 +3,7 @@ discrete two-point-measurement protocol: exact enumeration, closed-form
 cross-checks, entanglement negativity, and seeded Monte Carlo validation."""
 
 from .entanglement import NegativityResult, negativity, negativity_cartan_basis
-from .entanglers import (
-    ENTANGLERS,
-    Entangler,
-    q_bipartite_smallangle_cartan,
-    q_bipartite_smallangle_rxx,
-    q_separable_smallangle,
-)
+from .entanglers import ENTANGLERS, Entangler
 from .errors import (
     ContractViolationError,
     NumericFailureError,
@@ -17,21 +11,11 @@ from .errors import (
     ValidationError,
     WorkFdrError,
 )
-from .linalg import (
-    dagger,
-    hermitian_eigenvalues,
-    identity,
-    is_density,
-    is_unitary,
-    kron,
-    partial_transpose_A,
-)
+from .linalg import hermitian_eigenvalues, identity, kron, partial_transpose_A
 from .model import (
     CartanCoefficients,
-    QubitHamiltonian,
     SeparableXZXParams,
     cartan_entangler,
-    gibbs_state,
     rotation_x,
     rotation_z,
     rxx,
@@ -68,7 +52,6 @@ __all__ = [
     "NumericFailureError",
     "ProtocolConfig",
     "QReport",
-    "QubitHamiltonian",
     "SampleStats",
     "SeparableXZXParams",
     "UnsupportedDimensionError",
@@ -80,26 +63,19 @@ __all__ = [
     "closed_form_distribution_separable",
     "closed_form_distribution_single",
     "convolve_n",
-    "dagger",
     "distribution_distance",
     "estimate",
     "f_beta",
     "g_beta",
-    "gibbs_state",
     "hermitian_eigenvalues",
     "identity",
-    "is_density",
-    "is_unitary",
     "jarzynski_check",
     "kron",
     "moments",
     "negativity",
     "negativity_cartan_basis",
     "partial_transpose_A",
-    "q_bipartite_smallangle_cartan",
-    "q_bipartite_smallangle_rxx",
     "q_correction",
-    "q_separable_smallangle",
     "q_single_exact",
     "q_single_smallangle",
     "rotation_x",

@@ -77,7 +77,7 @@ def _emit_table(args, spec: dict, header: list[str], rows: list) -> None:
 
 
 def _single_qubit(p: dict) -> bool:
-    return ENTANGLERS[p["entangler"]].reduces_to_single_qubit and not p["two_qubit"]
+    return p["entangler"] == DEFAULT_KIND and not p["two_qubit"]
 
 
 def _config(p: dict) -> ProtocolConfig:

@@ -38,7 +38,7 @@ def negativity(rho: np.ndarray) -> NegativityResult:
     value = -math.fsum(negatives)
     trace_norm = math.fsum(abs(float(v)) for v in eigenvalues)
     alternate = (trace_norm - 1.0) / 2.0
-    if abs(value - alternate) > CROSS_CHECK_TOL:
+    if not abs(value - alternate) <= CROSS_CHECK_TOL:
         raise NumericFailureError(
             f"negativity self-check failed: {value!r} vs (||.||_1 - 1)/2 = {alternate!r}"
         )

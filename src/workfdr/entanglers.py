@@ -1,8 +1,11 @@
 """The entangler registry: one entry per two-qubit entangler kind, read by the
-CLI, ProtocolConfig and the small-angle functions, so a new kind is one entry.
+CLI, ProtocolConfig and the verification suite, so a new kind is one entry.
 
 An entry holds its parameter specs, the per-step 4x4 unitary, the closed-form
-step distribution, and the small-angle Q as (f_term, g_term). This is the one
+step distribution, and the small-angle Q as (f_term, g_term): the prediction
+of a kind is sum(ENTANGLERS[kind].small_angle(n, beta, dth, params)), and
+there is no other. The identity, DEFAULT_KIND, is the kind under which the two
+qubits are independent copies of the single-qubit model. This is the one
 place a parameter is named: the CLI flags, --config keys and ProtocolConfig's
 total_<name> keywords are derived from the specs when they are used. The
 callables take the per-step parameters as a mapping keyed by the specs' step
@@ -19,7 +22,6 @@ import numpy as np
 
 from . import linalg, model
 from . import work_stats as ws
-from .errors import require_int
 
 
 @dataclass(frozen=True)
@@ -35,14 +37,12 @@ class Param:
 
 @dataclass(frozen=True)
 class Entangler:
-    """One entangler kind. `reduces_to_single_qubit` marks the identity, under
-    which the two qubits are independent copies of the single-qubit model."""
+    """One entangler kind."""
 
     params: tuple[Param, ...]
     unitary: Callable[[Mapping], np.ndarray]
     closed_form: Callable[[float, float, Mapping], ws.WorkDistribution]
     small_angle: Callable[[int, float, float, Mapping], tuple[float, float]]
-    reduces_to_single_qubit: bool = False
 
 
 def _local_term(n: int, beta: float, delta_theta: float) -> float:
@@ -57,7 +57,6 @@ ENTANGLERS = {
         unitary=lambda p: linalg.identity(4),
         closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, 0.0, 0.0),
         small_angle=lambda n, beta, dth, p: (_local_term(n, beta, dth), 0.0),
-        reduces_to_single_qubit=True,
     ),
     "rxx": Entangler(
         params=(Param("dphi", "phi", "xx entangler angle"),),
@@ -101,21 +100,3 @@ ENTANGLERS = {
 def all_params() -> list[Param]:
     """Every parameter spec of the registry once, in registry order."""
     return list(dict.fromkeys(spec for entry in ENTANGLERS.values() for spec in entry.params))
-
-
-def q_bipartite_smallangle_rxx(n: int, beta: float, delta_theta: float, delta_phi: float) -> float:
-    """Small-angle two-qubit correction N*[(dth^2/2) f + (dphi^2/2) g] for the xx entangler."""
-    n = require_int("n", n, minimum=1)
-    return sum(ENTANGLERS["rxx"].small_angle(n, beta, delta_theta, {"dphi": delta_phi}))
-
-
-def q_bipartite_smallangle_cartan(n: int, beta: float, delta_theta: float, c1: float, c2: float) -> float:
-    """Small-angle two-qubit correction N*[(dth^2/2) f + 2(c1-c2)^2 g]; independent of c3."""
-    n = require_int("n", n, minimum=1)
-    return sum(ENTANGLERS["cartan"].small_angle(n, beta, delta_theta, {"c1": c1, "c2": c2}))
-
-
-def q_separable_smallangle(n: int, beta: float, delta_theta: float, c: float, m: float) -> float:
-    """Small-angle correction N*f(beta)*[(c+dth)^2/4 + (m+dth)^2/4]; no g term for separable driving."""
-    n = require_int("n", n, minimum=1)
-    return sum(ENTANGLERS["separable_xzx"].small_angle(n, beta, delta_theta, {"c": c, "m": m}))

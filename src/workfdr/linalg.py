@@ -44,11 +44,6 @@ def identity(dim: int) -> np.ndarray:
     return _freeze(np.eye(dim, dtype=np.complex128))
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return _freeze(as_matrix(a).conj().T.copy())
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, restricted to results of dimension at most 4."""
     a = as_matrix(a)
@@ -80,38 +75,22 @@ def max_abs(a: np.ndarray) -> float:
 def check_unitary(u: np.ndarray) -> np.ndarray:
     u = as_matrix(u)
     dev = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise ContractViolationError(f"matrix is not unitary: max |U†U - I| = {dev:.3e} > {UNITARY_TOL:.0e}")
     return u
-
-
-def _passes(check, a: np.ndarray) -> bool:
-    try:
-        check(a)
-    except (ContractViolationError, UnsupportedDimensionError):
-        return False
-    return True
-
-
-def is_unitary(u: np.ndarray) -> bool:
-    return _passes(check_unitary, u)
-
-
-def is_density(rho: np.ndarray) -> bool:
-    return _passes(check_density, rho)
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:
     """Require Hermiticity to 1e-12, unit trace to 1e-12, eigenvalues >= -1e-10."""
     rho = as_matrix(rho)
     herm_dev = max_abs(rho - rho.conj().T)
-    if herm_dev > DENSITY_HERMITICITY_TOL:
+    if not herm_dev <= DENSITY_HERMITICITY_TOL:
         raise ContractViolationError(f"density is not Hermitian: max |rho - rho†| = {herm_dev:.3e}")
     tr_dev = abs(np.trace(rho) - 1.0)
-    if tr_dev > DENSITY_TRACE_TOL:
+    if not tr_dev <= DENSITY_TRACE_TOL:
         raise ContractViolationError(f"density trace deviates from 1 by {tr_dev:.3e}")
     evals = hermitian_eigenvalues((rho + rho.conj().T) / 2.0)
-    if evals[0] < DENSITY_EIGENVALUE_FLOOR:
+    if not evals[0] >= DENSITY_EIGENVALUE_FLOOR:
         raise ContractViolationError(f"density has negative eigenvalue {evals[0]:.3e}")
     return rho
 
@@ -162,7 +141,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """
     h = as_matrix(h)
     herm_dev = max_abs(h - h.conj().T)
-    if herm_dev > 1e-10:
+    if not herm_dev <= 1e-10:
         raise ContractViolationError(f"matrix is not Hermitian: max |h - h†| = {herm_dev:.3e}")
     h = (h + h.conj().T) / 2.0
     doubled = _jacobi_eigenvalues_symmetric(_real_symmetric_embedding(h))

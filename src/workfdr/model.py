@@ -1,10 +1,10 @@
 """Closed-form constructors for the driven-qubit model.
 
-Provides the qubit Hamiltonians (level splitting fixed to 1), Gibbs states,
-per-step local quench rotations, the xx entangling rotation, the general
-two-qubit entangler generated by commuting xx/yy/zz terms, and separable
-X-Z-X product unitaries. All constructors are pure and return write-protected
-complex128 arrays.
+Provides the diagonal qubit spectra as energy tuples (level splitting fixed
+to 1) and their thermal populations, per-step local quench rotations, the xx
+entangling rotation, the general two-qubit entangler generated by commuting
+xx/yy/zz terms, and separable X-Z-X product unitaries. All constructors are
+pure and return write-protected complex128 arrays.
 """
 
 from __future__ import annotations
@@ -21,27 +21,15 @@ PAULI_X = _freeze(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 PAULI_Y = _freeze(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
 PAULI_Z = _freeze(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
+# Hamiltonian spectra in the computational basis, in units of the splitting: one
+# qubit (ground 0, excited 1), and two non-interacting qubits on |00>,|01>,|10>,|11>
+SINGLE_QUBIT_ENERGIES = (0.0, 1.0)
+TWO_QUBIT_ENERGIES = (0.0, 1.0, 1.0, 2.0)
+
 
 def _fold_angle(angle: float) -> float:
     # canonical range [-pi, pi); entangler generators are 2*pi-periodic
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
-
-
-@dataclass(frozen=True)
-class QubitHamiltonian:
-    """Diagonal Hamiltonian in the computational basis, energies in units of the splitting."""
-
-    energies: tuple[float, ...]
-
-    @classmethod
-    def single(cls) -> "QubitHamiltonian":
-        """Single qubit: ground 0, excited 1."""
-        return cls(energies=(0.0, 1.0))
-
-    @classmethod
-    def two_qubit(cls) -> "QubitHamiltonian":
-        """Two non-interacting qubits: additive spectrum {0, 1, 1, 2} on |00>,|01>,|10>,|11>."""
-        return cls(energies=(0.0, 1.0, 1.0, 2.0))
 
 
 @dataclass(frozen=True)
@@ -122,14 +110,9 @@ def bipartite_quench(delta_theta: float) -> np.ndarray:
     return kron(u, u)
 
 
-def gibbs_populations(beta, hamiltonian: QubitHamiltonian, dtype=np.float64) -> np.ndarray:
-    """Thermal populations exp(-beta*E)/Z, one row per beta if beta is a sequence; exact
-    enumeration takes dtype=numpy.longdouble."""
+def gibbs_populations(beta, energies: tuple[float, ...], dtype=np.float64) -> np.ndarray:
+    """Thermal populations exp(-beta*E)/Z of a diagonal spectrum, one row per beta if beta
+    is a sequence; exact enumeration takes dtype=numpy.longdouble."""
     betas = np.array([require_beta(b) for b in (beta if np.ndim(beta) else [beta])], dtype=dtype)
-    weights = np.exp(-betas.reshape(np.shape(beta) + (1,)) * np.asarray(hamiltonian.energies, dtype=dtype))
+    weights = np.exp(-betas.reshape(np.shape(beta) + (1,)) * np.asarray(energies, dtype=dtype))
     return _freeze(weights / weights.sum(axis=-1, keepdims=True))
-
-
-def gibbs_state(beta: float, hamiltonian: QubitHamiltonian) -> np.ndarray:
-    """Thermal state exp(-beta*H)/Z as a diagonal density matrix."""
-    return _freeze(np.diag(gibbs_populations(beta, hamiltonian)).astype(np.complex128))

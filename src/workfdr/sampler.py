@@ -38,7 +38,7 @@ from . import work_stats as ws
 from .entanglers import DEFAULT_KIND, ENTANGLERS
 from .errors import ContractViolationError, ValidationError, require_beta, require_finite, require_int
 from .linalg import check_unitary
-from .model import QubitHamiltonian, bipartite_quench, gibbs_populations
+from .model import TWO_QUBIT_ENERGIES, bipartite_quench, gibbs_populations
 
 BORN_NORMALIZATION_TOL = 1e-10
 _DRAWS_PER_STEP = 2
@@ -135,7 +135,7 @@ def _born_matrix(quench: np.ndarray, entangler: np.ndarray) -> np.ndarray:
     transition = np.abs(quench @ entangler) ** 2
     column_sums = transition.sum(axis=0)
     deviation = float(np.max(np.abs(column_sums - 1.0)))
-    if deviation > BORN_NORMALIZATION_TOL:
+    if not deviation <= BORN_NORMALIZATION_TOL:
         raise ContractViolationError(
             f"Born probabilities fail to normalize: max |sum - 1| = {deviation:.3e}"
         )
@@ -177,18 +177,16 @@ def _simulate_batch(
     population_cdf: np.ndarray,
     born_cdf_rows: np.ndarray,
     energies: np.ndarray,
-    first_step: int = 0,
-    last_step: int | None = None,
-    scratch: _Scratch | None = None,
+    first_step: int,
+    last_step: int,
+    scratch: _Scratch,
 ) -> np.ndarray:
     """Integer work of steps [first_step, last_step) of trajectories [start, start+count),
-    vectorized; by default all n_steps steps.
+    vectorized, in arrays reused from scratch.
 
     A partial range must start at an even step (a Philox block holds two steps)
     and is for a single trajectory, whose words are then contiguous.
     """
-    last_step = n_steps if last_step is None else last_step
-    scratch = _Scratch() if scratch is None else scratch
     shape = (count, last_step - first_step)
     first_thresholds = _thresholds(population_cdf[:-1])
     second_thresholds = _thresholds(born_cdf_rows[:, :-1])  # [first outcome, j]
@@ -267,11 +265,10 @@ def estimate(
         delta-method standard error that keeps the mean-variance covariance.
     """
     n_trajectories, master_seed, workers = require_run(n_trajectories, master_seed, workers)
-    hamiltonian = QubitHamiltonian.two_qubit()
-    population_cdf = np.cumsum(gibbs_populations(config.beta, hamiltonian))
+    population_cdf = np.cumsum(gibbs_populations(config.beta, TWO_QUBIT_ENERGIES))
     born = _born_matrix(config.step_quench(), config.step_entangler())
     born_cdf_rows = np.cumsum(born, axis=0).T.copy()
-    energies = np.asarray(hamiltonian.energies, dtype=np.int64)
+    energies = np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64)
 
     n_steps = config.n_steps
     per_batch = max(1, _DRAWS_PER_BATCH // (_WORDS_PER_BLOCK * _blocks_per_trajectory(n_steps)))

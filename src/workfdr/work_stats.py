@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import UnsupportedDimensionError, ValidationError, require_beta, require_finite, require_int
 from .linalg import check_unitary
-from .model import QubitHamiltonian, gibbs_populations, rotation_x
+from .model import SINGLE_QUBIT_ENERGIES, TWO_QUBIT_ENERGIES, gibbs_populations, rotation_x
 
 PROB_CLAMP = 1e-14
 NORMALIZATION_TOL = 1e-12
@@ -57,8 +57,9 @@ class WorkDistribution:
         return cls(support=tuple(int(w) for w in compress(support, nonzero)), probs=tuple(compress(probs, nonzero)))
 
     @classmethod
-    def point_mass(cls, value: int = 0) -> "WorkDistribution":
-        return cls(support=(int(value),), probs=(_LD(1.0),))
+    def point_mass(cls) -> "WorkDistribution":
+        """All probability at work 0: the distribution of zero steps."""
+        return cls(support=(0,), probs=(_LD(1.0),))
 
     def prob(self, w: int):
         """Probability of work value w (0 when w is off-support)."""
@@ -97,13 +98,13 @@ def g_beta(beta: float) -> float:
 def _checked_rows(support, probs: np.ndarray) -> np.ndarray:
     """Every row of a (rows, k) probability array within PROB_CLAMP of [0, 1], clamped
     into it, and summing to 1 within NORMALIZATION_TOL; returns the clamped rows."""
-    outside = (probs < -PROB_CLAMP) | (probs > 1.0 + PROB_CLAMP)
+    outside = ~((probs >= -PROB_CLAMP) & (probs <= 1.0 + PROB_CLAMP))
     if outside.any():
         row, col = np.argwhere(outside)[0]
         raise ValidationError(f"probability {float(probs[row, col])!r} at work {support[col]} is outside [0, 1]")
     probs = np.minimum(np.maximum(probs, _LD(0.0)), _LD(1.0))
     totals = np.sum(probs, axis=1)
-    off = np.abs(totals.astype(np.float64) - 1.0) > NORMALIZATION_TOL
+    off = ~(np.abs(totals.astype(np.float64) - 1.0) <= NORMALIZATION_TOL)
     if off.any():
         raise ValidationError(f"probabilities sum to {float(totals[np.argmax(off)])!r}, expected 1")
     return probs
@@ -126,9 +127,9 @@ def _enumerate(populations: np.ndarray, transition: np.ndarray, energies) -> tup
 def step_grid_single(betas, delta_theta: float) -> tuple[tuple[int, ...], np.ndarray]:
     """Single-qubit step distributions at every beta: the sorted support and one row of
     probabilities per beta, zeros kept."""
-    hamiltonian = QubitHamiltonian.single()
     transition = np.abs(rotation_x(delta_theta)).astype(_LD) ** 2
-    return _enumerate(gibbs_populations(betas, hamiltonian, dtype=_LD), transition, hamiltonian.energies)
+    populations = gibbs_populations(betas, SINGLE_QUBIT_ENERGIES, dtype=_LD)
+    return _enumerate(populations, transition, SINGLE_QUBIT_ENERGIES)
 
 
 def step_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
@@ -150,9 +151,9 @@ def step_grid_bipartite(betas, quench: np.ndarray, entangler: np.ndarray) -> tup
         raise UnsupportedDimensionError("bipartite step needs 4x4 quench and entangler")
     quench = check_unitary(quench)
     entangler = check_unitary(entangler)
-    hamiltonian = QubitHamiltonian.two_qubit()
     transition = np.abs(quench @ entangler).astype(_LD) ** 2
-    return _enumerate(gibbs_populations(betas, hamiltonian, dtype=_LD), transition, hamiltonian.energies)
+    populations = gibbs_populations(betas, TWO_QUBIT_ENERGIES, dtype=_LD)
+    return _enumerate(populations, transition, TWO_QUBIT_ENERGIES)
 
 
 def step_distribution_bipartite(beta: float, quench: np.ndarray, entangler: np.ndarray) -> WorkDistribution:
@@ -258,7 +259,7 @@ def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
     """Exact n-fold convolution of an integer-support distribution (n = 0: point mass)."""
     n = require_int("n", n, minimum=0)
     if n == 0:
-        return WorkDistribution.point_mass(0)
+        return WorkDistribution.point_mass()
     lo, hi = step.support[0], step.support[-1]
     dense = np.zeros(hi - lo + 1, dtype=_LD)
     for w, p in zip(step.support, step.probs):
@@ -327,6 +328,7 @@ def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
     """Closed-form single-qubit correction N*sin^2(dth/2)*[(b/2)(1 - sin^2(dth/2)tanh^2(b/2)) - tanh(b/2)]."""
     n = require_int("n", n, minimum=1)
     beta = require_beta(beta)
+    require_finite(delta_theta=delta_theta)
     s = math.sin(delta_theta / 2.0) ** 2
     t = math.tanh(beta / 2.0)
     return n * s * ((beta / 2.0) * (1.0 - s * t * t) - t)
@@ -335,4 +337,5 @@ def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
 def q_single_smallangle(n: int, beta: float, delta_theta: float) -> float:
     """Leading small-angle single-qubit correction N*(dth^2/4)*f(beta)."""
     n = require_int("n", n, minimum=1)
+    require_finite(delta_theta=delta_theta)
     return n * delta_theta**2 * f_beta(beta) / 4.0

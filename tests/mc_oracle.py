@@ -11,7 +11,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from workfdr.errors import require_int
-from workfdr.model import QubitHamiltonian, gibbs_populations
+from workfdr.model import SINGLE_QUBIT_ENERGIES, TWO_QUBIT_ENERGIES, gibbs_populations
 from workfdr.sampler import ProtocolConfig, _blocks_per_trajectory, _born_matrix
 
 
@@ -32,13 +32,12 @@ def sample_step(
     beta: float, quench: np.ndarray, entangler: np.ndarray, stream: Generator
 ) -> tuple[int, int, int]:
     """Draw one TPM step: thermal first outcome, Born second outcome, work difference."""
-    hamiltonian = QubitHamiltonian.two_qubit() if np.shape(quench) == (4, 4) else QubitHamiltonian.single()
-    populations = gibbs_populations(beta, hamiltonian)
+    energies = TWO_QUBIT_ENERGIES if np.shape(quench) == (4, 4) else SINGLE_QUBIT_ENERGIES
+    populations = gibbs_populations(beta, energies)
     born = _born_matrix(quench, entangler)
     population_cdf = np.cumsum(populations)
     first = _pick(population_cdf, stream.random())
     second = _pick(np.cumsum(born[:, first]), stream.random())
-    energies = hamiltonian.energies
     return first, second, int(round(energies[second] - energies[first]))
 
 

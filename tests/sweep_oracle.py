@@ -18,14 +18,14 @@ import numpy as np
 from workfdr import cli
 from workfdr.entanglers import ENTANGLERS
 from workfdr.errors import ValidationError
-from workfdr.model import QubitHamiltonian, rotation_x
+from workfdr.model import SINGLE_QUBIT_ENERGIES, TWO_QUBIT_ENERGIES, rotation_x
 from workfdr.work_stats import NORMALIZATION_TOL, PROB_CLAMP, WorkDistribution, f_beta, g_beta, q_single_smallangle
 
 _LD = np.longdouble
 
 
-def _populations(beta: float, hamiltonian: QubitHamiltonian) -> np.ndarray:
-    weights = np.exp(-_LD(beta) * np.asarray(hamiltonian.energies, dtype=_LD))
+def _populations(beta: float, energies: tuple[float, ...]) -> np.ndarray:
+    weights = np.exp(-_LD(beta) * np.asarray(energies, dtype=_LD))
     return weights / weights.sum()
 
 
@@ -58,15 +58,15 @@ def distribution_from_transition(populations, transition, energies) -> WorkDistr
 
 
 def step_single(beta: float, delta_theta: float) -> WorkDistribution:
-    hamiltonian = QubitHamiltonian.single()
+    energies = SINGLE_QUBIT_ENERGIES
     transition = np.abs(rotation_x(delta_theta)).astype(_LD) ** 2
-    return distribution_from_transition(_populations(beta, hamiltonian), transition, hamiltonian.energies)
+    return distribution_from_transition(_populations(beta, energies), transition, energies)
 
 
 def step_bipartite(beta: float, quench: np.ndarray, entangler: np.ndarray) -> WorkDistribution:
-    hamiltonian = QubitHamiltonian.two_qubit()
+    energies = TWO_QUBIT_ENERGIES
     transition = np.abs(quench @ entangler).astype(_LD) ** 2
-    return distribution_from_transition(_populations(beta, hamiltonian), transition, hamiltonian.energies)
+    return distribution_from_transition(_populations(beta, energies), transition, energies)
 
 
 def q_values(dist: WorkDistribution, beta: float, n: int) -> tuple[float, float, float]:

@@ -8,11 +8,10 @@ import pytest
 from workfdr import (
     CartanCoefficients,
     ContractViolationError,
-    QubitHamiltonian,
+    NumericFailureError,
     SeparableXZXParams,
     ValidationError,
     cartan_entangler,
-    gibbs_state,
     kron,
     negativity,
     negativity_cartan_basis,
@@ -21,7 +20,9 @@ from workfdr import (
     rxx,
     separable_xzx,
 )
+from workfdr import entanglement
 from workfdr.entanglement import cartan_basis_negativities
+from workfdr.model import SINGLE_QUBIT_ENERGIES, gibbs_populations
 
 RNG = np.random.default_rng(31415)
 
@@ -37,7 +38,7 @@ def random_local_unitary():
 
 def test_thermal_product_states_are_separable():
     for beta in (0.0, 0.8, 3.0):
-        single = gibbs_state(beta, QubitHamiltonian.single())
+        single = np.diag(gibbs_populations(beta, SINGLE_QUBIT_ENERGIES))
         result = negativity(kron(single, single))
         assert result.value <= 1e-14
         assert not result.negative_eigenvalues
@@ -105,6 +106,13 @@ def test_superposition_negativity_is_amplitude_product():
         alpha, beta = math.cos(theta / 2.0), math.sin(theta / 2.0)
         psi = np.array([alpha, 0.0, 0.0, beta], dtype=complex)
         assert abs(negativity(pure_state(psi)).value - abs(alpha * beta)) <= 1e-11
+
+
+def test_negativity_cross_check_rejects_nan_eigenvalues(monkeypatch):
+    # NaN eigenvalues give no negatives, so value 0; only the cross-check can see them
+    monkeypatch.setattr(entanglement, "hermitian_eigenvalues", lambda h: np.array([np.nan, 0.0, 0.5, 0.5]))
+    with pytest.raises(NumericFailureError, match="self-check"):
+        negativity(np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex))
 
 
 def test_negativity_rejects_invalid_inputs():

@@ -9,10 +9,7 @@ from workfdr import (
     convolve_n,
     estimate,
     negativity_cartan_basis,
-    q_bipartite_smallangle_cartan,
-    q_bipartite_smallangle_rxx,
     q_correction,
-    q_separable_smallangle,
     q_single_exact,
     q_single_smallangle,
     step_distribution_single,
@@ -36,11 +33,6 @@ INTEGER_PARAMETERS = {
     "convolve_n.n": (lambda v: convolve_n(STEP, v), 3, (-1,)),
     "q_single_exact.n": (lambda v: q_single_exact(v, 1.0, 0.01), 40, (0,)),
     "q_single_smallangle.n": (lambda v: q_single_smallangle(v, 1.0, 0.01), 40, (0,)),
-    "q_bipartite_smallangle_rxx.n": (lambda v: q_bipartite_smallangle_rxx(v, 1.0, 0.01, 0.02), 40, (0,)),
-    "q_bipartite_smallangle_cartan.n": (
-        lambda v: q_bipartite_smallangle_cartan(v, 1.0, 0.01, 0.02, 0.01), 40, (0,)
-    ),
-    "q_separable_smallangle.n": (lambda v: q_separable_smallangle(v, 1.0, 0.01, 0.02, 0.03), 40, (0,)),
     "negativity_cartan_basis.u": (lambda v: negativity_cartan_basis(v, 0.3, 0.1), 1, (-1, 4)),
 }
 

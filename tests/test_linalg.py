@@ -6,17 +6,16 @@ import pytest
 from workfdr import (
     ContractViolationError,
     UnsupportedDimensionError,
-    dagger,
     hermitian_eigenvalues,
     identity,
-    is_density,
-    is_unitary,
     kron,
     partial_transpose_A,
     rotation_x,
     rotation_z,
     rxx,
 )
+from workfdr import linalg
+from workfdr.linalg import check_density, check_unitary
 from workfdr.model import PAULI_X
 
 RNG = np.random.default_rng(1234)
@@ -141,14 +140,31 @@ def test_eigenvalues_reject_non_hermitian():
 
 
 def test_validity_predicates():
-    assert is_unitary(rotation_x(0.7))
-    assert is_unitary(rxx(1.1))
-    assert not is_unitary(0.5 * identity(2))
-    assert is_density(np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex))
-    assert not is_density(np.diag([1.5, -0.5]).astype(complex))
-    assert not is_density(identity(4))
+    check_unitary(rotation_x(0.7))
+    check_unitary(rxx(1.1))
+    with pytest.raises(ContractViolationError):
+        check_unitary(0.5 * identity(2))
+    check_density(np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex))
+    with pytest.raises(ContractViolationError):
+        check_density(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(ContractViolationError):
+        check_density(identity(4))
+
+
+def test_checks_reject_nan(monkeypatch):
+    # a tolerance test written as dev > tol is false for NaN and would let these through
+    nan = np.full((4, 4), np.nan, dtype=complex)
+    for check in (check_unitary, check_density, hermitian_eigenvalues):
+        with pytest.raises(ContractViolationError):
+            check(nan)
+    with pytest.raises(ContractViolationError, match="not unitary"):
+        check_unitary(np.diag([1.0, np.nan, 1.0, 1.0]).astype(complex))
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", lambda h: np.full(4, np.nan))
+    with pytest.raises(ContractViolationError, match="negative eigenvalue"):
+        check_density(np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex))
 
 
 def test_results_are_write_protected():
-    for matrix in (identity(4), kron(identity(2), identity(2)), dagger(rotation_z(0.3))):
+    transposed = partial_transpose_A(kron(rotation_z(0.3), identity(2)))
+    for matrix in (identity(4), kron(identity(2), identity(2)), transposed):
         assert not matrix.flags.writeable

@@ -1,4 +1,4 @@
-"""Constructors: rotations, entanglers, separable products, Gibbs states."""
+"""Constructors: rotations, entanglers, separable products, Gibbs populations."""
 
 import math
 
@@ -7,11 +7,9 @@ import pytest
 
 from workfdr import (
     CartanCoefficients,
-    QubitHamiltonian,
     SeparableXZXParams,
     ValidationError,
     cartan_entangler,
-    gibbs_state,
     identity,
     kron,
     rotation_x,
@@ -19,7 +17,14 @@ from workfdr import (
     rxx,
     separable_xzx,
 )
-from workfdr.model import PAULI_X, PAULI_Y, PAULI_Z
+from workfdr.model import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    SINGLE_QUBIT_ENERGIES,
+    TWO_QUBIT_ENERGIES,
+    gibbs_populations,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -107,30 +112,27 @@ def test_separable_xzx_structure():
 
 
 def test_gibbs_state_values():
-    np.testing.assert_allclose(
-        gibbs_state(0.0, QubitHamiltonian.single()), np.diag([0.5, 0.5]), atol=1e-15
-    )
-    hot = gibbs_state(1.0, QubitHamiltonian.single())
-    assert abs(hot[0, 0].real - 0.7310585786300049) <= 1e-15
-    assert abs(np.trace(hot) - 1.0) <= 1e-14
+    np.testing.assert_allclose(gibbs_populations(0.0, SINGLE_QUBIT_ENERGIES), [0.5, 0.5], atol=1e-15)
+    hot = gibbs_populations(1.0, SINGLE_QUBIT_ENERGIES)
+    assert abs(hot[0] - 0.7310585786300049) <= 1e-15
+    assert abs(np.sum(hot) - 1.0) <= 1e-14
 
 
 def test_gibbs_two_qubit_factorizes():
     for beta in (0.0, 0.7, 3.0):
-        single = gibbs_state(beta, QubitHamiltonian.single())
-        joint = gibbs_state(beta, QubitHamiltonian.two_qubit())
+        single = np.diag(gibbs_populations(beta, SINGLE_QUBIT_ENERGIES))
+        joint = np.diag(gibbs_populations(beta, TWO_QUBIT_ENERGIES))
         np.testing.assert_allclose(joint, kron(single, single), atol=1e-15)
 
 
 def test_gibbs_populations_decrease_with_energy():
-    state = gibbs_state(2.0, QubitHamiltonian.two_qubit())
-    populations = np.diag(state).real
+    populations = gibbs_populations(2.0, TWO_QUBIT_ENERGIES)
     assert all(populations[i] >= populations[i + 1] - 1e-18 for i in range(3))
 
 
 def test_gibbs_rejects_negative_beta():
     with pytest.raises(ValidationError):
-        gibbs_state(-0.5, QubitHamiltonian.single())
+        gibbs_populations(-0.5, SINGLE_QUBIT_ENERGIES)
 
 
 def test_cartan_coefficients_fold_into_canonical_range():

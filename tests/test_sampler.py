@@ -16,21 +16,21 @@ from workfdr import (
     identity,
 )
 from workfdr import sampler
-from workfdr.model import QubitHamiltonian, gibbs_populations
-from workfdr.sampler import _blocks_per_trajectory, _born_matrix, _power_sums, _simulate_batch
+from workfdr.model import TWO_QUBIT_ENERGIES, gibbs_populations
+from workfdr.sampler import _Scratch, _blocks_per_trajectory, _born_matrix, _power_sums, _simulate_batch
 from workfdr.work_stats import convolve_n, moments, step_distribution_bipartite
 
 from mc_oracle import run_protocol, sample_step, trajectory_stream
 
 
 def batch_works(config, master_seed, start, count):
-    hamiltonian = QubitHamiltonian.two_qubit()
-    population_cdf = np.cumsum(gibbs_populations(config.beta, hamiltonian))
+    population_cdf = np.cumsum(gibbs_populations(config.beta, TWO_QUBIT_ENERGIES))
     born = _born_matrix(config.step_quench(), config.step_entangler())
     born_cdf_rows = np.cumsum(born, axis=0).T.copy()
-    energies = np.asarray(hamiltonian.energies, dtype=np.int64)
+    energies = np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64)
     return _simulate_batch(
-        master_seed, start, count, config.n_steps, population_cdf, born_cdf_rows, energies
+        master_seed, start, count, config.n_steps, population_cdf, born_cdf_rows, energies,
+        0, config.n_steps, _Scratch(),
     )
 
 
@@ -130,11 +130,18 @@ def test_sample_step_draws_and_born_contract():
         sample_step(1.0, 0.9 * identity(4), identity(4), stream)
 
 
+def test_born_normalization_check_rejects_nan(monkeypatch):
+    monkeypatch.setattr(sampler, "check_unitary", lambda u: u)
+    nan = np.full((4, 4), np.nan, dtype=complex)
+    with pytest.raises(ContractViolationError, match="normalize"):
+        _born_matrix(nan, identity(4))
+
+
 def test_integer_thresholds_agree_with_float_uniforms():
     # Philox's Generator.random is the top 53 bits of the raw word times 2**-53
     raw = Philox(key=np.uint64(9)).random_raw(1000)
     assert np.array_equal(Generator(Philox(key=np.uint64(9))).random(1000), (raw >> np.uint64(11)) * 2.0**-53)
-    populations = np.cumsum(gibbs_populations(50.0, QubitHamiltonian.two_qubit()))
+    populations = np.cumsum(gibbs_populations(50.0, TWO_QUBIT_ENERGIES))
     for c in [0.0, 5e-324, 2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, *populations]:
         t = int(sampler._thresholds(np.array([c]))[0])
         for k in (t - 1, t, t + 1):

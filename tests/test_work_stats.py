@@ -8,6 +8,7 @@ import pytest
 from workfdr import (
     CartanCoefficients,
     ContractViolationError,
+    ENTANGLERS,
     SeparableXZXParams,
     UnsupportedDimensionError,
     ValidationError,
@@ -23,10 +24,7 @@ from workfdr import (
     jarzynski_check,
     kron,
     moments,
-    q_bipartite_smallangle_cartan,
-    q_bipartite_smallangle_rxx,
     q_correction,
-    q_separable_smallangle,
     q_single_exact,
     q_single_smallangle,
     rotation_x,
@@ -49,6 +47,11 @@ Q_SMALL_RXX = 9.1270909498508389e-04
 
 def bipartite_quench(dth):
     return kron(rotation_x(dth), rotation_x(dth))
+
+
+def small_angle_q(kind, n, beta, dth, **params):
+    """The small-angle Q of an entangler kind: the sum of its registry entry's f and g terms."""
+    return sum(ENTANGLERS[kind].small_angle(n, beta, dth, params))
 
 
 # ---------------------------------------------------------------- f and g ---
@@ -227,7 +230,7 @@ def test_convolve_cumulant_additivity():
 
 
 def test_moments_basics():
-    assert moments(WorkDistribution.point_mass(0)) == (0.0, 0.0)
+    assert moments(WorkDistribution.point_mass()) == (0.0, 0.0)
     dist = step_distribution_single(0.0, 1.1)
     mean, _ = moments(dist)
     assert abs(mean) <= 1e-18
@@ -243,6 +246,15 @@ def test_distribution_constructor_validation():
         WorkDistribution.from_weights({0: 0.5, 1: 0.2})
     dist = WorkDistribution.from_weights({1: 0.25, -1: 0.25, 0: 0.5})
     assert dist.support == (-1, 0, 1)
+
+
+def test_nan_probabilities_and_unitaries_are_rejected():
+    nan = float("nan")
+    for weights in ({0: nan}, {-1: 0.5, 0: nan, 1: 0.5}):
+        with pytest.raises(ValidationError, match="outside"):
+            WorkDistribution.from_weights(weights)
+    with pytest.raises(ContractViolationError):
+        step_distribution_bipartite(1.0, np.full((4, 4), nan, dtype=complex), identity(4))
 
 
 # ------------------------------------------------------------ Q corrections ---
@@ -285,6 +297,13 @@ def test_q_single_exact_limits():
     assert q_single_exact(50, 0.0, 0.7) == 0.0
 
 
+def test_q_single_closed_forms_reject_non_finite_angles():
+    for q_fn in (q_single_exact, q_single_smallangle):
+        for bad in (float("nan"), float("inf"), -float("inf"), None):
+            with pytest.raises(ValidationError, match="delta_theta"):
+                q_fn(10, 1.0, bad)
+
+
 def test_q_single_smallangle_value_and_convergence():
     assert q_single_smallangle(10, 2.0, 0.0) == 0.0
     assert abs(q_single_smallangle(100, 1.0, 0.01) - Q_SMALL_SINGLE) <= 1e-18
@@ -298,16 +317,16 @@ def test_q_single_smallangle_value_and_convergence():
 
 
 def test_q_rxx_smallangle_values():
-    assert abs(q_bipartite_smallangle_rxx(100, 1.0, 0.01, 0.01) - Q_SMALL_RXX) <= 1e-17
+    assert abs(small_angle_q("rxx", 100, 1.0, 0.01, dphi=0.01) - Q_SMALL_RXX) <= 1e-17
     for n, beta, dth in ((10, 0.5, 0.02), (77, 2.0, 0.005)):
-        assert q_bipartite_smallangle_rxx(n, beta, dth, 0.0) == pytest.approx(
+        assert small_angle_q("rxx", n, beta, dth, dphi=0.0) == pytest.approx(
             2.0 * q_single_smallangle(n, beta, dth), rel=1e-15
         )
         dphi = 0.013
         assert (
             abs(
-                q_bipartite_smallangle_rxx(n, beta, dth, dphi)
-                - q_bipartite_smallangle_cartan(n, beta, dth, dphi / 2.0, 0.0)
+                small_angle_q("rxx", n, beta, dth, dphi=dphi)
+                - small_angle_q("cartan", n, beta, dth, c1=dphi / 2.0, c2=0.0)
             )
             <= 1e-18
         )
@@ -315,19 +334,19 @@ def test_q_rxx_smallangle_values():
 
 def test_q_cartan_smallangle_structure():
     n, beta, dth = 40, 1.5, 0.01
-    assert q_bipartite_smallangle_cartan(n, beta, dth, 0.2, 0.2) == pytest.approx(
+    assert small_angle_q("cartan", n, beta, dth, c1=0.2, c2=0.2) == pytest.approx(
         n * dth**2 * f_beta(beta) / 2.0, abs=1e-18
     )
-    base = q_bipartite_smallangle_cartan(n, beta, 0.0, 0.01, 0.0)
-    assert q_bipartite_smallangle_cartan(n, beta, 0.0, 0.02, 0.0) == pytest.approx(4.0 * base, rel=1e-12)
+    base = small_angle_q("cartan", n, beta, 0.0, c1=0.01, c2=0.0)
+    assert small_angle_q("cartan", n, beta, 0.0, c1=0.02, c2=0.0) == pytest.approx(4.0 * base, rel=1e-12)
 
 
 def test_q_separable_smallangle_structure():
     n, beta, dth = 60, 1.2, 0.02
-    assert q_separable_smallangle(n, beta, dth, 0.0, 0.0) == pytest.approx(
+    assert small_angle_q("separable_xzx", n, beta, dth, c=0.0, m=0.0) == pytest.approx(
         2.0 * q_single_smallangle(n, beta, dth), abs=1e-18
     )
-    assert q_separable_smallangle(n, beta, dth, -dth, -dth) == 0.0
+    assert small_angle_q("separable_xzx", n, beta, dth, c=-dth, m=-dth) == 0.0
 
 
 def test_q_cartan_smallangle_converges_to_exact_pipeline():
@@ -340,7 +359,7 @@ def test_q_cartan_smallangle_converges_to_exact_pipeline():
             cartan_entangler(CartanCoefficients(c1_total / n, c2_total / n, 0.2 / n)),
         )
         exact = q_correction(dist, beta, n).q_value
-        approx = q_bipartite_smallangle_cartan(n, beta, theta / n, c1_total / n, c2_total / n)
+        approx = small_angle_q("cartan", n, beta, theta / n, c1=c1_total / n, c2=c2_total / n)
         gaps.append(abs(exact - approx) / abs(exact))
     assert gaps[0] > gaps[1] > gaps[2]
     assert 3.5 <= gaps[0] / gaps[1] <= 4.5
@@ -356,7 +375,7 @@ def test_q_separable_smallangle_converges_to_exact_pipeline():
             separable_xzx(SeparableXZXParams(c_total / n, 0.3 / n, m_total / n, 0.2 / n)),
         )
         exact = q_correction(dist, beta, n).q_value
-        approx = q_separable_smallangle(n, beta, theta / n, c_total / n, m_total / n)
+        approx = small_angle_q("separable_xzx", n, beta, theta / n, c=c_total / n, m=m_total / n)
         gaps.append(abs(exact - approx) / abs(exact))
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -365,7 +384,7 @@ def test_classical_limit_suppresses_q():
     for q_fn in (
         lambda b: q_correction(step_distribution_single(b, 0.2), b, 20).q_value,
         lambda b: q_single_smallangle(20, b, 0.01),
-        lambda b: q_bipartite_smallangle_cartan(20, b, 0.01, 0.03, 0.0),
+        lambda b: small_angle_q("cartan", 20, b, 0.01, c1=0.03, c2=0.0),
     ):
         assert abs(q_fn(1e-6)) < 1e-6 * abs(q_fn(1.0))
 
@@ -374,7 +393,7 @@ def test_classical_limit_suppresses_q():
 
 
 def test_jarzynski_point_mass():
-    assert jarzynski_check(WorkDistribution.point_mass(0), 2.0) == 1.0
+    assert jarzynski_check(WorkDistribution.point_mass(), 2.0) == 1.0
 
 
 def test_jarzynski_per_step_and_convolved():
