@@ -104,19 +104,18 @@ def _q_reports(p: dict, n: int, betas: list, fg: list):
     fg holds (f_beta, g_beta) of each beta. Betas come sorted: inputs are checked at the first."""
     config = _config(dict(p, beta=betas[0], n=n))
     dtheta = config.delta_theta
-    single = _single_qubit(p)
-    try:  # the small-angle terms square per-step angles; float ** raises past about 1.3e154
-        if single:
+    try:  # the small-angle terms come first; float ** raises past about 1.3e154, n * x gives inf
+        if _single_qubit(p):
             terms = [(ws.q_single_smallangle(n, beta, dtheta), 0.0) for beta in betas]
+            grid = ws.step_grid_single(betas, dtheta)
         else:
             small_angle, step_params = ENTANGLERS[config.entangler_kind].small_angle, config.step_params()
             terms = [small_angle(n, beta, dtheta, step_params) for beta in betas]
+            grid = ws.step_grid_bipartite(betas, config.step_quench(), config.step_entangler())
+        if not all(math.isfinite(f_term + g_term) for f_term, g_term in terms):
+            raise OverflowError
     except OverflowError:
         raise ValidationError("angles too large: the small-angle prediction overflows a float") from None
-    if single:
-        grid = ws.step_grid_single(betas, dtheta)
-    else:
-        grid = ws.step_grid_bipartite(betas, config.step_quench(), config.step_entangler())
     columns = (column.tolist() for column in ws.q_grid(*grid, betas, n))
     for beta, (f, g), (f_term, g_term), mean_work, var_work, q_value in zip(betas, fg, terms, *columns):
         prediction = f_term + g_term
@@ -137,13 +136,9 @@ def _q_reports(p: dict, n: int, betas: list, fg: list):
         }
 
 
-def _q_report(p: dict) -> dict:
-    return next(_q_reports(p, p["n"], [p["beta"]], [(ws.f_beta(p["beta"]), ws.g_beta(p["beta"]))]))
-
-
 def cmd_q(args) -> int:
     p = _params(args)
-    results = _q_report(p)
+    results = next(_q_reports(p, p["n"], [p["beta"]], [(ws.f_beta(p["beta"]), ws.g_beta(p["beta"]))]))
     if args.format == "csv":
         header = list(results)
         _write_output(_csv_table(header, [[results[k] for k in header]]), args.output)

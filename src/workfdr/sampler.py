@@ -250,12 +250,13 @@ def estimate(
         Seed of the counter-based stream family: the 64-bit Philox key, in
         [0, 2**64).
     workers : int
-        Thread count for batch processing, >= 1. A batch holds as many
+        Most threads to use, >= 1: a run uses min(workers, batch count), and
+        thread w runs every threads-th batch from batch w, so the schedule
+        holds no per-batch or per-worker state. A batch holds as many
         trajectories as fit in a fixed budget of raw Philox words (at least
         one, in chunks of steps when one does not fit), so its memory depends
-        on neither N nor n_trajectories. The reduction is over exact integer
-        power sums, so the result is identical for any worker count or batch
-        schedule.
+        on neither N nor n_trajectories. Exact integer power sums make the
+        result identical for any worker count or batch schedule.
 
     Returns
     -------
@@ -272,18 +273,17 @@ def estimate(
 
     n_steps = config.n_steps
     per_batch = max(1, _DRAWS_PER_BATCH // (_WORDS_PER_BLOCK * _blocks_per_trajectory(n_steps)))
-    batches = [
-        (start, min(per_batch, n_trajectories - start)) for start in range(0, n_trajectories, per_batch)
-    ]
+    threads = min(workers, -(-n_trajectories // per_batch))
     # steps per kernel call: all of them, or for a trajectory past the budget as
     # many whole Philox blocks as the budget holds
     steps_per_block = _WORDS_PER_BLOCK // _DRAWS_PER_STEP
     chunk = min(n_steps, steps_per_block * max(1, _DRAWS_PER_BATCH // _WORDS_PER_BLOCK))
 
-    def power_sums(worker_batches: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    def power_sums(thread: int) -> list[int]:
         scratch = _Scratch()
-        sums = []
-        for start, count in worker_batches:
+        sums = [0, 0, 0, 0]
+        for start in range(thread * per_batch, n_trajectories, threads * per_batch):
+            count = min(per_batch, n_trajectories - start)
             totals = sum(
                 _simulate_batch(
                     master_seed, start, count, n_steps, population_cdf, born_cdf_rows, energies,
@@ -291,17 +291,12 @@ def estimate(
                 )
                 for first in range(0, n_steps, chunk)
             )
-            sums.append(_power_sums(totals))
+            sums = [a + b for a, b in zip(sums, _power_sums(totals))]
         return sums
 
-    # one task, and so one scratch space, per worker thread
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = [p for sums in pool.map(power_sums, [batches[w::workers] for w in range(workers)]) for p in sums]
-
-    s1 = sum(p[0] for p in partials)
-    s2 = sum(p[1] for p in partials)
-    s3 = sum(p[2] for p in partials)
-    s4 = sum(p[3] for p in partials)
+    # one task, and so one scratch space, per thread
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        s1, s2, s3, s4 = (sum(column) for column in zip(*pool.map(power_sums, range(threads))))
 
     n = n_trajectories
     mean = s1 / n

@@ -292,6 +292,12 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
             ["q", "--n", "2", "--entangler", "cartan", "--c1", "1e300", "--c2=-1e300"],
             ["q", "--n", "1", "--entangler", "separable_xzx", "--c", "1e160"],
             ["sweep", "--n", "1", "--theta", "1e200", "--beta-grid", "1,2"]]
+    # angles whose prediction overflows to inf without raising (n * x), or to inf * 0 = NaN at beta 0
+    for fmt in ("csv", "json"):
+        bad += [["q", "--n", "1000000000", "--theta", "1e159", "--format", fmt],
+                ["q", "--n", "1000000000", "--theta", "1e159", "--beta", "0", "--format", fmt],
+                ["sweep", "--n", "1000", "--theta", "1e150", "--entangler", "rxx", "--phi", "1e156",
+                 "--beta-grid", "1,2", "--format", fmt]]
     mc = ["--trajectories", "100"]
     for seed in ("-1", str(2**64)):
         bad += [["sample", "--n", "5", "--theta", "0.1", *mc, "--seed", seed], ["verify", *mc, "--seed", seed]]

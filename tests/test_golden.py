@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -103,6 +104,20 @@ def test_cli_output_matches_golden(name):
     code, stdout = _run(argv)
     assert code == expected_code
     assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+# the goldens that hold a JSON document (`--format json`, and every `sample`)
+JSON_GOLDENS = sorted(name for name in CASES if (GOLDEN / f"{name}.out").read_bytes().startswith(b"{"))
+
+
+@pytest.mark.parametrize("name", JSON_GOLDENS)
+def test_json_golden_is_strict_json(name):
+    # json.loads accepts NaN, Infinity and -Infinity unless parse_constant refuses them
+    json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 def _write() -> None:

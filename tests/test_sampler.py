@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -62,8 +63,24 @@ def test_run_protocol_is_deterministic_and_matches_vectorized_path():
 def test_estimate_is_independent_of_worker_count():
     config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=0.5, entangler_kind="rxx", total_phi=0.5)
     reference = estimate(config, 30000, 42, workers=1)
-    for workers in (2, 8):
+    # 10 batches: 50 workers are more workers than batches
+    for workers in (2, 3, 8, 50):
         assert estimate(config, 30000, 42, workers=workers) == reference
+
+
+def test_estimate_uses_no_more_threads_than_batches(monkeypatch):
+    pools = []
+
+    def recording(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", recording)
+    config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=0.5, entangler_kind="rxx", total_phi=0.5)
+    estimate(config, 2, 7, workers=50)
+    estimate(config, 30000, 42, workers=50)
+    estimate(config, 30000, 42, workers=4)
+    assert pools == [1, 10, 4]
 
 
 def test_per_step_histogram_matches_exact_distribution():

@@ -99,7 +99,8 @@ def test_q_is_the_one_point_case(variant):
     for beta in (0.0, 1.3, 12000.0):
         for n in STEPS:
             p = _point(variant, beta, n)
-            assert cli._q_report(p) == sweep_oracle.q_report(p), (beta, n)
+            fg = [(work_stats.f_beta(beta), work_stats.g_beta(beta))]
+            assert list(cli._q_reports(p, n, [beta], fg)) == [sweep_oracle.q_report(p)], (beta, n)
 
 
 def test_one_grid_per_distinct_n(monkeypatch, capsys):
