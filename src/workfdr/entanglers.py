@@ -15,6 +15,7 @@ module attribute (a test's mutant, a profiler's wrapper) is seen here too.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -43,6 +44,9 @@ class Entangler:
     unitary: Callable[[Mapping], np.ndarray]
     closed_form: Callable[[float, float, Mapping], ws.WorkDistribution]
     small_angle: Callable[[int, float, float, Mapping], tuple[float, float]]
+
+    def __post_init__(self):  # every kind refuses angles whose prediction overflows a float
+        object.__setattr__(self, "small_angle", functools.partial(ws.small_angle_terms, self.small_angle))
 
 
 def _local_term(n: int, beta: float, delta_theta: float) -> float:

@@ -256,7 +256,13 @@ def moments(dist: WorkDistribution) -> tuple[float, float]:
 
 
 def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
-    """Exact n-fold convolution of an integer-support distribution (n = 0: point mass)."""
+    """Exact n-fold convolution of an integer-support distribution (n = 0: point mass).
+
+    O(n * non-zero width): each convolution skips the exact zeros of underflowed tails,
+    which add exact zeros to every sum, so the bits are those of the whole row: 0.37 s
+    at N = 4000 and 2.45 s at N = 20,000 (README, design notes). Still n - 1 convolutions,
+    so N = 1e19 never ends, and by N = 5000 the total can round more than 1e-12 off 1.
+    """
     n = require_int("n", n, minimum=0)
     if n == 0:
         return WorkDistribution.point_mass()
@@ -264,11 +270,18 @@ def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
     dense = np.zeros(hi - lo + 1, dtype=_LD)
     for w, p in zip(step.support, step.probs):
         dense[w - lo] = p
-    result = dense
+    window, start = dense, 0  # the row from index start on; every entry outside is exactly 0
     for _ in range(n - 1):
-        result = np.convolve(result, dense)
-    support = range(n * lo, n * lo + len(result))
-    return WorkDistribution.from_row(support, _checked_rows(support, result[None, :])[0])
+        window = np.convolve(window, dense)
+        first, last = 0, len(window)  # keep len(dense) entries: np.convolve swaps a longer 2nd operand
+        while first < last - len(dense) and window[first] == 0:
+            first += 1
+        while last > first + len(dense) and window[last - 1] == 0:
+            last -= 1
+        window, start = window[first:last], start + first
+    row = np.pad(window, (start, n * (hi - lo) + 1 - start - len(window)))
+    support = range(n * lo, n * lo + len(row))
+    return WorkDistribution.from_row(support, _checked_rows(support, row[None, :])[0])
 
 
 def distribution_rows(a: WorkDistribution, b: WorkDistribution) -> list[tuple[int, float, float, float]]:
@@ -334,8 +347,19 @@ def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
     return n * s * ((beta / 2.0) * (1.0 - s * t * t) - t)
 
 
+def small_angle_terms(terms, *args) -> tuple[float, float]:
+    """terms(*args), a small-angle (f_term, g_term) pair; ValidationError if their sum overflows a float."""
+    try:  # float ** raises past about 1.3e154, while n * x gives inf and inf * 0 gives nan
+        f_term, g_term = terms(*args)
+    except OverflowError:
+        f_term = g_term = math.inf
+    if not math.isfinite(f_term + g_term):
+        raise ValidationError("angles too large: the small-angle prediction overflows a float")
+    return f_term, g_term
+
+
 def q_single_smallangle(n: int, beta: float, delta_theta: float) -> float:
     """Leading small-angle single-qubit correction N*(dth^2/4)*f(beta)."""
     n = require_int("n", n, minimum=1)
     require_finite(delta_theta=delta_theta)
-    return n * delta_theta**2 * f_beta(beta) / 4.0
+    return small_angle_terms(lambda: (n * delta_theta**2 * f_beta(beta) / 4.0, 0.0))[0]

@@ -9,6 +9,7 @@ from workfdr import (
     CartanCoefficients,
     ContractViolationError,
     ENTANGLERS,
+    ProtocolConfig,
     SeparableXZXParams,
     UnsupportedDimensionError,
     ValidationError,
@@ -16,6 +17,7 @@ from workfdr import (
     cartan_entangler,
     closed_form_distribution_cartan,
     closed_form_distribution_separable,
+    closed_form_distribution_single,
     convolve_n,
     distribution_distance,
     f_beta,
@@ -33,6 +35,9 @@ from workfdr import (
     step_distribution_bipartite,
     step_distribution_single,
 )
+from workfdr.entanglers import Entangler
+
+import convolve_oracle
 
 RNG = np.random.default_rng(2718)
 
@@ -229,6 +234,57 @@ def test_convolve_cumulant_additivity():
     assert abs(var50 - 50 * var1) <= 1e-10
 
 
+def assert_bitwise_equal(a, b):
+    # longdouble's tobytes() includes padding bytes, so compare values and sign bits
+    pa, pb = np.array(a.probs, dtype=np.longdouble), np.array(b.probs, dtype=np.longdouble)
+    assert a.support == b.support
+    assert np.array_equal(pa, pb) and np.array_equal(np.signbit(pa), np.signbit(pb))
+
+
+def test_convolve_equals_whole_row_oracle_on_the_long_horizon_step():
+    # sample --beta 1 --n 4000 --theta 40 --entangler rxx --phi 40: both tails underflow
+    config = ProtocolConfig(1.0, 4000, 40.0, "rxx", total_phi=40.0)
+    step = step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
+    result = convolve_n(step, 4000)
+    assert_bitwise_equal(result, convolve_oracle.convolve_n(step, 4000))
+    assert len(result.support) < 4 * 4000 + 1
+
+
+def test_convolve_equals_whole_row_oracle_on_random_steps():
+    rng = np.random.default_rng(4000)  # its own stream: the module RNG feeds the later tests
+    kinds = {
+        "rxx": lambda: {"dphi": rng.uniform(-1.5, 1.5)},
+        "cartan": lambda: dict(zip(("c1", "c2", "c3"), rng.uniform(-1.0, 1.0, 3))),
+        "separable_xzx": lambda: dict(zip(("c", "l", "m", "nz"), rng.uniform(-1.0, 1.0, 4))),
+    }
+    for _ in range(4):
+        beta, dth, n = rng.uniform(0.0, 60.0), rng.uniform(-1.5, 1.5), int(rng.integers(2, 400))
+        steps = [step_distribution_single(beta, dth)]
+        steps += [step_distribution_bipartite(beta, bipartite_quench(dth), ENTANGLERS[kind].unitary(params()))
+                  for kind, params in kinds.items()]
+        for step in steps:
+            assert_bitwise_equal(convolve_n(step, n), convolve_oracle.convolve_n(step, n))
+
+
+def test_convolve_equals_whole_row_oracle_at_the_edges():
+    rng = np.random.default_rng(4001)
+    tiny = np.nextafter(np.longdouble(0), np.longdouble(1))
+    mass = np.longdouble("1e-3000")
+    cases = [
+        (closed_form_distribution_single(1.0, math.pi), 300),  # interior zero: support (-1, 1)
+        (step_distribution_single(5000.0, 0.3), 50),  # only the left tail underflows
+        (WorkDistribution.from_weights({-1: mass, 0: 1 - 2 * mass, 1: mass}), 50),
+    ]
+    # ends that underflow against the bulk at once: the non-zero window is shorter than
+    # the step for a few convolutions, so np.convolve would swap its operands
+    for bulk in rng.dirichlet(np.ones(3), 20).astype(np.longdouble):
+        bulk[1] = 1 - bulk[0] - bulk[2] - 2 * tiny
+        cases.append((WorkDistribution((-4, -1, 0, 1, 4), (tiny, *bulk, tiny)), 5))
+    for step, n in cases:
+        assert_bitwise_equal(convolve_n(step, n), convolve_oracle.convolve_n(step, n))
+    assert convolve_n(cases[0][0], 3).support == (-3, -1, 1, 3)
+
+
 def test_moments_basics():
     assert moments(WorkDistribution.point_mass()) == (0.0, 0.0)
     dist = step_distribution_single(0.0, 1.1)
@@ -302,6 +358,33 @@ def test_q_single_closed_forms_reject_non_finite_angles():
         for bad in (float("nan"), float("inf"), -float("inf"), None):
             with pytest.raises(ValidationError, match="delta_theta"):
                 q_fn(10, 1.0, bad)
+
+
+def test_small_angle_predictions_refuse_angles_that_overflow():
+    # float ** raises OverflowError past about 1.3e154; n * x overflows to inf without one
+    raising = [
+        lambda: q_single_smallangle(10, 1.0, 1e200),
+        lambda: small_angle_q("rxx", 10, 1.0, 0.1, dphi=1e200),
+        lambda: small_angle_q("none", 10, 1.0, -1e200),
+        lambda: small_angle_q("separable_xzx", 1, 1.0, 0.1, c=1e160, l=0.0, m=0.0, nz=0.0),
+    ]
+    silent = [
+        lambda: q_single_smallangle(10**9, 1.0, 1e153),
+        lambda: q_single_smallangle(10**9, 0.0, 1e153),  # inf * f(0) is nan
+        lambda: small_angle_q("cartan", 10**9, 1.0, 0.0, c1=1e153, c2=-1e153, c3=0.0),
+        lambda: small_angle_q("rxx", 1, 100.0, 1.8e153, dphi=1.8e153),  # each term finite, the sum inf
+    ]
+    for case in raising + silent:
+        with pytest.raises(ValidationError, match="angles too large"):
+            case()
+    # a kind added at run time is checked too
+    crosstalk = Entangler(params=(), unitary=ENTANGLERS["none"].unitary, closed_form=ENTANGLERS["none"].closed_form,
+                          small_angle=lambda n, beta, dth, p: (n * dth**2, 0.0))
+    with pytest.raises(ValidationError, match="angles too large"):
+        crosstalk.small_angle(10, 1.0, 1e200, {})
+    # the largest finite predictions keep their values
+    assert q_single_smallangle(10**9, 1.0, 1e149) == 10**9 * 1e149**2 * f_beta(1.0) / 4.0
+    assert small_angle_q("rxx", 1, 1.0, 0.0, dphi=1e154) == 1e154**2 / 2.0 * g_beta(1.0)
 
 
 def test_q_single_smallangle_value_and_convergence():
