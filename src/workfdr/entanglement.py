@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailureError, ValidationError, require_finite, require_int
-from .linalg import check_density, hermitian_eigenvalues, partial_transpose_A
+from .linalg import check_density, hermitian_eigenvalues, partial_transpose_A, require_each
 from .model import CartanCoefficients, cartan_entangler
 
 CROSS_CHECK_TOL = 1e-10
@@ -28,21 +28,26 @@ class NegativityResult:
     negative_eigenvalues: tuple[float, ...]
 
 
-def negativity(rho: np.ndarray) -> NegativityResult:
-    """Negativity of a 4x4 density matrix; zero exactly on product states."""
+def negativity(rho: np.ndarray) -> NegativityResult | list[NegativityResult]:
+    """Negativity of a 4x4 density matrix, or one per matrix of a (k, 4, 4) stack, all
+    solved in one eigensolver call; zero exactly on product states."""
     rho = check_density(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-1] != 4:
         raise ValidationError("negativity is defined here for 4x4 two-qubit densities")
-    eigenvalues = hermitian_eigenvalues(partial_transpose_A(rho))
-    negatives = tuple(float(v) for v in eigenvalues if v < 0.0)
-    value = -math.fsum(negatives)
-    trace_norm = math.fsum(abs(float(v)) for v in eigenvalues)
-    alternate = (trace_norm - 1.0) / 2.0
-    if not abs(value - alternate) <= CROSS_CHECK_TOL:
-        raise NumericFailureError(
-            f"negativity self-check failed: {value!r} vs (||.||_1 - 1)/2 = {alternate!r}"
-        )
-    return NegativityResult(value=value, negative_eigenvalues=negatives)
+    spectra = hermitian_eigenvalues(partial_transpose_A(rho)).reshape(-1, 4).tolist()
+    results = [NegativityResult(-math.fsum(n), n) for n in (tuple(v for v in e if v < 0.0) for e in spectra)]
+    values = np.array([result.value for result in results]).reshape(rho.shape[:-2])
+    alternates = np.array([(math.fsum(abs(v) for v in e) - 1.0) / 2.0 for e in spectra]).reshape(values.shape)
+    message = "negativity self-check failed: {!r} vs (||.||_1 - 1)/2 = {!r}"
+    require_each(np.abs(values - alternates) <= CROSS_CHECK_TOL, message, values, alternates, error=NumericFailureError)
+    return results if rho.ndim == 3 else results[0]
+
+
+def column_states(unitaries) -> np.ndarray:
+    """The (k * 4, 4, 4) stack of pure states |u_j><u_j|, one per column u_j of each 4x4
+    unitary of a (4, 4) matrix or (k, 4, 4) stack, in order."""
+    columns = np.asarray(unitaries).swapaxes(-2, -1).reshape(-1, 4)
+    return columns[:, :, None] * columns.conj()[:, None, :]
 
 
 def negativity_cartan_basis(u: int, c1: float, c2: float) -> float:
@@ -62,6 +67,5 @@ def negativity_cartan_basis(u: int, c1: float, c2: float) -> float:
 def cartan_basis_negativities(c1: float, c2: float, c3: float) -> list[tuple[int, float, float]]:
     """(u, numerical, closed form) for each computational basis state u: the negativity of
     its image under the Cartan entangler, by partial transpose and by negativity_cartan_basis."""
-    gate = cartan_entangler(CartanCoefficients(c1, c2, c3))
-    states = [np.outer(gate[:, u], gate[:, u].conj()) for u in range(4)]
-    return [(u, negativity(rho).value, negativity_cartan_basis(u, c1, c2)) for u, rho in enumerate(states)]
+    states = column_states(cartan_entangler(CartanCoefficients(c1, c2, c3)))
+    return [(u, result.value, negativity_cartan_basis(u, c1, c2)) for u, result in enumerate(negativity(states))]

@@ -1,8 +1,8 @@
 """Exact small dense complex linear algebra for one- and two-qubit operators.
 
-Matrices are plain ``numpy.ndarray`` values of dtype complex128 and shape
-(2, 2) or (4, 4). Everything here treats its inputs as immutable and returns
-fresh arrays with the write flag cleared; nothing mutates in place, so all
+Matrices are ``numpy.ndarray`` values of dtype complex128 and shape (2, 2) or
+(4, 4), or a (k, d, d) stack where a function says so. Inputs are treated as
+immutable and results are fresh arrays with the write flag cleared, so all
 operations are safe under unrestricted concurrent use.
 """
 
@@ -21,6 +21,8 @@ DENSITY_EIGENVALUE_FLOOR = -1e-10
 # 8x8 symmetric matrix settles in ~5 sweeps; hitting the cap means the input
 # was outside the supported regime.
 JACOBI_MAX_SWEEPS = 30
+# per embedding size n: the strict lower triangle as a 0/1 mask, and the pivots in cyclic order
+_SWEEP = {n: (np.tri(n, k=-1), [(p, q) for p in range(n - 1) for q in range(p + 1, n)]) for n in (4, 8)}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -28,13 +30,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex128 matrix of dimension 2 or 4."""
+def as_matrix(a, stacked: bool = False) -> np.ndarray:
+    """Coerce input to a square complex128 matrix of dimension 2 or 4 (if stacked, also a (k, d, d) stack)."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise UnsupportedDimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] not in (2, 4):
-        raise UnsupportedDimensionError(f"supported dimensions are 2 and 4, got {m.shape[0]}")
+    if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-2] != m.shape[-1]:
+        expected = "a square matrix or a (k, d, d) stack" if stacked else "a square matrix"
+        raise UnsupportedDimensionError(f"expected {expected}, got shape {m.shape}")
+    if m.shape[-1] not in (2, 4):
+        raise UnsupportedDimensionError(f"supported dimensions are 2 and 4, got {m.shape[-1]}")
     return m
 
 
@@ -57,92 +60,96 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_transpose_A(rho: np.ndarray) -> np.ndarray:
-    """Transpose the first-qubit indices of a 4x4 two-qubit operator.
-
-    Preserves trace and Hermiticity exactly (it only permutes entries).
-    """
+    """Transpose the first-qubit indices of a 4x4 two-qubit operator, or of each of a stack.
+    Preserves trace and Hermiticity exactly (it only permutes entries)."""
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise UnsupportedDimensionError(f"partial transpose needs a 4x4 matrix, got {rho.shape}")
-    return _freeze(rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4).copy())
+    return _freeze(rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-4, -2).reshape(rho.shape).copy())
 
 
-def max_abs(a: np.ndarray) -> float:
-    """Largest entrywise modulus."""
-    return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
+def require_each(ok: np.ndarray, message: str, *values: np.ndarray, error=ContractViolationError) -> None:
+    """Raise `error` at the first False flag of `ok`, a 0-d flag for one matrix or one per matrix
+    of a stack (named in the message); `message` is formatted with that entry of each of `values`."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        where = f"matrix {bad[0]} of the stack: " if ok.ndim else ""
+        raise error(where + message.format(*(float(v.flat[bad[0]]) for v in values)))
 
 
 def check_unitary(u: np.ndarray) -> np.ndarray:
     u = as_matrix(u)
-    dev = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if not dev <= UNITARY_TOL:
         raise ContractViolationError(f"matrix is not unitary: max |U†U - I| = {dev:.3e} > {UNITARY_TOL:.0e}")
     return u
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:
-    """Require Hermiticity to 1e-12, unit trace to 1e-12, eigenvalues >= -1e-10."""
-    rho = as_matrix(rho)
-    herm_dev = max_abs(rho - rho.conj().T)
-    if not herm_dev <= DENSITY_HERMITICITY_TOL:
-        raise ContractViolationError(f"density is not Hermitian: max |rho - rho†| = {herm_dev:.3e}")
-    tr_dev = abs(np.trace(rho) - 1.0)
-    if not tr_dev <= DENSITY_TRACE_TOL:
-        raise ContractViolationError(f"density trace deviates from 1 by {tr_dev:.3e}")
-    evals = hermitian_eigenvalues((rho + rho.conj().T) / 2.0)
-    if not evals[0] >= DENSITY_EIGENVALUE_FLOOR:
-        raise ContractViolationError(f"density has negative eigenvalue {evals[0]:.3e}")
+    """Require of a matrix, or of each matrix of a (k, d, d) stack: Hermiticity to 1e-12,
+    unit trace to 1e-12 and eigenvalues >= -1e-10. One bad matrix fails the whole call."""
+    rho = as_matrix(rho, stacked=True)
+    dagger = rho.conj().swapaxes(-2, -1)
+    herm_dev = np.max(np.abs(rho - dagger), axis=(-2, -1))
+    require_each(herm_dev <= DENSITY_HERMITICITY_TOL, "density is not Hermitian: max |rho - rho†| = {:.3e}", herm_dev)
+    tr_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    require_each(tr_dev <= DENSITY_TRACE_TOL, "density trace deviates from 1 by {:.3e}", tr_dev)
+    lowest = hermitian_eigenvalues((rho + dagger) / 2.0)[..., 0]
+    require_each(lowest >= DENSITY_EIGENVALUE_FLOOR, "density has negative eigenvalue {:.3e}", lowest)
     return rho
 
 
-def _real_symmetric_embedding(h: np.ndarray) -> np.ndarray:
-    # H = A + iB Hermitian -> [[A, -B], [B, A]] symmetric with doubled spectrum.
-    a = h.real
-    b = h.imag
-    return np.block([[a, -b], [b, a]])
-
-
 def _jacobi_eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi sweeps."""
-    a = np.array(m, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
+    """Ascending eigenvalues of each real symmetric matrix of a (k, n, n) stack by cyclic Jacobi
+    sweeps in lockstep. A matrix leaves the stack, its sorted diagonal recorded, at the first
+    sweep that finds it converged; at each pivot, a matrix below the skip threshold is untouched."""
+    a = np.array(m, dtype=np.float64)
+    lower, pivots = _SWEEP[a.shape[-1]]
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(1, 2), initial=0.0))
+    out, live = np.empty(a.shape[:2]), np.arange(len(a))
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= 1e-15 * scale:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                phi = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(phi) / (abs(phi) + np.hypot(phi, 1.0)) if phi != 0.0 else 1.0
+        off = np.sqrt(np.sum((a * lower) ** 2, axis=(1, 2)))  # np.tril(a, -1)'s squares, without its mask
+        done = off <= 1e-15 * scale
+        out[live[done]] = np.sort(np.diagonal(a[done], axis1=1, axis2=2), axis=1)
+        a, scale, live = a[~done], scale[~done], live[~done]
+        if not live.size:
+            return out
+        tiny = 1e-18 * scale
+        for p, q in pivots:
+            rotate = np.abs(a[:, p, q]) > tiny
+            if rotating := np.count_nonzero(rotate):
+                r = a if rotating == len(a) else a[rotate]
+                # t = sign(phi) / (|phi| + hypot(phi, 1)), but 1 at phi = +-0: + 0.0 turns -0.0 into 0.0
+                phi = (r[:, q, q] - r[:, p, p]) / (2.0 * r[:, p, q]) + 0.0
+                t = np.copysign(1.0 / (np.abs(phi) + np.hypot(phi, 1.0)), phi)
                 c = 1.0 / np.hypot(t, 1.0)
                 s = t * c
-                # two-sided rotation in the (p, q) plane; zeroes the pivot exactly
-                rot = np.array([[c, -s], [s, c]])
-                a[[p, q], :] = rot @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot.T
-                a[p, q] = a[q, p] = 0.0
+                # two-sided rotation in the (p, q) plane, one 2x2 gemm per matrix each side
+                rot = np.array([c, -s, s, c]).T.reshape(-1, 2, 2)
+                r[:, p : q + 1 : q - p] = rot @ r[:, p : q + 1 : q - p]
+                r[:, :, p : q + 1 : q - p] = r[:, :, [p, q]] @ rot.transpose(0, 2, 1)
+                if r is not a:
+                    a[rotate] = r
+            a[:, p, q] = a[:, q, p] = 0.0  # zeroes the pivot exactly
     raise NumericFailureError(f"Jacobi eigensolver did not converge within {JACOBI_MAX_SWEEPS} sweeps")
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
+    """Real eigenvalues of a Hermitian matrix, ascending; for a (k, d, d) stack, one row each.
 
-    Uses cyclic Jacobi sweeps on the real-symmetric 2d x 2d embedding of the
-    matrix; each eigenvalue appears there twice, and the duplicates are merged
-    by averaging adjacent sorted values.
+    Cyclic Jacobi sweeps run in lockstep over the real-symmetric 2d x 2d
+    embeddings of the whole stack, in one call. A matrix gets the bits it gets
+    alone: its rotations are the same 2x2 gemm calls. Each eigenvalue appears
+    twice there; adjacent sorted duplicates are averaged.
 
-    Raises ContractViolationError if max |h - h†| > 1e-10 and
-    NumericFailureError if the sweep cap is exhausted.
+    Raises ContractViolationError if max |h - h†| > 1e-10 (naming the first such
+    matrix of a stack) and NumericFailureError if the sweep cap is exhausted.
     """
-    h = as_matrix(h)
-    herm_dev = max_abs(h - h.conj().T)
-    if not herm_dev <= 1e-10:
-        raise ContractViolationError(f"matrix is not Hermitian: max |h - h†| = {herm_dev:.3e}")
-    h = (h + h.conj().T) / 2.0
-    doubled = _jacobi_eigenvalues_symmetric(_real_symmetric_embedding(h))
-    return _freeze(0.5 * (doubled[0::2] + doubled[1::2]))
+    h = as_matrix(h, stacked=True)
+    dagger = h.conj().swapaxes(-2, -1)
+    herm_dev = np.max(np.abs(h - dagger), axis=(-2, -1))
+    require_each(herm_dev <= 1e-10, "matrix is not Hermitian: max |h - h†| = {:.3e}", herm_dev)
+    stack = ((h + dagger) / 2.0).reshape(-1, *h.shape[-2:])
+    # H = A + iB Hermitian -> [[A, -B], [B, A]] symmetric with doubled spectrum
+    doubled = _jacobi_eigenvalues_symmetric(np.block([[stack.real, -stack.imag], [stack.imag, stack.real]]))
+    return _freeze((0.5 * (doubled[:, 0::2] + doubled[:, 1::2])).reshape(h.shape[:-1]))

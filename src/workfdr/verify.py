@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import work_stats as ws
-from .entanglement import cartan_basis_negativities, negativity
+from .entanglement import column_states, negativity, negativity_cartan_basis
 from .entanglers import ENTANGLERS
 from .model import CartanCoefficients, SeparableXZXParams, bipartite_quench, cartan_entangler, separable_xzx
 from .sampler import ProtocolConfig, estimate, exact_reference, require_run
@@ -165,21 +165,16 @@ def check_05_separable_null_result() -> CheckResult:
 
 
 def check_06_negativity_closed_forms() -> CheckResult:
-    worst = 0.0
-    for c1 in np.arange(0.0, 0.5 + 1e-9, 0.05):
-        for c2 in np.arange(0.0, 0.5 + 1e-9, 0.05):
-            for _, numeric, closed in cartan_basis_negativities(float(c1), float(c2), 0.37):
-                worst = max(worst, abs(numeric - closed))
+    axis = np.arange(0.0, 0.5 + 1e-9, 0.05).tolist()
+    grid = [(c1, c2) for c1 in axis for c2 in axis]
     rng = np.random.default_rng(_RNG_SEED + 2)
-    worst_separable = 0.0
-    for _ in range(10):
-        params = SeparableXZXParams(*(float(x) for x in rng.uniform(-2.0, 2.0, 4)))
-        gate = separable_xzx(params)
-        for u in range(4):
-            column = gate[:, u]
-            worst_separable = max(
-                worst_separable, negativity(np.outer(column, column.conj())).value
-            )
+    gates = [cartan_entangler(CartanCoefficients(c1, c2, 0.37)) for c1, c2 in grid] + [
+        separable_xzx(SeparableXZXParams(*(float(x) for x in rng.uniform(-2.0, 2.0, 4)))) for _ in range(10)
+    ]
+    values = [result.value for result in negativity(column_states(gates))]  # all 524 states in one stack
+    closed = [negativity_cartan_basis(u, c1, c2) for c1, c2 in grid for u in range(4)]
+    worst = max([0.0] + [abs(numeric - form) for numeric, form in zip(values, closed)])
+    worst_separable = max([0.0] + values[len(closed) :])
     passed = worst <= 1e-10 and worst_separable <= 1e-12
     return CheckResult(
         "6",

@@ -44,6 +44,14 @@ class WorkDistribution:
     support: tuple[int, ...]
     probs: tuple
 
+    def __post_init__(self):
+        # the checks of from_weights, without its clamping
+        support, probs = self.support, self.probs
+        integers = all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in support)
+        if not integers or any(b <= a for a, b in zip(support, support[1:])) or len(support) != len(probs):
+            raise ValidationError(f"support {support!r} is not {len(probs)} strictly increasing integers")
+        _checked_rows(support, np.array([probs], dtype=_LD))
+
     @classmethod
     def from_weights(cls, weights: dict) -> "WorkDistribution":
         """Build from a work -> probability map; clamps sub-roundoff noise, drops zeros."""

@@ -304,6 +304,32 @@ def test_distribution_constructor_validation():
     assert dist.support == (-1, 0, 1)
 
 
+def test_constructor_refuses_what_from_weights_refuses():
+    # accepted before: moments gave (0.5, 2.25) for probabilities summing to 1.5
+    with pytest.raises(ValidationError, match="sum to 1.5"):
+        moments(WorkDistribution((-1, 0, 2), (0.5, 0.5, 0.5)))
+
+
+def test_constructor_refuses_decreasing_support():
+    # convolve_n of it ended in a bare ValueError (negative dimensions)
+    with pytest.raises(ValidationError, match="strictly increasing integers"):
+        convolve_n(WorkDistribution((1, -1), (0.5, 0.5)), 2)
+
+
+def test_constructor_refuses_repeated_work_values():
+    with pytest.raises(ValidationError, match="strictly increasing integers"):
+        WorkDistribution((0, 0), (0.5, 0.5))
+
+
+def test_constructor_refuses_other_malformed_inputs():
+    for support, probs in [((0, 1), (1.0,)), ((0.5, 1), (0.5, 0.5)), ((True, 2), (0.5, 0.5)), ((0,), (1.5,))]:
+        with pytest.raises(ValidationError):
+            WorkDistribution(support, probs)
+    # integer types and probabilities within the clamp stay accepted, values untouched
+    dist = WorkDistribution((np.int64(-1), 2), (np.longdouble(0.25), np.longdouble(0.75) + np.longdouble(1e-15)))
+    assert dist.probs[1] == np.longdouble(0.75) + np.longdouble(1e-15)
+
+
 def test_nan_probabilities_and_unitaries_are_rejected():
     nan = float("nan")
     for weights in ({0: nan}, {-1: 0.5, 0: nan, 1: 0.5}):
