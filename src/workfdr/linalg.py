@@ -21,8 +21,8 @@ DENSITY_EIGENVALUE_FLOOR = -1e-10
 # 8x8 symmetric matrix settles in ~5 sweeps; hitting the cap means the input
 # was outside the supported regime.
 JACOBI_MAX_SWEEPS = 30
-# per embedding size n: the strict lower triangle as a 0/1 mask, and the pivots in cyclic order
-_SWEEP = {n: (np.tri(n, k=-1), [(p, q) for p in range(n - 1) for q in range(p + 1, n)]) for n in (4, 8)}
+# per embedding size n: the strict lower triangle as a mask, and the pivots in cyclic order
+_SWEEP = {n: (np.tri(n, k=-1, dtype=bool), [(p, q) for p in range(n - 1) for q in range(p + 1, n)]) for n in (4, 8)}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -108,7 +108,7 @@ def _jacobi_eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(1, 2), initial=0.0))
     out, live = np.empty(a.shape[:2]), np.arange(len(a))
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum((a * lower) ** 2, axis=(1, 2)))  # np.tril(a, -1)'s squares, without its mask
+        off = np.sqrt(np.sum(np.square(a, out=np.zeros_like(a), where=lower), axis=(1, 2)))  # np.tril(a, -1) ** 2
         done = off <= 1e-15 * scale
         out[live[done]] = np.sort(np.diagonal(a[done], axis1=1, axis2=2), axis=1)
         a, scale, live = a[~done], scale[~done], live[~done]

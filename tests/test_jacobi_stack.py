@@ -130,6 +130,21 @@ def test_a_matrix_that_skips_a_pivot_is_left_untouched():
     assert bits(linalg._jacobi_eigenvalues_symmetric(np.stack(embeddings))) == bits(expected)
 
 
+def test_check6_solves_its_states_in_two_stacked_calls(monkeypatch):
+    from workfdr import entanglement
+
+    calls = []
+
+    def counting(h):
+        calls.append(np.shape(h))
+        return hermitian_eigenvalues(h)
+
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", counting)
+    monkeypatch.setattr(entanglement, "hermitian_eigenvalues", counting)
+    assert verify.check_06_negativity_closed_forms().passed
+    assert calls == [(524, 4, 4), (524, 4, 4)]  # check_density's, then the partial transposes'
+
+
 def test_negativity_of_a_stack_equals_its_single_calls():
     _, states = check6_states()
     picked = states[::13]
