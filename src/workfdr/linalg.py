@@ -94,7 +94,7 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     require_each(herm_dev <= DENSITY_HERMITICITY_TOL, "density is not Hermitian: max |rho - rho†| = {:.3e}", herm_dev)
     tr_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     require_each(tr_dev <= DENSITY_TRACE_TOL, "density trace deviates from 1 by {:.3e}", tr_dev)
-    lowest = hermitian_eigenvalues((rho + dagger) / 2.0)[..., 0]
+    lowest = hermitian_eigenvalues(rho)[..., 0]  # it solves (rho + rho†) / 2, as Hermitian as rho is
     require_each(lowest >= DENSITY_EIGENVALUE_FLOOR, "density has negative eigenvalue {:.3e}", lowest)
     return rho
 

@@ -39,35 +39,26 @@ _LD = np.longdouble
 
 @dataclass(frozen=True)
 class WorkDistribution:
-    """Finite distribution over integer work values, strictly increasing support."""
+    """Finite distribution over integer work values, strictly increasing support.
+
+    The constructor is its one check: probabilities must lie within PROB_CLAMP of
+    [0, 1] and sum to 1 within NORMALIZATION_TOL. They are clamped into [0, 1],
+    zero entries are dropped with their work values, and what is kept is stored as
+    int work values and numpy.longdouble probabilities.
+    """
 
     support: tuple[int, ...]
     probs: tuple
 
     def __post_init__(self):
-        # the checks of from_weights, without its clamping
         support, probs = self.support, self.probs
-        integers = all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in support)
+        integers = all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, support)))
         if not integers or any(b <= a for a, b in zip(support, support[1:])) or len(support) != len(probs):
             raise ValidationError(f"support {support!r} is not {len(probs)} strictly increasing integers")
-        _checked_rows(support, np.array([probs], dtype=_LD))
-
-    @classmethod
-    def from_weights(cls, weights: dict) -> "WorkDistribution":
-        """Build from a work -> probability map; clamps sub-roundoff noise, drops zeros."""
-        support = sorted(weights)
-        return cls.from_row(support, _checked_rows(support, np.array([[weights[w] for w in support]], dtype=_LD))[0])
-
-    @classmethod
-    def from_row(cls, support, probs) -> "WorkDistribution":
-        """One checked row of a probability grid over `support`, zero probabilities dropped."""
-        nonzero = (np.asarray(probs) != 0.0).tolist()
-        return cls(support=tuple(int(w) for w in compress(support, nonzero)), probs=tuple(compress(probs, nonzero)))
-
-    @classmethod
-    def point_mass(cls) -> "WorkDistribution":
-        """All probability at work 0: the distribution of zero steps."""
-        return cls(support=(0,), probs=(_LD(1.0),))
+        probs = _checked_rows(support, np.array([probs], dtype=_LD))[0]
+        nonzero = (probs != 0.0).tolist()
+        object.__setattr__(self, "support", tuple(int(w) for w in compress(support, nonzero)))
+        object.__setattr__(self, "probs", tuple(compress(probs, nonzero)))
 
     def prob(self, w: int):
         """Probability of work value w (0 when w is off-support)."""
@@ -143,7 +134,7 @@ def step_grid_single(betas, delta_theta: float) -> tuple[tuple[int, ...], np.nda
 def step_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
     """Work distribution of one single-qubit step, by enumeration of both outcomes."""
     support, probs = step_grid_single([require_beta(beta)], delta_theta)
-    return WorkDistribution.from_row(support, probs[0])
+    return WorkDistribution(support, probs[0])
 
 
 def step_grid_bipartite(betas, quench: np.ndarray, entangler: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -167,7 +158,7 @@ def step_grid_bipartite(betas, quench: np.ndarray, entangler: np.ndarray) -> tup
 def step_distribution_bipartite(beta: float, quench: np.ndarray, entangler: np.ndarray) -> WorkDistribution:
     """Work distribution of one two-qubit step: the one-beta case of step_grid_bipartite."""
     support, probs = step_grid_bipartite([require_beta(beta)], quench, entangler)
-    return WorkDistribution.from_row(support, probs[0])
+    return WorkDistribution(support, probs[0])
 
 
 def closed_form_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
@@ -176,7 +167,7 @@ def closed_form_distribution_single(beta: float, delta_theta: float) -> WorkDist
     require_finite(delta_theta=delta_theta)
     s = math.sin(delta_theta / 2.0) ** 2
     w = math.exp(-beta)
-    return WorkDistribution.from_weights({-1: w * s / (1.0 + w), 0: 1.0 - s, 1: s / (1.0 + w)})
+    return WorkDistribution((-1, 0, 1), (w * s / (1.0 + w), 1.0 - s, s / (1.0 + w)))
 
 
 def closed_form_distribution_cartan(
@@ -195,14 +186,8 @@ def closed_form_distribution_cartan(
     # non-degenerate channel weight: cos^4(dth/2) sin^2(c1-c2) + sin^4(dth/2) cos^2(c1-c2)
     k2 = np.cos(half) ** 4 * np.sin(_LD(c1) - _LD(c2)) ** 2 + np.sin(half) ** 4 * np.cos(_LD(c1) - _LD(c2)) ** 2
     sin_sq = np.sin(_LD(delta_theta)) ** 2
-    weights = {
-        -2: w * w * k2 / denom,
-        -1: w * sin_sq / (2 * (1 + w)),
-        1: sin_sq / (2 * (1 + w)),
-        2: k2 / denom,
-    }
-    weights[0] = 1 - sum(weights.values())
-    return WorkDistribution.from_weights(weights)
+    tails = (w * w * k2 / denom, w * sin_sq / (2 * (1 + w)), sin_sq / (2 * (1 + w)), k2 / denom)  # w = -2, -1, 1, 2
+    return WorkDistribution((-2, -1, 0, 1, 2), (*tails[:2], 1 - sum(tails), *tails[2:]))
 
 
 def closed_form_distribution_separable(
@@ -238,14 +223,8 @@ def closed_form_distribution_separable(
         + w * cc * sm * (-0.5 * sc2 * sm2 * sdt - sc2 * cm2 * sdt_half**2)
         + w * cc * sm * cc2 * cdt_half * sm
     ) / denom
-    weights = {
-        -2: w * w * sc**2 * sm**2 / denom,
-        -1: p_minus_1,
-        1: p_plus_1,
-        2: sc**2 * sm**2 / denom,
-    }
-    weights[0] = 1 - sum(weights.values())
-    return WorkDistribution.from_weights(weights)
+    tails = (w * w * sc**2 * sm**2 / denom, p_minus_1, p_plus_1, sc**2 * sm**2 / denom)  # w = -2, -1, 1, 2
+    return WorkDistribution((-2, -1, 0, 1, 2), (*tails[:2], 1 - sum(tails), *tails[2:]))
 
 
 def _moments_rows(support, probs):
@@ -270,10 +249,12 @@ def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
     which add exact zeros to every sum, so the bits are those of the whole row: 0.37 s
     at N = 4000 and 2.45 s at N = 20,000 (README, design notes). Still n - 1 convolutions,
     so N = 1e19 never ends, and by N = 5000 the total can round more than 1e-12 off 1.
+    The whole padded row goes to the WorkDistribution constructor, so its normalization
+    sum sees the zeros too; that one check clamps the row and drops them.
     """
     n = require_int("n", n, minimum=0)
     if n == 0:
-        return WorkDistribution.point_mass()
+        return WorkDistribution((0,), (1.0,))
     lo, hi = step.support[0], step.support[-1]
     dense = np.zeros(hi - lo + 1, dtype=_LD)
     for w, p in zip(step.support, step.probs):
@@ -288,8 +269,7 @@ def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
             last -= 1
         window, start = window[first:last], start + first
     row = np.pad(window, (start, n * (hi - lo) + 1 - start - len(window)))
-    support = range(n * lo, n * lo + len(row))
-    return WorkDistribution.from_row(support, _checked_rows(support, row[None, :])[0])
+    return WorkDistribution(range(n * lo, n * lo + len(row)), row)
 
 
 def distribution_rows(a: WorkDistribution, b: WorkDistribution) -> list[tuple[int, float, float, float]]:

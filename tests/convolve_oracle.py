@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from workfdr.work_stats import WorkDistribution, _checked_rows
+from workfdr.work_stats import WorkDistribution
 
 _LD = np.longdouble
 
@@ -24,5 +24,4 @@ def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
     result = dense
     for _ in range(n - 1):
         result = np.convolve(result, dense)
-    support = range(n * lo, n * lo + len(result))
-    return WorkDistribution.from_row(support, _checked_rows(support, result[None, :])[0])
+    return WorkDistribution(range(n * lo, n * lo + len(result)), result)

@@ -283,7 +283,10 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     # an integer longer than the 4,300 digits int() converts from a string
     long_int = tmp_path / "long_int.json"
     long_int.write_text('{"beta": 1' + "0" * 5000 + "}")
-    bad += [["q", "--config", str(path)] for path in (not_utf8, deep, long_int)]
+    # valid JSON that is not an object of parameter values
+    array = tmp_path / "array.json"
+    array.write_text('[{"beta": 1}]')
+    bad += [["q", "--config", str(path)] for path in (not_utf8, deep, long_int, array)]
     # angles whose square overflows a float in the small-angle prediction
     huge = tmp_path / "huge.json"
     huge.write_text('{"theta": 1' + "0" * 300 + "}")
@@ -302,17 +305,23 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     for seed in ("-1", str(2**64)):
         bad += [["sample", "--n", "5", "--theta", "0.1", *mc, "--seed", seed], ["verify", *mc, "--seed", seed]]
     for flag, grid in (("--beta-grid", "1,x"), ("--beta-grid", "1:x:1"), ("--n-grid", "1:inf:1"),
-                       ("--n-grid", "2.5"), ("--beta-grid", "0:1e308:1e-308")):
+                       ("--n-grid", "2.5"), ("--beta-grid", "0:1e308:1e-308"), ("--beta-grid", "1:2"),
+                       ("--beta-grid", "2:1:1"), ("--n-grid", ",")):
         bad.append(["sweep", "--theta", "1", flag, grid])
     # a scalar flag next to its own grid would be ignored
     bad += [["sweep", "--theta", "1", "--beta", "2", "--beta-grid", "1,2"],
             ["sweep", "--theta", "1", "--n", "5", "--n-grid", "5,10"]]
     # each grid within the cap, their product of 1,500,003 points above it
     bad.append(["sweep", "--theta", "1", "--beta-grid", "0:1:2e-6", "--n-grid", "1,2,3"])
+    # an --output that names a directory: the rename onto it fails after the temp file is written
+    directory = tmp_path / "out"
+    directory.mkdir()
+    bad.append(["dist", "--beta", "1", "--dtheta", "0.3", "--output", str(directory)])
     for argv in bad:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    assert not list(tmp_path.glob(".workfdr-*.tmp"))  # the failed write removed its temp file
     # a flag its command would not read is no flag of that subcommand: argparse exits 2
     removed = {
         ("verify", "--trajectories", "100"): [["--beta", "2"], ["--entangler", "rxx"], ["--two-qubit"],
@@ -444,7 +453,7 @@ def test_cross_oracle_check_detects_injected_sign_flip(monkeypatch):
             2: k2 / denom,
         }
         weights[0] = 1.0 - sum(weights.values())
-        return WorkDistribution.from_weights(weights)
+        return WorkDistribution(*zip(*sorted(weights.items())))
 
     monkeypatch.setattr("workfdr.work_stats.closed_form_distribution_cartan", mutant)
     try:

@@ -120,6 +120,8 @@ def test_negativity_rejects_invalid_inputs():
         negativity(np.eye(4, dtype=complex))  # trace 4
     with pytest.raises(ContractViolationError):
         negativity(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+    with pytest.raises(ValidationError, match="4x4"):
+        negativity(np.diag([0.5, 0.5]).astype(complex))  # a valid one-qubit density
     with pytest.raises(ValidationError):
         negativity_cartan_basis(4, 0.1, 0.1)
     with pytest.raises(ValidationError):

@@ -48,6 +48,8 @@ def test_kron_thermal_product_state():
 def test_kron_rejects_dimension_overflow():
     with pytest.raises(UnsupportedDimensionError):
         kron(identity(2), identity(4))
+    with pytest.raises(UnsupportedDimensionError):
+        identity(3)
 
 
 def test_kron_mixed_product_and_trace():

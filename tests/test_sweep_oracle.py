@@ -64,7 +64,7 @@ def test_grid_rows_equal_point_enumeration(variant, n):
     mean_work, var_work, q_value = work_stats.q_grid(support, probs, BETAS, n)
     for i, beta in enumerate(BETAS):
         expected = _oracle_step(p, beta)
-        assert WorkDistribution.from_row(support, probs[i]) == expected, beta
+        assert WorkDistribution(support, probs[i]) == expected, beta
         assert [w for w, prob in zip(support, probs[i]) if prob == 0.0] == sorted(set(support) - set(expected.support))
         # the one-row case, through the public per-point functions
         one = dict(p, beta=beta)
@@ -135,5 +135,5 @@ def test_grid_of_random_unitaries_equals_point_enumeration():
         support, probs = work_stats.step_grid_bipartite(BETAS, quench, entangler)
         for i, beta in enumerate(BETAS):
             expected = sweep_oracle.step_bipartite(beta, quench, entangler)
-            assert WorkDistribution.from_row(support, probs[i]) == expected, beta
+            assert WorkDistribution(support, probs[i]) == expected, beta
             assert work_stats.step_distribution_bipartite(beta, quench, entangler) == expected, beta

@@ -35,6 +35,7 @@ from workfdr import (
     step_distribution_bipartite,
     step_distribution_single,
 )
+from workfdr import work_stats
 from workfdr.entanglers import Entangler
 
 import convolve_oracle
@@ -219,7 +220,7 @@ def test_convolve_identity_and_zero():
 
 
 def test_convolve_hand_checked():
-    step = WorkDistribution.from_weights({-1: 0.25, 0: 0.5, 1: 0.25})
+    step = WorkDistribution((-1, 0, 1), (0.25, 0.5, 0.25))
     two = convolve_n(step, 2)
     expected = {-2: 1 / 16, -1: 1 / 4, 0: 3 / 8, 1: 1 / 4, 2: 1 / 16}
     for w, p in expected.items():
@@ -273,7 +274,7 @@ def test_convolve_equals_whole_row_oracle_at_the_edges():
     cases = [
         (closed_form_distribution_single(1.0, math.pi), 300),  # interior zero: support (-1, 1)
         (step_distribution_single(5000.0, 0.3), 50),  # only the left tail underflows
-        (WorkDistribution.from_weights({-1: mass, 0: 1 - 2 * mass, 1: mass}), 50),
+        (WorkDistribution((-1, 0, 1), (mass, 1 - 2 * mass, mass)), 50),
     ]
     # ends that underflow against the bulk at once: the non-zero window is shorter than
     # the step for a few convolutions, so np.convolve would swap its operands
@@ -286,7 +287,7 @@ def test_convolve_equals_whole_row_oracle_at_the_edges():
 
 
 def test_moments_basics():
-    assert moments(WorkDistribution.point_mass()) == (0.0, 0.0)
+    assert moments(WorkDistribution((0,), (1.0,))) == (0.0, 0.0)
     dist = step_distribution_single(0.0, 1.1)
     mean, _ = moments(dist)
     assert abs(mean) <= 1e-18
@@ -297,10 +298,10 @@ def test_moments_basics():
 
 def test_distribution_constructor_validation():
     with pytest.raises(ValidationError):
-        WorkDistribution.from_weights({0: 1.5})
+        WorkDistribution((0,), (1.5,))
     with pytest.raises(ValidationError):
-        WorkDistribution.from_weights({0: 0.5, 1: 0.2})
-    dist = WorkDistribution.from_weights({1: 0.25, -1: 0.25, 0: 0.5})
+        WorkDistribution((0, 1), (0.5, 0.2))
+    dist = WorkDistribution(*zip(*sorted({1: 0.25, -1: 0.25, 0: 0.5}.items())))
     assert dist.support == (-1, 0, 1)
 
 
@@ -330,11 +331,43 @@ def test_constructor_refuses_other_malformed_inputs():
     assert dist.probs[1] == np.longdouble(0.75) + np.longdouble(1e-15)
 
 
+def test_constructor_drops_zero_entries():
+    dist = WorkDistribution((0, 1), (1.0, 0.0))
+    assert dist.support == (0,) and dist.probs == (1.0,)
+    # log(0) of a kept zero raised a divide-by-zero RuntimeWarning, an error under this suite's settings
+    assert jarzynski_check(dist, 2.0) == 1.0
+
+
+def test_constructor_stores_ints_and_longdouble_probabilities():
+    dist = WorkDistribution((np.int64(-1), 0, 1), (0.25, 0.5, 0.25))
+    assert [type(w) for w in dist.support] == [int, int, int]
+    assert [type(p) for p in dist.probs] == [np.longdouble] * 3
+
+
+def test_constructor_clamps_then_drops_roundoff_below_zero():
+    dist = WorkDistribution((-1, 0, 1), (-1e-16, 0.5, 0.5))
+    assert dist.support == (0, 1) and dist.probs == (0.5, 0.5)
+
+
+def test_each_distribution_row_is_checked_once(monkeypatch):
+    step = step_distribution_bipartite(0.9, bipartite_quench(0.3), rxx(0.5))
+    calls = []
+    checked_rows = work_stats._checked_rows
+    monkeypatch.setattr(work_stats, "_checked_rows", lambda *args: calls.append(1) or checked_rows(*args))
+    builds = [lambda: convolve_n(step, 50), lambda: closed_form_distribution_single(0.9, 0.3),
+              lambda: closed_form_distribution_cartan(0.9, 0.3, 0.2, 0.1),
+              lambda: closed_form_distribution_separable(0.9, 0.3, 0.2, -0.15)]
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 1
+
+
 def test_nan_probabilities_and_unitaries_are_rejected():
     nan = float("nan")
     for weights in ({0: nan}, {-1: 0.5, 0: nan, 1: 0.5}):
         with pytest.raises(ValidationError, match="outside"):
-            WorkDistribution.from_weights(weights)
+            WorkDistribution(*zip(*sorted(weights.items())))
     with pytest.raises(ContractViolationError):
         step_distribution_bipartite(1.0, np.full((4, 4), nan, dtype=complex), identity(4))
 
@@ -502,7 +535,7 @@ def test_classical_limit_suppresses_q():
 
 
 def test_jarzynski_point_mass():
-    assert jarzynski_check(WorkDistribution.point_mass(), 2.0) == 1.0
+    assert jarzynski_check(WorkDistribution((0,), (1.0,)), 2.0) == 1.0
 
 
 def test_jarzynski_per_step_and_convolved():
