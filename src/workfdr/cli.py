@@ -17,6 +17,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import __version__
 from . import work_stats as ws
 from .entanglement import cartan_basis_negativities
@@ -24,38 +26,39 @@ from .entanglers import DEFAULT_KIND, ENTANGLERS, Param, all_params
 from .errors import WorkFdrError, ValidationError, require_finite, require_int
 from .model import bipartite_quench
 from .sampler import ProtocolConfig, estimate, exact_reference, require_run
-from .verify import run_all
 
 _MAX_GRID_POINTS = 1_000_000  # per grid, and per sweep
+_SWEEP_BLOCK = 8192  # betas per grid and rows per output block of a sweep: it bounds memory; no row depends on it
 _MODEL_FLAGS = ("--beta", "--entangler", "--two-qubit", "--format", "--degrees")  # what dist, q and sweep read
 _QUENCH = Param("dtheta", "theta", "local quench angle")  # every kind's, named like an entangler angle
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Print to stdout, or atomically replace the target file (temp + rename)."""
+def _write_output(pieces, path: str | None) -> None:
+    """Write an iterable of text pieces as they come: to stdout, or to a temporary file
+    that then atomically replaces the target file (temp + rename)."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".workfdr-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)
         raise
 
 
-def _fmt(value) -> str:
-    """A table cell: an int as is, a float to 17 significant digits."""
-    return str(value) if isinstance(value, int) else f"{value:.17g}"
-
-
-def _csv_table(header: list[str], rows: list) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_lines(header: list[str], blocks):
+    """A CSV table, one string per block of rows: an int cell as is, a float to 17 significant
+    digits. Every column holds one type, so the first row sets the format of every line."""
+    yield ",".join(header) + "\n"
+    line = None
+    for rows in blocks:
+        if line is None:
+            line = ",".join("%d" if isinstance(cell, int) else "%.17g" for cell in rows[0]) + "\n"
+        yield "".join([line % tuple(row) for row in rows])
 
 
 def _json_document(spec: dict, results, seed=None) -> str:
@@ -68,12 +71,24 @@ def _json_document(spec: dict, results, seed=None) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_table(args, spec: dict, header: list[str], rows: list) -> None:
-    if args.format == "csv":
-        _write_output(_csv_table(header, rows), args.output)
-    else:
-        results = {"rows": [dict(zip(header, row)) for row in rows]}
-        _write_output(_json_document(spec, results), args.output)
+def _json_lines(spec: dict, header: list[str], blocks):
+    """_json_document of the table {"rows": [...]}, one string per block of rows."""
+    marker = "\0rows"
+    head, tail = _json_document(spec, {"rows": [marker]}).split(json.dumps(marker))
+    yield head
+    separator = ""
+    for rows in blocks:  # a row sits at depth 3 of the document: 6 more spaces on each of its lines
+        texts = [json.dumps(dict(zip(header, row)), indent=2, sort_keys=True).replace("\n", "\n      ") for row in rows]
+        yield separator + ",\n      ".join(texts)
+        separator = ",\n      "
+    yield tail
+
+
+def _emit_table(args, spec: dict, header: list[str], blocks) -> None:
+    """Write a table as CSV or JSON from an iterable of non-empty blocks (lists) of rows,
+    each written as it comes."""
+    lines = _csv_lines(header, blocks) if args.format == "csv" else _json_lines(spec, header, blocks)
+    _write_output(lines, args.output)
 
 
 def _single_qubit(p: dict) -> bool:
@@ -95,55 +110,61 @@ def cmd_dist(args) -> int:
         exact = ws.step_distribution_bipartite(beta, bipartite_quench(dtheta), entangler.unitary(p))
         closed = entangler.closed_form(beta, dtheta, p)
     rows = ws.distribution_rows(exact, closed)
-    _emit_table(args, _spec_echo(p), ["w", "P_exact", "P_closed_form", "abs_diff"], rows)
+    _emit_table(args, _spec_echo(p), ["w", "P_exact", "P_closed_form", "abs_diff"], [rows])
     return 0
 
 
-def _q_reports(p: dict, n: int, betas: list, fg: list):
-    """Q report of one N at each beta, one dict at a time, from one step-distribution grid;
-    fg holds (f_beta, g_beta) of each beta. Betas come sorted: inputs are checked at the first."""
-    config = _config(dict(p, beta=betas[0], n=n))
-    dtheta = config.delta_theta
-    if _single_qubit(p):  # the small-angle terms come first: they refuse too large angles
-        terms = [(ws.q_single_smallangle(n, beta, dtheta), 0.0) for beta in betas]
+def _relative_gap(q_value: np.ndarray, prediction: np.ndarray) -> np.ndarray:
+    """|Q - prediction| / |Q| at each point, and 0 where Q is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q_value != 0.0, np.abs(q_value - prediction) / np.abs(q_value), 0.0)
+
+
+def _q_reports(p: dict, n: int, betas: np.ndarray, f: np.ndarray, g: np.ndarray) -> dict:
+    """The 13 `q` fields of one N at each beta (f, g their profiles), as columns in `q`'s key
+    order: float64 arrays, and a list of ints for n_steps. Betas come sorted, so the inputs are
+    checked at the first; the small-angle terms come before the grid: they refuse too large angles."""
+    config = _config(dict(p, beta=float(betas[0]), n=n))
+    dtheta, single = config.delta_theta, _single_qubit(p)
+    small_angle = ws.q_single_terms if single else ENTANGLERS[config.entangler_kind].small_angle
+    f_term, g_term = (np.broadcast_to(term, betas.shape) for term in small_angle(n, f, g, dtheta, config.step_params()))
+    if single:
         grid = ws.step_grid_single(betas, dtheta)
     else:
-        small_angle, step_params = ENTANGLERS[config.entangler_kind].small_angle, config.step_params()
-        terms = [small_angle(n, beta, dtheta, step_params) for beta in betas]
         grid = ws.step_grid_bipartite(betas, config.step_quench(), config.step_entangler())
-    columns = (column.tolist() for column in ws.q_grid(*grid, betas, n))
-    for beta, (f, g), (f_term, g_term), mean_work, var_work, q_value in zip(betas, fg, terms, *columns):
-        prediction = f_term + g_term
-        yield {
-            "mean_work": mean_work,
-            "var_work": var_work,
-            "delta_F": 0.0,
-            "w_diss": mean_work,
-            "q_exact": q_value,
-            "small_angle_prediction": prediction,
-            "relative_gap": abs(q_value - prediction) / abs(q_value) if q_value else 0.0,
-            "f_beta": f,
-            "g_beta": g,
-            "f_term": f_term,
-            "g_term": g_term,
-            "beta": beta,
-            "n_steps": n,
-        }
+    mean_work, var_work, q_value = ws.q_grid(*grid, betas, n)
+    prediction = f_term + g_term
+    return {
+        "mean_work": mean_work,
+        "var_work": var_work,
+        "delta_F": np.zeros(len(betas)),
+        "w_diss": mean_work,
+        "q_exact": q_value,
+        "small_angle_prediction": prediction,
+        "relative_gap": _relative_gap(q_value, prediction),
+        "f_beta": f,
+        "g_beta": g,
+        "f_term": f_term,
+        "g_term": g_term,
+        "beta": betas,
+        "n_steps": [n] * len(betas),
+    }
 
 
 def cmd_q(args) -> int:
     p = _params(args)
-    results = next(_q_reports(p, p["n"], [p["beta"]], [(ws.f_beta(p["beta"]), ws.g_beta(p["beta"]))]))
+    betas = np.array([p["beta"]])
+    results = {key: column[0] for key, column in _q_reports(p, p["n"], betas, *ws.profiles(betas)).items()}
     if args.format == "csv":
-        header = list(results)
-        _write_output(_csv_table(header, [[results[k] for k in header]]), args.output)
+        _write_output(_csv_lines(list(results), [[results.values()]]), args.output)
     else:
-        _write_output(_json_document(_spec_echo(p), results), args.output)
+        _write_output([_json_document(_spec_echo(p), results)], args.output)
     return 0
 
 
-def _parse_grid(text: str, integral: bool) -> list:
-    """Parse 'start:stop:step' (inclusive endpoints, at most _MAX_GRID_POINTS) or a comma list."""
+def _parse_grid(text: str, integral: bool):
+    """Parse 'start:stop:step' (inclusive endpoints, at most _MAX_GRID_POINTS) or a comma list,
+    into a float64 array, or a list of ints if integral."""
     is_range = ":" in text
     try:
         items = [float(x) for x in text.split(":" if is_range else ",") if x.strip()]
@@ -160,13 +181,13 @@ def _parse_grid(text: str, integral: bool) -> list:
         span = (stop - start) / step + 1e-9
         if span >= _MAX_GRID_POINTS:
             raise ValidationError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-        values = [start + k * step for k in range(int(span) + 1)]
+        values = start + np.arange(int(span) + 1) * step  # start + k * step, as floats
     else:
-        values = items
-    if not values:
+        values = np.array(items)
+    if not len(values):
         raise ValidationError(f"grid {text!r} is empty")
     if integral:
-        return [require_int("n-grid value", v) for v in values]
+        return [require_int("n-grid value", v) for v in values.tolist()]
     return values
 
 
@@ -178,16 +199,32 @@ def cmd_sweep(args) -> int:
     for scalar, grid in (("beta", "beta_grid"), ("n", "n_grid")):
         if getattr(args, scalar) is not None and getattr(args, grid) is not None:
             raise ValidationError(f"sweep takes --{scalar} or --{grid.replace('_', '-')}, not both")
-    betas = sorted(_parse_grid(args.beta_grid, integral=False) if args.beta_grid else [p["beta"]])
+    betas = _parse_grid(args.beta_grid, integral=False) if args.beta_grid else np.array([p["beta"]])
+    betas.sort(kind="stable")  # stable: -0.0 and 0.0 keep their order, as sorted() keeps it
     steps = sorted(_parse_grid(args.n_grid, integral=True) if args.n_grid else [p["n"]])
     if len(betas) * len(steps) > _MAX_GRID_POINTS:
         raise ValidationError(f"sweep has {len(betas)} x {len(steps)} points, more than {_MAX_GRID_POINTS}")
-    fg = [(ws.f_beta(beta), ws.g_beta(beta)) for beta in betas]
-    keys = ["beta", "n_steps", "q_exact", "small_angle_prediction", "f_beta", "g_beta", "relative_gap"]
-    by_n = {n: [[r[k] for k in keys] for r in _q_reports(p, n, betas, fg)] for n in dict.fromkeys(steps)}
-    rows = [by_n[n][i] for i in range(len(betas)) for n in steps]  # sorted beta outer, sorted N inner
+    # every point before any output, so a refusal prints nothing: 16 bytes a point, 24 a beta
+    index = {n: j for j, n in enumerate(dict.fromkeys(steps))}  # of each distinct N
+    f, g = np.empty((2, len(betas)))
+    q_value, prediction = np.empty((2, len(index), len(betas)))
+    for start in range(0, len(betas), _SWEEP_BLOCK):
+        part = slice(start, start + _SWEEP_BLOCK)
+        f[part], g[part] = ws.profiles(betas[part])
+        for n, j in index.items():
+            columns = _q_reports(p, n, betas[part], f[part], g[part])
+            q_value[j, part], prediction[j, part] = columns["q_exact"], columns["small_angle_prediction"]
+    order, ns, total = np.array([index[n] for n in steps]), np.array(steps, dtype=object), len(betas) * len(steps)
+
+    def blocks():  # row r is (betas[r // len(steps)], steps[r % len(steps)]): sorted beta outer, sorted N inner
+        for start in range(0, total, _SWEEP_BLOCK):
+            i, k = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, total)), len(steps))
+            q, predicted = q_value[order[k], i], prediction[order[k], i]
+            yield list(zip(betas[i].tolist(), ns[k].tolist(), q.tolist(), predicted.tolist(),
+                           f[i].tolist(), g[i].tolist(), _relative_gap(q, predicted).tolist()))
+
     header = ["beta", "n", "Q_exact", "Q_small_angle", "f", "g", "relative_gap"]
-    _emit_table(args, _spec_echo(p), header, rows)
+    _emit_table(args, _spec_echo(p), header, blocks())
     return 0
 
 
@@ -196,7 +233,7 @@ def cmd_negativity(args) -> int:
     table = cartan_basis_negativities(p["c1"], p["c2"], p["c3"])
     rows = [(u, numerical, closed, abs(numerical - closed)) for u, numerical, closed in table]
     header = ["u", "negativity_numerical", "negativity_closed_form", "abs_diff"]
-    _emit_table(args, _spec_echo(p), header, rows)
+    _emit_table(args, _spec_echo(p), header, [rows])
     return 0
 
 
@@ -226,12 +263,14 @@ def cmd_sample(args) -> int:
             "q": (stats.q_estimate - q_ref) / stats.q_se if stats.q_se else 0.0,
         },
     }
-    _write_output(_json_document(_spec_echo(p), results, seed=p["seed"]), args.output)
+    _write_output([_json_document(_spec_echo(p), results, seed=p["seed"])], args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
     p = _params(args)
+    from .verify import run_all  # on first use: no other command needs the acceptance suite
+
     given = {"mc_trajectories": p["trajectories"], "mc_seed": p["seed"]}
     results = run_all(**{name: value for name, value in given.items() if value is not None})
     lines = []
@@ -244,7 +283,7 @@ def cmd_verify(args) -> int:
         f"{len(results) - len(failed)}/{len(results)} checks passed"
         + (f"; failing: {', '.join(failed)}" if failed else "")
     )
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_output(["\n".join(lines) + "\n"], args.output)
     return 1 if failed else 0
 
 

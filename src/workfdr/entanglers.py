@@ -3,9 +3,10 @@ CLI, ProtocolConfig and the verification suite, so a new kind is one entry.
 
 An entry holds its parameter specs, the per-step 4x4 unitary, the closed-form
 step distribution, and the small-angle Q as (f_term, g_term): the prediction
-of a kind is sum(ENTANGLERS[kind].small_angle(n, beta, dth, params)), and
-there is no other. The identity, DEFAULT_KIND, is the kind under which the two
-qubits are independent copies of the single-qubit model. This is the one
+of a kind is sum(ENTANGLERS[kind].small_angle(n, f, g, dth, params)), with f
+and g the profiles f_beta(beta) and g_beta(beta), or arrays of them over a beta
+grid, and there is no other. The identity, DEFAULT_KIND, is the kind under
+which the two qubits are independent copies of the single-qubit model. This is the one
 place a parameter is named: the CLI flags, --config keys and ProtocolConfig's
 total_<name> keywords are derived from the specs when they are used. The
 callables take the per-step parameters as a mapping keyed by the specs' step
@@ -43,15 +44,15 @@ class Entangler:
     params: tuple[Param, ...]
     unitary: Callable[[Mapping], np.ndarray]
     closed_form: Callable[[float, float, Mapping], ws.WorkDistribution]
-    small_angle: Callable[[int, float, float, Mapping], tuple[float, float]]
+    small_angle: Callable[[int, float, float, float, Mapping], tuple[float, float]]
 
     def __post_init__(self):  # every kind refuses angles whose prediction overflows a float
         object.__setattr__(self, "small_angle", functools.partial(ws.small_angle_terms, self.small_angle))
 
 
-def _local_term(n: int, beta: float, delta_theta: float) -> float:
+def _local_term(n: int, f, delta_theta: float):
     # N*(dth^2/2)*f(beta), the f term of the two local quenches
-    return n * delta_theta**2 / 2.0 * ws.f_beta(beta)
+    return n * delta_theta**2 / 2.0 * f
 
 
 DEFAULT_KIND = "none"  # the identity, the kind a protocol has when no kind is given
@@ -60,15 +61,15 @@ ENTANGLERS = {
         params=(),
         unitary=lambda p: linalg.identity(4),
         closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, 0.0, 0.0),
-        small_angle=lambda n, beta, dth, p: (_local_term(n, beta, dth), 0.0),
+        small_angle=lambda n, f, g, dth, p: (_local_term(n, f, dth), 0.0),
     ),
     "rxx": Entangler(
         params=(Param("dphi", "phi", "xx entangler angle"),),
         unitary=lambda p: model.rxx(p["dphi"]),
         closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, p["dphi"] / 2.0, 0.0),
-        small_angle=lambda n, beta, dth, p: (
-            _local_term(n, beta, dth),
-            n * p["dphi"] ** 2 / 2.0 * ws.g_beta(beta),
+        small_angle=lambda n, f, g, dth, p: (
+            _local_term(n, f, dth),
+            n * p["dphi"] ** 2 / 2.0 * g,
         ),
     ),
     "cartan": Entangler(
@@ -79,9 +80,9 @@ ENTANGLERS = {
         ),
         unitary=lambda p: model.cartan_entangler(model.CartanCoefficients(p["c1"], p["c2"], p["c3"])),
         closed_form=lambda beta, dth, p: ws.closed_form_distribution_cartan(beta, dth, p["c1"], p["c2"]),
-        small_angle=lambda n, beta, dth, p: (
-            _local_term(n, beta, dth),
-            n * 2.0 * (p["c1"] - p["c2"]) ** 2 * ws.g_beta(beta),
+        small_angle=lambda n, f, g, dth, p: (
+            _local_term(n, f, dth),
+            n * 2.0 * (p["c1"] - p["c2"]) ** 2 * g,
         ),
     ),
     "separable_xzx": Entangler(
@@ -93,8 +94,8 @@ ENTANGLERS = {
         ),
         unitary=lambda p: model.separable_xzx(model.SeparableXZXParams(p["c"], p["l"], p["m"], p["nz"])),
         closed_form=lambda beta, dth, p: ws.closed_form_distribution_separable(beta, dth, p["c"], p["m"]),
-        small_angle=lambda n, beta, dth, p: (
-            n * ws.f_beta(beta) * ((p["c"] + dth) ** 2 / 4.0 + (p["m"] + dth) ** 2 / 4.0),
+        small_angle=lambda n, f, g, dth, p: (
+            n * f * ((p["c"] + dth) ** 2 / 4.0 + (p["m"] + dth) ** 2 / 4.0),
             0.0,
         ),
     ),

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 
 class WorkFdrError(Exception):
     """Base class for every error raised by this package."""
@@ -69,3 +71,11 @@ def require_beta(beta: float) -> float:
     if beta < 0.0:
         raise ValidationError(f"beta must be non-negative, got {beta}")
     return float(beta)
+
+
+def require_betas(betas) -> np.ndarray:
+    """require_beta at every beta of a sequence, as a float64 array: a float64 array in one numpy
+    pass, anything else (and an array that fails it, to name the first bad beta) one at a time."""
+    if isinstance(betas, np.ndarray) and betas.dtype == np.float64 and ((betas >= 0.0) & (betas < math.inf)).all():
+        return betas
+    return np.array([require_beta(b) for b in betas], dtype=np.float64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_beta, require_finite
+from .errors import require_betas, require_finite
 from .linalg import _freeze, kron
 
 PAULI_X = _freeze(np.array([[0, 1], [1, 0]], dtype=np.complex128))
@@ -113,6 +113,6 @@ def bipartite_quench(delta_theta: float) -> np.ndarray:
 def gibbs_populations(beta, energies: tuple[float, ...], dtype=np.float64) -> np.ndarray:
     """Thermal populations exp(-beta*E)/Z of a diagonal spectrum, one row per beta if beta
     is a sequence; exact enumeration takes dtype=numpy.longdouble."""
-    betas = np.array([require_beta(b) for b in (beta if np.ndim(beta) else [beta])], dtype=dtype)
+    betas = require_betas(beta if np.ndim(beta) else [beta]).astype(dtype)
     weights = np.exp(-betas.reshape(np.shape(beta) + (1,)) * np.asarray(energies, dtype=dtype))
     return _freeze(weights / weights.sum(axis=-1, keepdims=True))

@@ -32,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Philox
 
 from . import work_stats as ws
 from .entanglers import DEFAULT_KIND, ENTANGLERS
@@ -190,7 +189,7 @@ def _simulate_batch(
     shape = (count, last_step - first_step)
     first_thresholds = _thresholds(population_cdf[:-1])
     second_thresholds = _thresholds(born_cdf_rows[:, :-1])  # [first outcome, j]
-    bits = Philox(key=np.uint64(master_seed))
+    bits = np.random.Philox(key=np.uint64(master_seed))  # numpy loads np.random on this first use
     bits.advance(start * _blocks_per_trajectory(n_steps) + first_step // _DRAWS_PER_STEP)
     words = bits.random_raw(count * _WORDS_PER_BLOCK * _blocks_per_trajectory(shape[1]))
     # one pass from interleaved (step, outcome) words to contiguous draws [outcome, trajectory, step]

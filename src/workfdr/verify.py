@@ -66,7 +66,8 @@ def check_02_small_angle_convergence() -> CheckResult:
     def two_qubit(n: int, kind: str, **totals: float) -> tuple[float, float]:
         config = ProtocolConfig(beta, n, 1.0, kind, **totals)
         step = ws.step_distribution_bipartite(beta, config.step_quench(), config.step_entangler())
-        approx = ENTANGLERS[kind].small_angle(n, beta, config.delta_theta, config.step_params())
+        approx = ENTANGLERS[kind].small_angle(n, ws.f_beta(beta), ws.g_beta(beta), config.delta_theta,
+                                              config.step_params())
         return ws.q_correction(step, beta, n).q_value, sum(approx)
 
     families = {

@@ -27,7 +27,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError, ValidationError, require_beta, require_finite, require_int
+from .errors import UnsupportedDimensionError, ValidationError, require_beta, require_betas, require_finite, require_int
 from .linalg import check_unitary
 from .model import SINGLE_QUBIT_ENERGIES, TWO_QUBIT_ENERGIES, gibbs_populations, rotation_x
 
@@ -51,11 +51,17 @@ class WorkDistribution:
     probs: tuple
 
     def __post_init__(self):
-        support, probs = self.support, self.probs
+        support = self.support
+        try:
+            probs = np.asarray(self.probs)
+        except ValueError:  # a ragged nesting
+            probs = np.asarray(None)
+        if probs.ndim != 1 or probs.dtype.kind not in "iuf":
+            raise ValidationError(f"probabilities must be one row of real numbers, got {self.probs!r}")
         integers = all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, support)))
         if not integers or any(b <= a for a, b in zip(support, support[1:])) or len(support) != len(probs):
             raise ValidationError(f"support {support!r} is not {len(probs)} strictly increasing integers")
-        probs = _checked_rows(support, np.array([probs], dtype=_LD))[0]
+        probs = _checked_rows(support, probs.astype(_LD)[None])[0]
         nonzero = (probs != 0.0).tolist()
         object.__setattr__(self, "support", tuple(int(w) for w in compress(support, nonzero)))
         object.__setattr__(self, "probs", tuple(compress(probs, nonzero)))
@@ -81,17 +87,30 @@ class QReport:
     n_steps: int
 
 
+def _f(beta: float) -> float:
+    return beta / 2.0 - math.tanh(beta / 2.0)
+
+
+def _g(beta: float) -> float:
+    sech = 2.0 * math.exp(-beta) / (1.0 + math.exp(-2.0 * beta))
+    return beta / (1.0 + sech) - math.tanh(beta / 2.0)
+
+
 def f_beta(beta: float) -> float:
     """Local-coherence temperature profile beta/2 - tanh(beta/2); zero at beta = 0."""
-    beta = require_beta(beta)
-    return beta / 2.0 - math.tanh(beta / 2.0)
+    return _f(require_beta(beta))
 
 
 def g_beta(beta: float) -> float:
     """Entanglement temperature profile beta/(1 + sech(beta)) - tanh(beta/2)."""
-    beta = require_beta(beta)
-    sech = 2.0 * math.exp(-beta) / (1.0 + math.exp(-2.0 * beta))
-    return beta / (1.0 + sech) - math.tanh(beta / 2.0)
+    return _g(require_beta(beta))
+
+
+def profiles(betas) -> tuple[np.ndarray, np.ndarray]:
+    """f(beta) and g(beta) at every beta of a grid, as float64 arrays: the grid is checked once,
+    then each is one scalar evaluation per beta, as f_beta and g_beta make it."""
+    betas = require_betas(betas).tolist()
+    return np.array([_f(beta) for beta in betas]), np.array([_g(beta) for beta in betas])
 
 
 def _checked_rows(support, probs: np.ndarray) -> np.ndarray:
@@ -301,7 +320,7 @@ def q_grid(support, probs, betas, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns float64 arrays (mean_work, var_work, q_value), each row computed in
     q_correction's operation order.
     """
-    betas = np.array([require_beta(b) for b in betas], dtype=_LD)
+    betas = require_betas(betas).astype(_LD)
     n = require_int("n", n, minimum=1)
     mean_step, var_step = _moments_rows(support, probs)
     mean_work = n * mean_step
@@ -335,19 +354,27 @@ def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
     return n * s * ((beta / 2.0) * (1.0 - s * t * t) - t)
 
 
-def small_angle_terms(terms, *args) -> tuple[float, float]:
-    """terms(*args), a small-angle (f_term, g_term) pair; ValidationError if their sum overflows a float."""
-    try:  # float ** raises past about 1.3e154, while n * x gives inf and inf * 0 gives nan
-        f_term, g_term = terms(*args)
-    except OverflowError:
-        f_term = g_term = math.inf
-    if not math.isfinite(f_term + g_term):
+def small_angle_terms(terms, *args) -> tuple:
+    """terms(*args), a small-angle (f_term, g_term) pair, of floats or of arrays over a beta grid;
+    ValidationError if any of their sums overflows a float."""
+    with np.errstate(over="ignore", invalid="ignore"):  # n * x gives inf and inf * 0 gives nan
+        try:  # float ** raises past about 1.3e154
+            f_term, g_term = terms(*args)
+        except OverflowError:
+            f_term = g_term = math.inf
+        finite = np.isfinite(f_term + g_term)
+    if not finite.all():
         raise ValidationError("angles too large: the small-angle prediction overflows a float")
     return f_term, g_term
+
+
+def q_single_terms(n: int, f, g, delta_theta: float, params=None) -> tuple:
+    """Small-angle (f_term, g_term) = (N*(dth^2/4)*f, 0) of the single-qubit model, in the registry's form."""
+    return small_angle_terms(lambda: (n * delta_theta**2 * f / 4.0, 0.0))
 
 
 def q_single_smallangle(n: int, beta: float, delta_theta: float) -> float:
     """Leading small-angle single-qubit correction N*(dth^2/4)*f(beta)."""
     n = require_int("n", n, minimum=1)
     require_finite(delta_theta=delta_theta)
-    return small_angle_terms(lambda: (n * delta_theta**2 * f_beta(beta) / 4.0, 0.0))[0]
+    return q_single_terms(n, f_beta(beta), None, delta_theta)[0]

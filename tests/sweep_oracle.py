@@ -90,7 +90,8 @@ def q_report(p: dict) -> dict:
         f_term, g_term = q_single_smallangle(n, beta, dtheta), 0.0
         step = step_single(beta, dtheta)
     else:
-        f_term, g_term = ENTANGLERS[config.entangler_kind].small_angle(n, beta, dtheta, config.step_params())
+        small_angle = ENTANGLERS[config.entangler_kind].small_angle
+        f_term, g_term = small_angle(n, f_beta(beta), g_beta(beta), dtheta, config.step_params())
         step = step_bipartite(beta, config.step_quench(), config.step_entangler())
     mean_work, var_work, q_value = q_values(step, beta, n)
     prediction = f_term + g_term
@@ -127,5 +128,5 @@ def sweep_output(argv: list[str]) -> str:
     header = ["beta", "n", "Q_exact", "Q_small_angle", "f", "g", "relative_gap"]
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        cli._emit_table(args, cli._spec_echo(p), header, rows)
+        cli._emit_table(args, cli._spec_echo(p), header, [rows])
     return buffer.getvalue()

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +253,55 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert not list(tmp_path.glob(".workfdr-*"))  # no temp litter
 
 
+@pytest.mark.parametrize("two_qubit", [False, True])
+def test_refused_sweep_writes_nothing(capsys, tmp_path, two_qubit):
+    # the small-angle f term (N = 1) overflows at the last beta only, a block of betas after the first
+    grid = "1:1000:0.1"
+    betas = cli._parse_grid(grid, integral=False)
+    assert len(betas) > cli._SWEEP_BLOCK
+    f_last, f_before = work_stats.f_beta(betas[-1]), work_stats.f_beta(betas[-2])
+    if two_qubit:  # N * theta^2 / 2 * f
+        theta = math.sqrt(2.0) * math.sqrt(sys.float_info.max / f_before) * (1.0 - 1e-9)
+        terms = lambda f: ENTANGLERS["none"].small_angle(1, f, 0.0, theta, {})
+    else:  # N * theta^2 * f / 4
+        theta = math.sqrt(sys.float_info.max / f_before) * (1.0 - 1e-9)
+        terms = lambda f: work_stats.q_single_terms(1, f, 0.0, theta)
+    assert math.isfinite(sum(terms(f_before)))
+    with pytest.raises(ValidationError, match="angles too large"):
+        terms(f_last)
+    argv = ["sweep", "--beta-grid", grid, "--n", "1", "--theta", repr(theta), *(["--two-qubit"] * two_qubit)]
+    target = tmp_path / "sweep.out"
+    for fmt in ("csv", "json"):
+        for output in ([], ["--output", str(target)]):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt, *output)
+            assert code == 2 and out == "" and err.startswith("error: angles too large"), (fmt, output)
+    assert not target.exists() and not list(tmp_path.glob(".workfdr-*.tmp"))
+
+
+def test_numpy_random_is_loaded_on_first_use():
+    # only the Monte Carlo kernel draws random numbers; every other command leaves numpy.random unloaded
+    golden = Path(__file__).parent / "golden"
+    script = """if True:
+        import contextlib, io, sys
+        import workfdr.cli
+        assert "numpy.random" not in sys.modules, "import"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert workfdr.cli.main(["q", "--beta", "1.3", "--n", "40", "--entangler", "rxx",
+                                     "--theta", "0.8", "--phi", "0.6"]) == 0
+        assert "numpy.random" not in sys.modules, "q"
+        from workfdr import ProtocolConfig, estimate
+        assert "numpy.random" not in sys.modules, "names"
+        assert workfdr.cli.main(["sample", "--beta", "1.3", "--n", "20", "--entangler", "rxx", "--theta", "0.8",
+                                 "--phi", "0.6", "--trajectories", "2000", "--seed", "7"]) == 0
+        assert "numpy.random" in sys.modules, "sample"
+    """
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=False)
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == (golden / "sample_rxx.out").read_bytes()
+
+
 def test_invalid_inputs_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "q", "--beta", "-1", "--n", "10", "--theta", "0.1")
     assert code == 2
@@ -387,7 +440,7 @@ def test_a_new_entangler_kind_is_one_registry_entry(capsys, monkeypatch, tmp_pat
         params=(Param("dzz", "zz", "zz crosstalk angle"),),
         unitary=lambda p: model.cartan_entangler(model.CartanCoefficients(0.0, 0.0, p["dzz"])),
         closed_form=lambda beta, dth, p: work_stats.closed_form_distribution_cartan(beta, dth, 0.0, 0.0),
-        small_angle=lambda n, beta, dth, p: (n * dth**2 / 2.0 * work_stats.f_beta(beta), 0.0),
+        small_angle=lambda n, f, g, dth, p: (n * dth**2 / 2.0 * f, 0.0),
     )
     monkeypatch.setitem(ENTANGLERS, "zz", crosstalk)
     config = ProtocolConfig(1.0, 10, 0.5, "zz", total_zz=0.7)

@@ -194,7 +194,7 @@ def _recorded_estimate(monkeypatch, config, n_trajectories, seed):
         calls.append((start, count, first_step, last_step, works))
         return works
 
-    monkeypatch.setattr(sampler, "Philox", CountingPhilox)
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
     monkeypatch.setattr(sampler, "_simulate_batch", recording)
     stats = estimate(config, n_trajectories, seed)
     order = sorted(range(len(calls)), key=lambda i: calls[i][:3])

@@ -94,13 +94,31 @@ def test_sweep_bytes_equal_point_loop(variant, fmt):
         assert buffer.getvalue() == sweep_oracle.sweep_output(argv), argv
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_bytes_do_not_depend_on_the_block_size(monkeypatch, fmt):
+    # blocks of betas (computing) and of rows (writing) that split the grid and the N values of one beta
+    argv = ["--beta-grid", "700,0,1e-300,1.3,0.5,1.3,12000,400,5000", "--n-grid", "400,1,3,3", *VARIANTS["cartan"],
+            "--format", fmt]
+    expected = sweep_oracle.sweep_output(argv)
+    for block in (1, 3, 7):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert cli.main(["sweep", *argv]) == 0
+        assert buffer.getvalue() == expected, block
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_q_is_the_one_point_case(variant):
     for beta in (0.0, 1.3, 12000.0):
         for n in STEPS:
             p = _point(variant, beta, n)
-            fg = [(work_stats.f_beta(beta), work_stats.g_beta(beta))]
-            assert list(cli._q_reports(p, n, [beta], fg)) == [sweep_oracle.q_report(p)], (beta, n)
+            betas = np.array([beta])
+            columns = cli._q_reports(p, n, betas, *work_stats.profiles(betas))
+            assert all(len(column) == 1 for column in columns.values())
+            report = {key: column[0] for key, column in columns.items()}
+            expected = sweep_oracle.q_report(p)
+            assert list(report) == list(expected) and report == expected, (beta, n)
 
 
 def test_one_grid_per_distinct_n(monkeypatch, capsys):

@@ -57,7 +57,7 @@ def bipartite_quench(dth):
 
 def small_angle_q(kind, n, beta, dth, **params):
     """The small-angle Q of an entangler kind: the sum of its registry entry's f and g terms."""
-    return sum(ENTANGLERS[kind].small_angle(n, beta, dth, params))
+    return sum(ENTANGLERS[kind].small_angle(n, f_beta(beta), g_beta(beta), dth, params))
 
 
 # ---------------------------------------------------------------- f and g ---
@@ -331,6 +331,24 @@ def test_constructor_refuses_other_malformed_inputs():
     assert dist.probs[1] == np.longdouble(0.75) + np.longdouble(1e-15)
 
 
+def test_constructor_refuses_a_nested_probability_row():
+    # accepted before: _checked_rows summed the (1, 2, 2) array over the wrong axis, and probs held two arrays
+    with pytest.raises(ValidationError, match="one row of real numbers"):
+        WorkDistribution((0, 1), ((0.5, 0.5), (0.5, 0.5)))
+
+
+def test_constructor_refuses_a_scalar_probability():
+    # a bare TypeError (len of a float) before
+    with pytest.raises(ValidationError, match="one row of real numbers"):
+        WorkDistribution((0,), 1.0)
+
+
+def test_constructor_refuses_non_numeric_probabilities():
+    # a bare ValueError (a string numpy cannot convert) before
+    with pytest.raises(ValidationError, match="one row of real numbers"):
+        WorkDistribution((0,), ("a",))
+
+
 def test_constructor_drops_zero_entries():
     dist = WorkDistribution((0, 1), (1.0, 0.0))
     assert dist.support == (0,) and dist.probs == (1.0,)
@@ -438,9 +456,9 @@ def test_small_angle_predictions_refuse_angles_that_overflow():
             case()
     # a kind added at run time is checked too
     crosstalk = Entangler(params=(), unitary=ENTANGLERS["none"].unitary, closed_form=ENTANGLERS["none"].closed_form,
-                          small_angle=lambda n, beta, dth, p: (n * dth**2, 0.0))
+                          small_angle=lambda n, f, g, dth, p: (n * dth**2, 0.0))
     with pytest.raises(ValidationError, match="angles too large"):
-        crosstalk.small_angle(10, 1.0, 1e200, {})
+        crosstalk.small_angle(10, f_beta(1.0), g_beta(1.0), 1e200, {})
     # the largest finite predictions keep their values
     assert q_single_smallangle(10**9, 1.0, 1e149) == 10**9 * 1e149**2 * f_beta(1.0) / 4.0
     assert small_angle_q("rxx", 1, 1.0, 0.0, dphi=1e154) == 1e154**2 / 2.0 * g_beta(1.0)
