@@ -3,7 +3,7 @@ discrete two-point-measurement protocol: exact enumeration, closed-form
 cross-checks, entanglement negativity, and seeded Monte Carlo validation."""
 
 from .entanglement import NegativityResult, negativity, negativity_cartan_basis
-from .entanglers import ENTANGLERS, Entangler
+from .entanglers import ENTANGLERS, SINGLE_QUBIT, Entangler
 from .errors import (
     ContractViolationError,
     NumericFailureError,
@@ -36,9 +36,9 @@ from .work_stats import (
     moments,
     q_correction,
     q_single_exact,
-    q_single_smallangle,
+    step_distribution,
     step_distribution_bipartite,
-    step_distribution_single,
+    step_grid,
 )
 
 __version__ = "0.1.0"
@@ -52,6 +52,7 @@ __all__ = [
     "NumericFailureError",
     "ProtocolConfig",
     "QReport",
+    "SINGLE_QUBIT",
     "SampleStats",
     "SeparableXZXParams",
     "UnsupportedDimensionError",
@@ -77,12 +78,12 @@ __all__ = [
     "partial_transpose_A",
     "q_correction",
     "q_single_exact",
-    "q_single_smallangle",
     "rotation_x",
     "rotation_z",
     "rxx",
     "separable_xzx",
+    "step_distribution",
     "step_distribution_bipartite",
-    "step_distribution_single",
+    "step_grid",
     "__version__",
 ]

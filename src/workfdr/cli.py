@@ -22,9 +22,8 @@ import numpy as np
 from . import __version__
 from . import work_stats as ws
 from .entanglement import cartan_basis_negativities
-from .entanglers import DEFAULT_KIND, ENTANGLERS, Param, all_params
+from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT, Entangler, Param, all_params
 from .errors import WorkFdrError, ValidationError, require_finite, require_int
-from .model import bipartite_quench
 from .sampler import ProtocolConfig, estimate, exact_reference, require_run
 
 _MAX_GRID_POINTS = 1_000_000  # per grid, and per sweep
@@ -91,8 +90,9 @@ def _emit_table(args, spec: dict, header: list[str], blocks) -> None:
     _write_output(lines, args.output)
 
 
-def _single_qubit(p: dict) -> bool:
-    return p["entangler"] == DEFAULT_KIND and not p["two_qubit"]
+def _model(p: dict) -> Entangler:
+    """The one model of a command: SINGLE_QUBIT for the identity without --two-qubit, else the kind's entry."""
+    return SINGLE_QUBIT if p["entangler"] == DEFAULT_KIND and not p["two_qubit"] else ENTANGLERS[p["entangler"]]
 
 
 def _config(p: dict) -> ProtocolConfig:
@@ -102,14 +102,8 @@ def _config(p: dict) -> ProtocolConfig:
 
 def cmd_dist(args) -> int:
     p = _params(args)
-    beta, dtheta, entangler = p["beta"], p["dtheta"], ENTANGLERS[p["entangler"]]
-    if _single_qubit(p):
-        exact = ws.step_distribution_single(beta, dtheta)
-        closed = ws.closed_form_distribution_single(beta, dtheta)
-    else:
-        exact = ws.step_distribution_bipartite(beta, bipartite_quench(dtheta), entangler.unitary(p))
-        closed = entangler.closed_form(beta, dtheta, p)
-    rows = ws.distribution_rows(exact, closed)
+    beta, dtheta, model = p["beta"], p["dtheta"], _model(p)
+    rows = ws.distribution_rows(model.step_distribution(beta, dtheta, p), model.closed_form(beta, dtheta, p))
     _emit_table(args, _spec_echo(p), ["w", "P_exact", "P_closed_form", "abs_diff"], [rows])
     return 0
 
@@ -124,14 +118,10 @@ def _q_reports(p: dict, n: int, betas: np.ndarray, f: np.ndarray, g: np.ndarray)
     """The 13 `q` fields of one N at each beta (f, g their profiles), as columns in `q`'s key
     order: float64 arrays, and a list of ints for n_steps. Betas come sorted, so the inputs are
     checked at the first; the small-angle terms come before the grid: they refuse too large angles."""
-    config = _config(dict(p, beta=float(betas[0]), n=n))
-    dtheta, single = config.delta_theta, _single_qubit(p)
-    small_angle = ws.q_single_terms if single else ENTANGLERS[config.entangler_kind].small_angle
-    f_term, g_term = (np.broadcast_to(term, betas.shape) for term in small_angle(n, f, g, dtheta, config.step_params()))
-    if single:
-        grid = ws.step_grid_single(betas, dtheta)
-    else:
-        grid = ws.step_grid_bipartite(betas, config.step_quench(), config.step_entangler())
+    config, model = _config(dict(p, beta=float(betas[0]), n=n)), _model(p)
+    dtheta, params = config.delta_theta, config.step_params()
+    f_term, g_term = (np.broadcast_to(term, betas.shape) for term in model.small_angle(n, f, g, dtheta, params))
+    grid = ws.step_grid(betas, model.step_unitary(dtheta, params), model.energies)
     mean_work, var_work, q_value = ws.q_grid(*grid, betas, n)
     prediction = f_term + g_term
     return {

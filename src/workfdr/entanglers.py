@@ -1,17 +1,19 @@
 """The entangler registry: one entry per two-qubit entangler kind, read by the
 CLI, ProtocolConfig and the verification suite, so a new kind is one entry.
 
-An entry holds its parameter specs, the per-step 4x4 unitary, the closed-form
-step distribution, and the small-angle Q as (f_term, g_term): the prediction
-of a kind is sum(ENTANGLERS[kind].small_angle(n, f, g, dth, params)), with f
-and g the profiles f_beta(beta) and g_beta(beta), or arrays of them over a beta
-grid, and there is no other. The identity, DEFAULT_KIND, is the kind under
-which the two qubits are independent copies of the single-qubit model. This is the one
-place a parameter is named: the CLI flags, --config keys and ProtocolConfig's
-total_<name> keywords are derived from the specs when they are used. The
-callables take the per-step parameters as a mapping keyed by the specs' step
-names and look functions up on their modules at call time, so a replaced
-module attribute (a test's mutant, a profiler's wrapper) is seen here too.
+An entry holds its parameter specs, the per-step entangler unitary, the
+closed-form step distribution, and the small-angle Q as (f_term, g_term): the
+prediction of a kind is sum(ENTANGLERS[kind].small_angle(n, f, g, dth, params)),
+with f and g the profiles f_beta(beta) and g_beta(beta), or arrays of them over
+a beta grid, and there is no other. The spectrum and the local quench default
+to two qubits'; SINGLE_QUBIT is the one-qubit model as an entry of the same
+shape, outside the registry. The identity, DEFAULT_KIND, is the kind under which
+the two qubits are independent copies of it. This is the one place a parameter
+is named: the CLI flags, --config keys and ProtocolConfig's total_<name>
+keywords are derived from the specs when they are used. The callables take the
+per-step parameters as a mapping keyed by the specs' step names and look
+functions up on their modules at call time, so a replaced module attribute (a
+test's mutant, a profiler's wrapper) is seen here too.
 """
 
 from __future__ import annotations
@@ -39,15 +41,25 @@ class Param:
 
 @dataclass(frozen=True)
 class Entangler:
-    """One entangler kind."""
+    """One entangler kind: a model whose step is quench(dth) @ unitary(params) on energies."""
 
     params: tuple[Param, ...]
     unitary: Callable[[Mapping], np.ndarray]
     closed_form: Callable[[float, float, Mapping], ws.WorkDistribution]
     small_angle: Callable[[int, float, float, float, Mapping], tuple[float, float]]
+    energies: tuple[float, ...] = model.TWO_QUBIT_ENERGIES
+    quench: Callable[[float], np.ndarray] = lambda dth: model.bipartite_quench(dth)
 
     def __post_init__(self):  # every kind refuses angles whose prediction overflows a float
         object.__setattr__(self, "small_angle", functools.partial(ws.small_angle_terms, self.small_angle))
+
+    def step_unitary(self, dth: float, p: Mapping) -> np.ndarray:
+        """The per-step unitary: the local quench, then the entangler."""
+        return self.quench(dth) @ self.unitary(p)
+
+    def step_distribution(self, beta: float, dth: float, p: Mapping) -> ws.WorkDistribution:
+        """The enumerated step distribution at one beta."""
+        return ws.step_distribution(beta, self.step_unitary(dth, p), self.energies)
 
 
 def _local_term(n: int, f, delta_theta: float):
@@ -100,6 +112,17 @@ ENTANGLERS = {
         ),
     ),
 }
+
+
+# the one-qubit model; the --entangler none protocol without --two-qubit
+SINGLE_QUBIT = Entangler(
+    params=(),
+    unitary=lambda p: linalg.identity(2),
+    closed_form=lambda beta, dth, p: ws.closed_form_distribution_single(beta, dth),
+    small_angle=lambda n, f, g, dth, p: (n * dth**2 * f / 4.0, 0.0),
+    energies=model.SINGLE_QUBIT_ENERGIES,
+    quench=lambda dth: model.rotation_x(dth),
+)
 
 
 def all_params() -> list[Param]:

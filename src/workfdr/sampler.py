@@ -6,10 +6,10 @@ with trajectory i owning counter blocks [i*B, (i+1)*B) where B = ceil(2N/4)
 two draws per step. Every trajectory is therefore reproducible in isolation,
 and results depend only on (config, master_seed, trajectory count) -- never on
 batching, scheduling, or worker count. Outcome sampling is inverse-CDF over at
-most four outcomes, drawn from the Born amplitudes directly rather than from
-the exact work-distribution pipeline, so statistical agreement with that
-pipeline is an independent check. A scalar one-step-at-a-time version of the
-batch kernel is kept in the test suite (tests/mc_oracle.py) as its oracle.
+most four outcomes, drawn from the step's Born moduli (work_stats.born_moduli,
+in float64) rather than from the enumerated work distribution, so statistical
+agreement with the enumeration checks it. A scalar one-step-at-a-time version
+of the batch kernel is kept in the test suite (tests/mc_oracle.py) as its oracle.
 
 The batch kernel compares raw Philox words with integer thresholds, which
 picks the same outcomes as the oracle's float uniforms (see _thresholds). One
@@ -36,8 +36,7 @@ import numpy as np
 from . import work_stats as ws
 from .entanglers import DEFAULT_KIND, ENTANGLERS
 from .errors import ContractViolationError, ValidationError, require_beta, require_finite, require_int
-from .linalg import check_unitary
-from .model import TWO_QUBIT_ENERGIES, bipartite_quench, gibbs_populations
+from .model import TWO_QUBIT_ENERGIES, gibbs_populations
 
 BORN_NORMALIZATION_TOL = 1e-10
 _DRAWS_PER_STEP = 2
@@ -52,7 +51,9 @@ class ProtocolConfig:
 
     The entangler's totals are keywords total_<name>, one per total name of the
     kind's registry specs (total_phi for rxx, total_c1..total_c3 for cartan, ...),
-    and are kept in `totals` under that name; an omitted total is 0.
+    and are kept in `totals` under that name; an omitted total is 0. step_unitary()
+    is the kind's Entangler.step_unitary at the per-step values: always two qubits,
+    so a kind "none" config is two independent copies of SINGLE_QUBIT.
     """
 
     beta: float
@@ -84,11 +85,8 @@ class ProtocolConfig:
         params = ENTANGLERS[self.entangler_kind].params
         return {spec.step: self.totals[spec.total] / self.n_steps for spec in params}
 
-    def step_quench(self) -> np.ndarray:
-        return bipartite_quench(self.delta_theta)
-
-    def step_entangler(self) -> np.ndarray:
-        return ENTANGLERS[self.entangler_kind].unitary(self.step_params())
+    def step_unitary(self) -> np.ndarray:
+        return ENTANGLERS[self.entangler_kind].step_unitary(self.delta_theta, self.step_params())
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class SampleStats:
 def exact_reference(config: ProtocolConfig) -> tuple[float, float, float]:
     """Exact (mean_W, var_W, q_value) a Monte Carlo run of config is compared with: the
     moments of the N-fold convolution of the step distribution, and the step's Q."""
-    step = ws.step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
+    step = ws.step_distribution(config.beta, config.step_unitary())
     mean_w, var_w = ws.moments(ws.convolve_n(step, config.n_steps))
     return mean_w, var_w, ws.q_correction(step, config.beta, config.n_steps).q_value
 
@@ -127,11 +125,9 @@ def require_run(n_trajectories: int, master_seed: int, workers: int = 1) -> tupl
     )
 
 
-def _born_matrix(quench: np.ndarray, entangler: np.ndarray) -> np.ndarray:
-    """Column-stochastic Born matrix T[second, first] = |<second|quench@entangler|first>|^2."""
-    quench = check_unitary(quench)
-    entangler = check_unitary(entangler)
-    transition = np.abs(quench @ entangler) ** 2
+def _born_matrix(unitary: np.ndarray) -> np.ndarray:
+    """Column-stochastic Born matrix T[second, first] = |<second|unitary|first>|^2 in float64."""
+    transition = ws.born_moduli(unitary, dtype=np.float64)
     column_sums = transition.sum(axis=0)
     deviation = float(np.max(np.abs(column_sums - 1.0)))
     if not deviation <= BORN_NORMALIZATION_TOL:
@@ -266,7 +262,7 @@ def estimate(
     """
     n_trajectories, master_seed, workers = require_run(n_trajectories, master_seed, workers)
     population_cdf = np.cumsum(gibbs_populations(config.beta, TWO_QUBIT_ENERGIES))
-    born = _born_matrix(config.step_quench(), config.step_entangler())
+    born = _born_matrix(config.step_unitary())
     born_cdf_rows = np.cumsum(born, axis=0).T.copy()
     energies = np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64)
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import work_stats as ws
 from .entanglement import column_states, negativity, negativity_cartan_basis
-from .entanglers import ENTANGLERS
-from .model import CartanCoefficients, SeparableXZXParams, bipartite_quench, cartan_entangler, separable_xzx
+from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT
+from .model import CartanCoefficients, SeparableXZXParams, cartan_entangler, separable_xzx
 from .sampler import ProtocolConfig, estimate, exact_reference, require_run
 
 _RNG_SEED = 20250810
@@ -45,7 +45,7 @@ def check_01_single_qubit_exact_q() -> CheckResult:
     for beta in (0.1, 1.0, 5.0):
         for dth in (0.01, 0.1, 0.5):
             for n in (1, 10, 100):
-                q_dist = ws.q_correction(ws.step_distribution_single(beta, dth), beta, n).q_value
+                q_dist = ws.q_correction(SINGLE_QUBIT.step_distribution(beta, dth, {}), beta, n).q_value
                 q_closed = ws.q_single_exact(n, beta, dth)
                 worst = max(worst, abs(q_dist - q_closed) / abs(q_closed))
     return CheckResult(
@@ -57,25 +57,16 @@ def check_01_single_qubit_exact_q() -> CheckResult:
 
 
 def check_02_small_angle_convergence() -> CheckResult:
-    beta, grid = 1.0, (25, 50, 100, 200)
+    beta, grid, f, g = 1.0, (25, 50, 100, 200), ws.f_beta(1.0), ws.g_beta(1.0)
 
-    def single(n: int) -> tuple[float, float]:
-        step = ws.step_distribution_single(beta, 1.0 / n)
-        return ws.q_correction(step, beta, n).q_value, ws.q_single_smallangle(n, beta, 1.0 / n)
+    def gap(model, n: int, totals: dict) -> float:  # theta = 1 and the entangler totals, by step name
+        dth, params = 1.0 / n, {name: total / n for name, total in totals.items()}
+        q = ws.q_correction(model.step_distribution(beta, dth, params), beta, n).q_value
+        return abs(q - sum(model.small_angle(n, f, g, dth, params))) / abs(q)
 
-    def two_qubit(n: int, kind: str, **totals: float) -> tuple[float, float]:
-        config = ProtocolConfig(beta, n, 1.0, kind, **totals)
-        step = ws.step_distribution_bipartite(beta, config.step_quench(), config.step_entangler())
-        approx = ENTANGLERS[kind].small_angle(n, ws.f_beta(beta), ws.g_beta(beta), config.delta_theta,
-                                              config.step_params())
-        return ws.q_correction(step, beta, n).q_value, sum(approx)
-
-    families = {
-        "single": [single(n) for n in grid],
-        "rxx": [two_qubit(n, "rxx", total_phi=1.0) for n in grid],
-        "cartan": [two_qubit(n, "cartan", total_c1=0.8, total_c2=0.3, total_c3=0.2) for n in grid],
-    }
-    gaps = {name: [abs(q - approx) / abs(q) for q, approx in pairs] for name, pairs in families.items()}
+    families = {"single": (SINGLE_QUBIT, {}), "rxx": (ENTANGLERS["rxx"], {"dphi": 1.0}),
+                "cartan": (ENTANGLERS["cartan"], {"c1": 0.8, "c2": 0.3, "c3": 0.2})}
+    gaps = {name: [gap(model, n, totals) for n in grid] for name, (model, totals) in families.items()}
     ratios = {name: [g[i] / g[i + 1] for i in range(len(g) - 1)] for name, g in gaps.items()}
     ok = all(3.5 <= r <= 4.5 for rs in ratios.values() for r in rs)
     detail = "; ".join(
@@ -97,10 +88,8 @@ def check_03_no_entangler_reduction() -> CheckResult:
         beta = float(rng.uniform(0.1, 4.0))
         dth = float(rng.uniform(0.01, 1.0))
         n = int(rng.integers(1, 201))
-        q_two = ws.q_correction(
-            ws.step_distribution_bipartite(beta, bipartite_quench(dth), ENTANGLERS["none"].unitary({})), beta, n
-        ).q_value
-        q_one = ws.q_correction(ws.step_distribution_single(beta, dth), beta, n).q_value
+        q_two, q_one = (ws.q_correction(model.step_distribution(beta, dth, {}), beta, n).q_value
+                        for model in (ENTANGLERS[DEFAULT_KIND], SINGLE_QUBIT))
         worst = max(worst, _rel_gap(q_two, 2.0 * q_one))
     return CheckResult(
         "3",
@@ -112,30 +101,17 @@ def check_03_no_entangler_reduction() -> CheckResult:
 
 def check_04_distribution_invariances() -> CheckResult:
     rng = np.random.default_rng(_RNG_SEED + 1)
-    worst = 0.0
+    cartan, worst = ENTANGLERS["cartan"], 0.0
     for beta in rng.uniform(0.1, 3.0, 3):
         for dth in rng.uniform(0.05, 1.0, 3):
             for _ in range(3):
                 c1, c2 = rng.uniform(-0.8, 0.8, 2)
-                quench = bipartite_quench(float(dth))
-                base = ws.step_distribution_bipartite(
-                    float(beta), quench, cartan_entangler(CartanCoefficients(c1, c2, 0.0))
+                delta, c3 = float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-1.5, 1.5))
+                base, shifted, rotated = (
+                    cartan.step_distribution(float(beta), float(dth), {"c1": a, "c2": b, "c3": c})
+                    for a, b, c in ((c1, c2, 0.0), (c1 + delta, c2 + delta, 0.0), (c1, c2, c3))
                 )
-                delta = float(rng.uniform(-0.5, 0.5))
-                shifted = ws.step_distribution_bipartite(
-                    float(beta),
-                    quench,
-                    cartan_entangler(CartanCoefficients(c1 + delta, c2 + delta, 0.0)),
-                )
-                c3 = float(rng.uniform(-1.5, 1.5))
-                rotated = ws.step_distribution_bipartite(
-                    float(beta), quench, cartan_entangler(CartanCoefficients(c1, c2, c3))
-                )
-                worst = max(
-                    worst,
-                    ws.distribution_distance(base, shifted),
-                    ws.distribution_distance(base, rotated),
-                )
+                worst = max(worst, ws.distribution_distance(base, shifted), ws.distribution_distance(base, rotated))
     return CheckResult(
         "4",
         "distribution invariances under (c1,c2) common shift and arbitrary c3 (1e-12)",
@@ -147,10 +123,9 @@ def check_04_distribution_invariances() -> CheckResult:
 def check_05_separable_null_result() -> CheckResult:
     n = 200
     dth, c, l, m, nz = 1.0 / n, 0.4 / n, 0.3 / n, 0.6 / n, 0.2 / n
-    quench = bipartite_quench(dth)
-    entangler = separable_xzx(SeparableXZXParams(c, l, m, nz))
+    unitary = ENTANGLERS["separable_xzx"].step_unitary(dth, {"c": c, "l": l, "m": m, "nz": nz})
     betas = np.arange(0.2, 5.0 + 1e-9, 0.05).tolist()
-    per_step_q = ws.q_grid(*ws.step_grid_bipartite(betas, quench, entangler), betas, 1)[2]
+    per_step_q = ws.q_grid(*ws.step_grid(betas, unitary), betas, 1)[2]
     design = np.column_stack([[ws.f_beta(b) for b in betas], [ws.g_beta(b) for b in betas]])
     (coef_f, coef_g), *_ = np.linalg.lstsq(design, per_step_q, rcond=None)
     predicted_f = (c + dth) ** 2 / 4.0 + (m + dth) ** 2 / 4.0
@@ -190,19 +165,15 @@ def check_07_jarzynski() -> CheckResult:
     rng = np.random.default_rng(_RNG_SEED + 3)
     worst_step = 0.0
     worst_total = 0.0
-    # per-step angle range of each entangler; every fourth step is a single-qubit one
-    ranges = {"rxx": (0.0, 0.8), "cartan": (-0.6, 0.6), "separable_xzx": (-0.8, 0.8)}
+    # each model with its per-step angle range, in turn: every fourth step is a single-qubit one
+    models = [(SINGLE_QUBIT, (0.0, 0.0)), (ENTANGLERS["rxx"], (0.0, 0.8)), (ENTANGLERS["cartan"], (-0.6, 0.6)),
+              (ENTANGLERS["separable_xzx"], (-0.8, 0.8))]
     for index in range(20):
         beta = float(rng.uniform(0.05, 2.5))
         dth = float(rng.uniform(0.0, 0.6))
-        kind = (None, *ranges)[index % 4]
-        if kind is None:
-            dist = ws.step_distribution_single(beta, dth)
-        else:
-            specs = ENTANGLERS[kind].params
-            angles = rng.uniform(*ranges[kind], len(specs))
-            entangler = ENTANGLERS[kind].unitary({spec.step: float(a) for spec, a in zip(specs, angles)})
-            dist = ws.step_distribution_bipartite(beta, bipartite_quench(dth), entangler)
+        model, bounds = models[index % 4]
+        angles = rng.uniform(*bounds, len(model.params))  # no draw for SINGLE_QUBIT's no angles
+        dist = model.step_distribution(beta, dth, {spec.step: float(a) for spec, a in zip(model.params, angles)})
         worst_step = max(worst_step, abs(ws.jarzynski_check(dist, beta) - 1.0))
         worst_total = max(worst_total, abs(ws.jarzynski_check(ws.convolve_n(dist, 200), beta) - 1.0))
     passed = worst_step <= 1e-12 and worst_total <= 1e-11
@@ -276,8 +247,7 @@ def check_09_monte_carlo(n_trajectories: int, seed: int) -> CheckResult:
 
 
 def check_10_cross_oracle() -> CheckResult:
-    worst = 0.0
-    count = 0
+    cartan, worst, count = ENTANGLERS["cartan"], 0.0, 0
     for beta in (0.0, 0.5, 1.0, 2.5):
         for dth in (0.0, 0.1, 0.5, 1.2):
             for c1, c2, c3 in (
@@ -288,10 +258,8 @@ def check_10_cross_oracle() -> CheckResult:
                 (-0.4, 0.3, -0.9),
                 (0.7, 0.1, 1.3),
             ):
-                enumerated = ws.step_distribution_bipartite(
-                    beta, bipartite_quench(dth), cartan_entangler(CartanCoefficients(c1, c2, c3))
-                )
-                closed = ws.closed_form_distribution_cartan(beta, dth, c1, c2)
+                p = {"c1": c1, "c2": c2, "c3": c3}
+                enumerated, closed = cartan.step_distribution(beta, dth, p), cartan.closed_form(beta, dth, p)
                 worst = max(worst, ws.distribution_distance(enumerated, closed))
                 count += 1
     return CheckResult(

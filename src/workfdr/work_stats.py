@@ -1,6 +1,6 @@
 """Work statistics of the discrete two-point-measurement (TPM) protocol.
 
-Per-step work distributions (exact 16-term enumeration and closed forms),
+Per-step work distributions (exact enumeration and closed forms),
 N-fold convolution, cumulants, the Jarzynski identity check, and the
 fluctuation-dissipation correction with its small-angle predictions.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import UnsupportedDimensionError, ValidationError, require_beta, require_betas, require_finite, require_int
 from .linalg import check_unitary
-from .model import SINGLE_QUBIT_ENERGIES, TWO_QUBIT_ENERGIES, gibbs_populations, rotation_x
+from .model import TWO_QUBIT_ENERGIES, gibbs_populations
 
 PROB_CLAMP = 1e-14
 NORMALIZATION_TOL = 1e-12
@@ -142,42 +142,34 @@ def _enumerate(populations: np.ndarray, transition: np.ndarray, energies) -> tup
     return tuple(support), _checked_rows(support, probs)
 
 
-def step_grid_single(betas, delta_theta: float) -> tuple[tuple[int, ...], np.ndarray]:
-    """Single-qubit step distributions at every beta: the sorted support and one row of
-    probabilities per beta, zeros kept."""
-    transition = np.abs(rotation_x(delta_theta)).astype(_LD) ** 2
-    populations = gibbs_populations(betas, SINGLE_QUBIT_ENERGIES, dtype=_LD)
-    return _enumerate(populations, transition, SINGLE_QUBIT_ENERGIES)
+def born_moduli(unitary: np.ndarray, dtype=_LD) -> np.ndarray:
+    """Born matrix T[second, first] = |<second|U|first>|^2 of a checked unitary, in dtype."""
+    return np.abs(check_unitary(unitary)).astype(dtype) ** 2
 
 
-def step_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
-    """Work distribution of one single-qubit step, by enumeration of both outcomes."""
-    support, probs = step_grid_single([require_beta(beta)], delta_theta)
+def step_grid(betas, unitary: np.ndarray, energies=TWO_QUBIT_ENERGIES) -> tuple[tuple[int, ...], np.ndarray]:
+    """Step distributions at every beta (each >= 0) by enumeration of the outcome pairs: the first
+    from the Gibbs populations of energies, the second from born_moduli(unitary), the step's one
+    unitary (two qubits: quench @ entangler); equal work values (the degenerate |01>/|10> levels)
+    aggregate. Returns the sorted support and one longdouble row of probabilities per beta, zeros kept."""
+    dim = len(energies)
+    if np.shape(unitary) != (dim, dim):
+        raise UnsupportedDimensionError(f"{dim} levels take a {dim}x{dim} unitary, not shape {np.shape(unitary)}")
+    populations = gibbs_populations(betas, energies, dtype=_LD)
+    return _enumerate(populations, born_moduli(unitary), energies)
+
+
+def step_distribution(beta: float, unitary: np.ndarray, energies=TWO_QUBIT_ENERGIES) -> WorkDistribution:
+    """Work distribution of one step: the one-beta case of step_grid."""
+    support, probs = step_grid([require_beta(beta)], unitary, energies)
     return WorkDistribution(support, probs[0])
-
-
-def step_grid_bipartite(betas, quench: np.ndarray, entangler: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Two-qubit step distributions at every beta (each >= 0), by exhaustive 16-pair enumeration.
-
-    The Born amplitudes are taken from quench @ entangler (4x4 unitaries: the
-    local quench, then the entangler applied between the two measurements), the
-    first outcome from the diagonal two-qubit Gibbs populations; outcome pairs
-    with equal work (the degenerate |01>/|10> levels) are aggregated. Returns
-    the sorted support and one longdouble row of probabilities per beta, zeros kept.
-    """
-    if np.shape(quench) != (4, 4) or np.shape(entangler) != (4, 4):
-        raise UnsupportedDimensionError("bipartite step needs 4x4 quench and entangler")
-    quench = check_unitary(quench)
-    entangler = check_unitary(entangler)
-    transition = np.abs(quench @ entangler).astype(_LD) ** 2
-    populations = gibbs_populations(betas, TWO_QUBIT_ENERGIES, dtype=_LD)
-    return _enumerate(populations, transition, TWO_QUBIT_ENERGIES)
 
 
 def step_distribution_bipartite(beta: float, quench: np.ndarray, entangler: np.ndarray) -> WorkDistribution:
-    """Work distribution of one two-qubit step: the one-beta case of step_grid_bipartite."""
-    support, probs = step_grid_bipartite([require_beta(beta)], quench, entangler)
-    return WorkDistribution(support, probs[0])
+    """step_distribution of the two-qubit step quench @ entangler."""
+    if np.shape(quench) != (4, 4) or np.shape(entangler) != (4, 4):
+        raise UnsupportedDimensionError("bipartite step needs 4x4 quench and entangler")
+    return step_distribution(beta, np.matmul(quench, entangler))
 
 
 def closed_form_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
@@ -366,15 +358,3 @@ def small_angle_terms(terms, *args) -> tuple:
     if not finite.all():
         raise ValidationError("angles too large: the small-angle prediction overflows a float")
     return f_term, g_term
-
-
-def q_single_terms(n: int, f, g, delta_theta: float, params=None) -> tuple:
-    """Small-angle (f_term, g_term) = (N*(dth^2/4)*f, 0) of the single-qubit model, in the registry's form."""
-    return small_angle_terms(lambda: (n * delta_theta**2 * f / 4.0, 0.0))
-
-
-def q_single_smallangle(n: int, beta: float, delta_theta: float) -> float:
-    """Leading small-angle single-qubit correction N*(dth^2/4)*f(beta)."""
-    n = require_int("n", n, minimum=1)
-    require_finite(delta_theta=delta_theta)
-    return q_single_terms(n, f_beta(beta), None, delta_theta)[0]

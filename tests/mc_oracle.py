@@ -28,13 +28,11 @@ def _pick(cdf: np.ndarray, u: float) -> int:
     return int(min(np.count_nonzero(u >= cdf), len(cdf) - 1))
 
 
-def sample_step(
-    beta: float, quench: np.ndarray, entangler: np.ndarray, stream: Generator
-) -> tuple[int, int, int]:
+def sample_step(beta: float, unitary: np.ndarray, stream: Generator) -> tuple[int, int, int]:
     """Draw one TPM step: thermal first outcome, Born second outcome, work difference."""
-    energies = TWO_QUBIT_ENERGIES if np.shape(quench) == (4, 4) else SINGLE_QUBIT_ENERGIES
+    energies = TWO_QUBIT_ENERGIES if np.shape(unitary) == (4, 4) else SINGLE_QUBIT_ENERGIES
     populations = gibbs_populations(beta, energies)
-    born = _born_matrix(quench, entangler)
+    born = _born_matrix(unitary)
     population_cdf = np.cumsum(populations)
     first = _pick(population_cdf, stream.random())
     second = _pick(np.cumsum(born[:, first]), stream.random())
@@ -43,11 +41,10 @@ def sample_step(
 
 def run_protocol(config: ProtocolConfig, trajectory_index: int, master_seed: int) -> int:
     """Total work of one trajectory: n_steps i.i.d. TPM steps (thermal reset between steps)."""
-    quench = config.step_quench()
-    entangler = config.step_entangler()
+    unitary = config.step_unitary()
     stream = trajectory_stream(master_seed, trajectory_index, config.n_steps)
     total = 0
     for _ in range(config.n_steps):
-        _, _, work = sample_step(config.beta, quench, entangler, stream)
+        _, _, work = sample_step(config.beta, unitary, stream)
         total += work
     return total

@@ -18,8 +18,8 @@ import numpy as np
 from workfdr import cli
 from workfdr.entanglers import ENTANGLERS
 from workfdr.errors import ValidationError
-from workfdr.model import SINGLE_QUBIT_ENERGIES, TWO_QUBIT_ENERGIES, rotation_x
-from workfdr.work_stats import NORMALIZATION_TOL, PROB_CLAMP, WorkDistribution, f_beta, g_beta, q_single_smallangle
+from workfdr.model import SINGLE_QUBIT_ENERGIES, TWO_QUBIT_ENERGIES, bipartite_quench, rotation_x
+from workfdr.work_stats import NORMALIZATION_TOL, PROB_CLAMP, WorkDistribution, f_beta, g_beta
 
 _LD = np.longdouble
 
@@ -69,6 +69,20 @@ def step_bipartite(beta: float, quench: np.ndarray, entangler: np.ndarray) -> Wo
     return distribution_from_transition(_populations(beta, energies), transition, energies)
 
 
+def single_qubit(p: dict) -> bool:
+    """The one-qubit model: the identity kind without --two-qubit."""
+    return p["entangler"] == "none" and not p["two_qubit"]
+
+
+def step(p: dict, beta: float) -> WorkDistribution:
+    """The step of a (beta, N) point, its quench and entangler built for it alone."""
+    config = cli._config(p)
+    if single_qubit(p):
+        return step_single(beta, config.delta_theta)
+    entangler = ENTANGLERS[config.entangler_kind].unitary(config.step_params())
+    return step_bipartite(beta, bipartite_quench(config.delta_theta), entangler)
+
+
 def q_values(dist: WorkDistribution, beta: float, n: int) -> tuple[float, float, float]:
     """(mean_work, var_work, q_value) of the N-step protocol, summed over the non-zero support."""
     support = np.asarray(dist.support, dtype=_LD)
@@ -85,15 +99,12 @@ def q_report(p: dict) -> dict:
     """The `q` results of one (beta, N) point, the quench and entangler built for it alone."""
     config = cli._config(p)
     beta, n, dtheta = config.beta, config.n_steps, config.delta_theta
-    single = cli._single_qubit(p)
-    if single:
-        f_term, g_term = q_single_smallangle(n, beta, dtheta), 0.0
-        step = step_single(beta, dtheta)
+    if single_qubit(p):
+        f_term, g_term = n * dtheta**2 * f_beta(beta) / 4.0, 0.0
     else:
         small_angle = ENTANGLERS[config.entangler_kind].small_angle
         f_term, g_term = small_angle(n, f_beta(beta), g_beta(beta), dtheta, config.step_params())
-        step = step_bipartite(beta, config.step_quench(), config.step_entangler())
-    mean_work, var_work, q_value = q_values(step, beta, n)
+    mean_work, var_work, q_value = q_values(step(p, beta), beta, n)
     prediction = f_term + g_term
     return {
         "mean_work": mean_work,

@@ -11,7 +11,7 @@ import pytest
 
 from workfdr import ProtocolConfig, ValidationError, cli, model, verify, work_stats
 from workfdr.cli import build_parser, main
-from workfdr.entanglers import ENTANGLERS, Entangler, Param
+from workfdr.entanglers import ENTANGLERS, SINGLE_QUBIT, Entangler, Param
 
 Q_SMALL_RXX = 9.1270909498508389e-04
 
@@ -265,7 +265,7 @@ def test_refused_sweep_writes_nothing(capsys, tmp_path, two_qubit):
         terms = lambda f: ENTANGLERS["none"].small_angle(1, f, 0.0, theta, {})
     else:  # N * theta^2 * f / 4
         theta = math.sqrt(sys.float_info.max / f_before) * (1.0 - 1e-9)
-        terms = lambda f: work_stats.q_single_terms(1, f, 0.0, theta)
+        terms = lambda f: SINGLE_QUBIT.small_angle(1, f, 0.0, theta, {})
     assert math.isfinite(sum(terms(f_before)))
     with pytest.raises(ValidationError, match="angles too large"):
         terms(f_last)

@@ -11,12 +11,12 @@ from workfdr import (
     negativity_cartan_basis,
     q_correction,
     q_single_exact,
-    q_single_smallangle,
-    step_distribution_single,
 )
+from workfdr.entanglers import SINGLE_QUBIT
 from workfdr.errors import require_finite, require_int
+from workfdr.work_stats import q_grid
 
-STEP = step_distribution_single(1.0, 0.3)
+STEP = SINGLE_QUBIT.step_distribution(1.0, 0.3, {})
 
 
 def config(n_steps=50):
@@ -32,7 +32,7 @@ INTEGER_PARAMETERS = {
     "q_correction.n": (lambda v: q_correction(STEP, 1.0, v), 40, (0,)),
     "convolve_n.n": (lambda v: convolve_n(STEP, v), 3, (-1,)),
     "q_single_exact.n": (lambda v: q_single_exact(v, 1.0, 0.01), 40, (0,)),
-    "q_single_smallangle.n": (lambda v: q_single_smallangle(v, 1.0, 0.01), 40, (0,)),
+    "q_grid.n": (lambda v: q_grid(STEP.support, [STEP.probs], [1.0], v), 40, (0,)),
     "negativity_cartan_basis.u": (lambda v: negativity_cartan_basis(v, 0.3, 0.1), 1, (-1, 4)),
 }
 

@@ -16,17 +16,17 @@ from workfdr import (
     estimate,
     identity,
 )
-from workfdr import sampler
+from workfdr import sampler, work_stats
 from workfdr.model import TWO_QUBIT_ENERGIES, gibbs_populations
 from workfdr.sampler import _Scratch, _blocks_per_trajectory, _born_matrix, _power_sums, _simulate_batch
-from workfdr.work_stats import convolve_n, moments, step_distribution_bipartite
+from workfdr.work_stats import convolve_n, moments, step_distribution
 
 from mc_oracle import run_protocol, sample_step, trajectory_stream
 
 
 def batch_works(config, master_seed, start, count):
     population_cdf = np.cumsum(gibbs_populations(config.beta, TWO_QUBIT_ENERGIES))
-    born = _born_matrix(config.step_quench(), config.step_entangler())
+    born = _born_matrix(config.step_unitary())
     born_cdf_rows = np.cumsum(born, axis=0).T.copy()
     energies = np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64)
     return _simulate_batch(
@@ -87,7 +87,7 @@ def test_per_step_histogram_matches_exact_distribution():
     config = ProtocolConfig(beta=0.7, n_steps=1, total_theta=0.4, entangler_kind="rxx", total_phi=0.6)
     n_draws = 1_000_000
     works = batch_works(config, 2024, 0, n_draws)
-    exact = step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
+    exact = step_distribution(config.beta, config.step_unitary())
     counts = {w: int(np.sum(works == w)) for w in exact.support}
     for w, p in zip(exact.support, exact.probs):
         p = float(p)
@@ -120,7 +120,7 @@ def test_empirical_jarzynski_for_short_protocols():
 def test_estimate_matches_exact_cumulants():
     config = ProtocolConfig(beta=1.0, n_steps=50, total_theta=0.5, entangler_kind="rxx", total_phi=0.5)
     result = estimate(config, 100_000, 42)
-    step = step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
+    step = step_distribution(config.beta, config.step_unitary())
     mean_ref, var_ref = moments(convolve_n(step, config.n_steps))
     assert abs(result.mean_w - mean_ref) <= 5.0 * result.se_mean
     assert abs(result.var_w - var_ref) <= 5.0 * result.se_var
@@ -140,18 +140,18 @@ def test_se_scales_like_inverse_sqrt_n():
 def test_sample_step_draws_and_born_contract():
     config = ProtocolConfig(beta=1.0, n_steps=3, total_theta=0.7, entangler_kind="rxx", total_phi=0.3)
     stream = trajectory_stream(9, 0, config.n_steps)
-    first, second, work = sample_step(config.beta, config.step_quench(), config.step_entangler(), stream)
+    first, second, work = sample_step(config.beta, config.step_unitary(), stream)
     assert first in range(4) and second in range(4)
     assert work == [0, 1, 1, 2][second] - [0, 1, 1, 2][first]
     with pytest.raises(ContractViolationError):
-        sample_step(1.0, 0.9 * identity(4), identity(4), stream)
+        sample_step(1.0, 0.9 * identity(4), stream)
 
 
 def test_born_normalization_check_rejects_nan(monkeypatch):
-    monkeypatch.setattr(sampler, "check_unitary", lambda u: u)
+    monkeypatch.setattr(work_stats, "check_unitary", lambda u: u)
     nan = np.full((4, 4), np.nan, dtype=complex)
     with pytest.raises(ContractViolationError, match="normalize"):
-        _born_matrix(nan, identity(4))
+        _born_matrix(nan)
 
 
 def test_integer_thresholds_agree_with_float_uniforms():

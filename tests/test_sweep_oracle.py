@@ -42,17 +42,8 @@ def _point(variant: str, beta: float, n: int) -> dict:
 
 
 def _grid(p: dict, betas: list):
-    config = cli._config(p)
-    if cli._single_qubit(p):
-        return work_stats.step_grid_single(betas, config.delta_theta)
-    return work_stats.step_grid_bipartite(betas, config.step_quench(), config.step_entangler())
-
-
-def _oracle_step(p: dict, beta: float) -> WorkDistribution:
-    config = cli._config(p)
-    if cli._single_qubit(p):
-        return sweep_oracle.step_single(beta, config.delta_theta)
-    return sweep_oracle.step_bipartite(beta, config.step_quench(), config.step_entangler())
+    config, model = cli._config(p), cli._model(p)
+    return work_stats.step_grid(betas, model.step_unitary(config.delta_theta, config.step_params()), model.energies)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -63,17 +54,13 @@ def test_grid_rows_equal_point_enumeration(variant, n):
     assert support == tuple(sorted(support)) and probs.shape == (len(BETAS), len(support))
     mean_work, var_work, q_value = work_stats.q_grid(support, probs, BETAS, n)
     for i, beta in enumerate(BETAS):
-        expected = _oracle_step(p, beta)
+        expected = sweep_oracle.step(p, beta)
         assert WorkDistribution(support, probs[i]) == expected, beta
         assert [w for w, prob in zip(support, probs[i]) if prob == 0.0] == sorted(set(support) - set(expected.support))
-        # the one-row case, through the public per-point functions
+        # the one-row case, through the model's per-point function
         one = dict(p, beta=beta)
         config = cli._config(one)
-        if cli._single_qubit(one):
-            alone = work_stats.step_distribution_single(beta, config.delta_theta)
-        else:
-            alone = work_stats.step_distribution_bipartite(beta, config.step_quench(), config.step_entangler())
-        assert alone == expected
+        assert cli._model(one).step_distribution(beta, config.delta_theta, config.step_params()) == expected
         # one row of a grid equals the same beta evaluated alone
         one_support, one_row = _grid(one, [beta])
         assert one_support == support and list(one_row[0]) == list(probs[i])
@@ -123,8 +110,8 @@ def test_q_is_the_one_point_case(variant):
 
 def test_one_grid_per_distinct_n(monkeypatch, capsys):
     calls = []
-    grid = work_stats.step_grid_bipartite
-    monkeypatch.setattr(work_stats, "step_grid_bipartite", lambda *args: calls.append(len(args[0])) or grid(*args))
+    grid = work_stats.step_grid
+    monkeypatch.setattr(work_stats, "step_grid", lambda *args: calls.append(len(args[0])) or grid(*args))
     argv = ["sweep", "--beta-grid", "0:1:0.1", "--n-grid", "5,10,5", "--entangler", "rxx", "--phi", "0.3"]
     assert cli.main(argv) == 0
     assert calls == [11, 11]
@@ -150,7 +137,7 @@ def test_grid_of_random_unitaries_equals_point_enumeration():
     for _ in range(20):
         quench, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         entangler, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        support, probs = work_stats.step_grid_bipartite(BETAS, quench, entangler)
+        support, probs = work_stats.step_grid(BETAS, quench @ entangler)
         for i, beta in enumerate(BETAS):
             expected = sweep_oracle.step_bipartite(beta, quench, entangler)
             assert WorkDistribution(support, probs[i]) == expected, beta

@@ -28,15 +28,14 @@ from workfdr import (
     moments,
     q_correction,
     q_single_exact,
-    q_single_smallangle,
     rotation_x,
     rxx,
     separable_xzx,
+    step_distribution,
     step_distribution_bipartite,
-    step_distribution_single,
 )
 from workfdr import work_stats
-from workfdr.entanglers import Entangler
+from workfdr.entanglers import SINGLE_QUBIT, Entangler
 
 import convolve_oracle
 
@@ -55,9 +54,14 @@ def bipartite_quench(dth):
     return kron(rotation_x(dth), rotation_x(dth))
 
 
+def single_step(beta, dth):
+    return SINGLE_QUBIT.step_distribution(beta, dth, {})
+
+
 def small_angle_q(kind, n, beta, dth, **params):
-    """The small-angle Q of an entangler kind: the sum of its registry entry's f and g terms."""
-    return sum(ENTANGLERS[kind].small_angle(n, f_beta(beta), g_beta(beta), dth, params))
+    """The small-angle Q of an entangler kind ("single": SINGLE_QUBIT), the sum of its entry's f and g terms."""
+    model = SINGLE_QUBIT if kind == "single" else ENTANGLERS[kind]
+    return sum(model.small_angle(n, f_beta(beta), g_beta(beta), dth, params))
 
 
 # ---------------------------------------------------------------- f and g ---
@@ -98,26 +102,26 @@ def test_negative_beta_rejected():
 
 
 def test_single_step_identity_quench():
-    dist = step_distribution_single(1.0, 0.0)
+    dist = single_step(1.0, 0.0)
     assert dist.support == (0,)
     assert float(dist.probs[0]) == 1.0
 
 
 def test_single_step_infinite_temperature_symmetry():
-    dist = step_distribution_single(0.0, math.pi / 2)
+    dist = single_step(0.0, math.pi / 2)
     assert abs(dist.prob(1) - 0.25) <= 1e-15
     assert abs(dist.prob(-1) - 0.25) <= 1e-15
     assert abs(dist.prob(0) - 0.5) <= 1e-15
 
 
 def test_single_step_frozen_value():
-    dist = step_distribution_single(1.0, 0.2)
+    dist = single_step(1.0, 0.2)
     assert abs(float(dist.prob(1)) - P_PLUS_1_BETA1_DTH02) <= 1e-15
 
 
 def test_single_step_matches_textbook_formulas():
     for beta, dth in RNG.uniform(0.05, 3.0, (20, 2)):
-        dist = step_distribution_single(float(beta), float(dth))
+        dist = single_step(float(beta), float(dth))
         s = math.sin(dth / 2.0) ** 2
         w = math.exp(-beta)
         assert abs(dist.prob(1) - s / (1.0 + w)) <= 1e-15
@@ -180,7 +184,7 @@ def test_cartan_distribution_depends_only_on_c1_minus_c2():
 
 def test_separable_closed_form_factorizes_at_zero_angles():
     for beta, dth in ((0.0, 0.7), (1.2, 0.3)):
-        product = convolve_n(step_distribution_single(beta, dth), 2)
+        product = convolve_n(single_step(beta, dth), 2)
         closed = closed_form_distribution_separable(beta, dth, 0.0, 0.0)
         assert distribution_distance(product, closed) <= 1e-15
 
@@ -213,7 +217,7 @@ def test_separable_closed_form_vs_enumeration_grid():
 
 
 def test_convolve_identity_and_zero():
-    step = step_distribution_single(1.0, 0.4)
+    step = single_step(1.0, 0.4)
     assert convolve_n(step, 1) == step
     point = convolve_n(step, 0)
     assert point.support == (0,)
@@ -245,7 +249,7 @@ def assert_bitwise_equal(a, b):
 def test_convolve_equals_whole_row_oracle_on_the_long_horizon_step():
     # sample --beta 1 --n 4000 --theta 40 --entangler rxx --phi 40: both tails underflow
     config = ProtocolConfig(1.0, 4000, 40.0, "rxx", total_phi=40.0)
-    step = step_distribution_bipartite(config.beta, config.step_quench(), config.step_entangler())
+    step = step_distribution(config.beta, config.step_unitary())
     result = convolve_n(step, 4000)
     assert_bitwise_equal(result, convolve_oracle.convolve_n(step, 4000))
     assert len(result.support) < 4 * 4000 + 1
@@ -260,7 +264,7 @@ def test_convolve_equals_whole_row_oracle_on_random_steps():
     }
     for _ in range(4):
         beta, dth, n = rng.uniform(0.0, 60.0), rng.uniform(-1.5, 1.5), int(rng.integers(2, 400))
-        steps = [step_distribution_single(beta, dth)]
+        steps = [single_step(beta, dth)]
         steps += [step_distribution_bipartite(beta, bipartite_quench(dth), ENTANGLERS[kind].unitary(params()))
                   for kind, params in kinds.items()]
         for step in steps:
@@ -273,7 +277,7 @@ def test_convolve_equals_whole_row_oracle_at_the_edges():
     mass = np.longdouble("1e-3000")
     cases = [
         (closed_form_distribution_single(1.0, math.pi), 300),  # interior zero: support (-1, 1)
-        (step_distribution_single(5000.0, 0.3), 50),  # only the left tail underflows
+        (single_step(5000.0, 0.3), 50),  # only the left tail underflows
         (WorkDistribution((-1, 0, 1), (mass, 1 - 2 * mass, mass)), 50),
     ]
     # ends that underflow against the bulk at once: the non-zero window is shorter than
@@ -288,11 +292,11 @@ def test_convolve_equals_whole_row_oracle_at_the_edges():
 
 def test_moments_basics():
     assert moments(WorkDistribution((0,), (1.0,))) == (0.0, 0.0)
-    dist = step_distribution_single(0.0, 1.1)
+    dist = single_step(0.0, 1.1)
     mean, _ = moments(dist)
     assert abs(mean) <= 1e-18
     for beta, dth in RNG.uniform(0.1, 2.5, (10, 2)):
-        mean, _ = moments(step_distribution_single(float(beta), float(dth)))
+        mean, _ = moments(single_step(float(beta), float(dth)))
         assert abs(mean - math.sin(dth / 2.0) ** 2 * math.tanh(beta / 2.0)) <= 1e-15
 
 
@@ -395,7 +399,7 @@ def test_nan_probabilities_and_unitaries_are_rejected():
 
 def test_q_zero_when_classical_fdr_holds():
     # pick beta = 2*mean/var so that (beta/2)var - mean vanishes identically
-    dist = step_distribution_single(1.4, 0.8)
+    dist = single_step(1.4, 0.8)
     mean, var = moments(dist)
     beta_star = 2.0 * mean / var
     report = q_correction(dist, beta_star, 25)
@@ -403,7 +407,7 @@ def test_q_zero_when_classical_fdr_holds():
 
 
 def test_q_zero_for_identity_quench():
-    report = q_correction(step_distribution_single(1.0, 0.0), 1.0, 10)
+    report = q_correction(single_step(1.0, 0.0), 1.0, 10)
     assert report.q_value == 0.0
 
 
@@ -415,12 +419,12 @@ def test_q_report_is_self_consistent():
 
 
 def test_q_correction_matches_closed_form():
-    report = q_correction(step_distribution_single(1.0, 0.2), 1.0, 100)
+    report = q_correction(single_step(1.0, 0.2), 1.0, 100)
     assert abs(report.q_value - q_single_exact(100, 1.0, 0.2)) <= 1e-13
     for beta in (0.1, 1.0, 5.0):
         for dth in (0.01, 0.1, 0.5):
             for n in (1, 10, 100):
-                got = q_correction(step_distribution_single(beta, dth), beta, n).q_value
+                got = q_correction(single_step(beta, dth), beta, n).q_value
                 want = q_single_exact(n, beta, dth)
                 assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -431,23 +435,26 @@ def test_q_single_exact_limits():
 
 
 def test_q_single_closed_forms_reject_non_finite_angles():
-    for q_fn in (q_single_exact, q_single_smallangle):
-        for bad in (float("nan"), float("inf"), -float("inf"), None):
-            with pytest.raises(ValidationError, match="delta_theta"):
-                q_fn(10, 1.0, bad)
+    for bad in (float("nan"), float("inf"), -float("inf"), None):
+        with pytest.raises(ValidationError, match="delta_theta"):
+            q_single_exact(10, 1.0, bad)
+    # the small-angle terms, as every entry's, refuse a prediction that is not finite
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="angles too large"):
+            small_angle_q("single", 10, 1.0, bad)
 
 
 def test_small_angle_predictions_refuse_angles_that_overflow():
     # float ** raises OverflowError past about 1.3e154; n * x overflows to inf without one
     raising = [
-        lambda: q_single_smallangle(10, 1.0, 1e200),
+        lambda: small_angle_q("single", 10, 1.0, 1e200),
         lambda: small_angle_q("rxx", 10, 1.0, 0.1, dphi=1e200),
         lambda: small_angle_q("none", 10, 1.0, -1e200),
         lambda: small_angle_q("separable_xzx", 1, 1.0, 0.1, c=1e160, l=0.0, m=0.0, nz=0.0),
     ]
     silent = [
-        lambda: q_single_smallangle(10**9, 1.0, 1e153),
-        lambda: q_single_smallangle(10**9, 0.0, 1e153),  # inf * f(0) is nan
+        lambda: small_angle_q("single", 10**9, 1.0, 1e153),
+        lambda: small_angle_q("single", 10**9, 0.0, 1e153),  # inf * f(0) is nan
         lambda: small_angle_q("cartan", 10**9, 1.0, 0.0, c1=1e153, c2=-1e153, c3=0.0),
         lambda: small_angle_q("rxx", 1, 100.0, 1.8e153, dphi=1.8e153),  # each term finite, the sum inf
     ]
@@ -460,18 +467,18 @@ def test_small_angle_predictions_refuse_angles_that_overflow():
     with pytest.raises(ValidationError, match="angles too large"):
         crosstalk.small_angle(10, f_beta(1.0), g_beta(1.0), 1e200, {})
     # the largest finite predictions keep their values
-    assert q_single_smallangle(10**9, 1.0, 1e149) == 10**9 * 1e149**2 * f_beta(1.0) / 4.0
+    assert small_angle_q("single", 10**9, 1.0, 1e149) == 10**9 * 1e149**2 * f_beta(1.0) / 4.0
     assert small_angle_q("rxx", 1, 1.0, 0.0, dphi=1e154) == 1e154**2 / 2.0 * g_beta(1.0)
 
 
 def test_q_single_smallangle_value_and_convergence():
-    assert q_single_smallangle(10, 2.0, 0.0) == 0.0
-    assert abs(q_single_smallangle(100, 1.0, 0.01) - Q_SMALL_SINGLE) <= 1e-18
+    assert small_angle_q("single", 10, 2.0, 0.0) == 0.0
+    assert abs(small_angle_q("single", 100, 1.0, 0.01) - Q_SMALL_SINGLE) <= 1e-18
     theta = 1.0
     gaps = []
     for n in (50, 100, 200):
-        exact = q_correction(step_distribution_single(1.0, theta / n), 1.0, n).q_value
-        gaps.append(abs(exact - q_single_smallangle(n, 1.0, theta / n)) / abs(exact))
+        exact = q_correction(single_step(1.0, theta / n), 1.0, n).q_value
+        gaps.append(abs(exact - small_angle_q("single", n, 1.0, theta / n)) / abs(exact))
     assert 3.5 <= gaps[0] / gaps[1] <= 4.5
     assert 3.5 <= gaps[1] / gaps[2] <= 4.5
 
@@ -480,7 +487,7 @@ def test_q_rxx_smallangle_values():
     assert abs(small_angle_q("rxx", 100, 1.0, 0.01, dphi=0.01) - Q_SMALL_RXX) <= 1e-17
     for n, beta, dth in ((10, 0.5, 0.02), (77, 2.0, 0.005)):
         assert small_angle_q("rxx", n, beta, dth, dphi=0.0) == pytest.approx(
-            2.0 * q_single_smallangle(n, beta, dth), rel=1e-15
+            2.0 * small_angle_q("single", n, beta, dth), rel=1e-15
         )
         dphi = 0.013
         assert (
@@ -504,7 +511,7 @@ def test_q_cartan_smallangle_structure():
 def test_q_separable_smallangle_structure():
     n, beta, dth = 60, 1.2, 0.02
     assert small_angle_q("separable_xzx", n, beta, dth, c=0.0, m=0.0) == pytest.approx(
-        2.0 * q_single_smallangle(n, beta, dth), abs=1e-18
+        2.0 * small_angle_q("single", n, beta, dth), abs=1e-18
     )
     assert small_angle_q("separable_xzx", n, beta, dth, c=-dth, m=-dth) == 0.0
 
@@ -542,8 +549,8 @@ def test_q_separable_smallangle_converges_to_exact_pipeline():
 
 def test_classical_limit_suppresses_q():
     for q_fn in (
-        lambda b: q_correction(step_distribution_single(b, 0.2), b, 20).q_value,
-        lambda b: q_single_smallangle(20, b, 0.01),
+        lambda b: q_correction(single_step(b, 0.2), b, 20).q_value,
+        lambda b: small_angle_q("single", 20, b, 0.01),
         lambda b: small_angle_q("cartan", 20, b, 0.01, c1=0.03, c2=0.0),
     ):
         assert abs(q_fn(1e-6)) < 1e-6 * abs(q_fn(1.0))
@@ -559,7 +566,7 @@ def test_jarzynski_point_mass():
 def test_jarzynski_per_step_and_convolved():
     for beta, dth in RNG.uniform(0.05, 2.0, (8, 2)):
         beta, dth = float(beta), float(dth)
-        single = step_distribution_single(beta, dth)
+        single = single_step(beta, dth)
         assert abs(jarzynski_check(single, beta) - 1.0) <= 1e-13
         c1, c2, c3 = RNG.uniform(-0.7, 0.7, 3)
         pair = step_distribution_bipartite(
