@@ -24,7 +24,7 @@ from . import work_stats as ws
 from .entanglement import cartan_basis_negativities
 from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT, Entangler, Param, all_params
 from .errors import WorkFdrError, ValidationError, require_finite, require_int
-from .sampler import ProtocolConfig, estimate, exact_reference, require_run
+from .sampler import ProtocolConfig, sample
 
 _MAX_GRID_POINTS = 1_000_000  # per grid, and per sweep
 _SWEEP_BLOCK = 8192  # betas per grid and rows per output block of a sweep: it bounds memory; no row depends on it
@@ -231,11 +231,8 @@ def cmd_sample(args) -> int:
     p = _params(args)
     if p["seed"] is None or p["trajectories"] is None:
         raise ValidationError("sample needs --seed and --trajectories")
-    config = _config(p)
-    # every input and the exact reference first, so a failure comes before the Monte Carlo run
-    require_run(p["trajectories"], p["seed"], p["workers"])
-    mean_ref, var_ref, q_ref = exact_reference(config)
-    stats = estimate(config, p["trajectories"], p["seed"], workers=p["workers"])
+    # the exact reference runs beside the Monte Carlo threads, and its refusal stops them
+    (mean_ref, var_ref, q_ref), stats = sample(_config(p), p["trajectories"], p["seed"], workers=p["workers"])
     results = {
         "estimates": {
             "n_trajectories": stats.n_trajectories,

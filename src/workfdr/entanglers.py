@@ -50,7 +50,7 @@ class Entangler:
     energies: tuple[float, ...] = model.TWO_QUBIT_ENERGIES
     quench: Callable[[float], np.ndarray] = lambda dth: model.bipartite_quench(dth)
 
-    def __post_init__(self):  # every kind refuses angles whose prediction overflows a float
+    def __post_init__(self):  # every kind names a non-finite angle and refuses angles whose prediction overflows
         object.__setattr__(self, "small_angle", functools.partial(ws.small_angle_terms, self.small_angle))
 
     def step_unitary(self, dth: float, p: Mapping) -> np.ndarray:

@@ -23,11 +23,15 @@ trajectories as fit in _DRAWS_PER_BATCH raw words (1 MB); a longer trajectory
 runs alone, in chunks of whole Philox blocks that each fit the budget, and its
 partial totals add up to its exact total. Memory is therefore bounded for any
 N and any trajectory count.
+
+sample computes the exact reference on the calling thread while the workers
+run the batches; they stop within one kernel call if the calling thread raises.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -227,6 +231,14 @@ def _power_sums(w: np.ndarray) -> tuple[int, int, int, int]:
     return tuple(sum(c * v**k for v, c in pairs) for k in (1, 2, 3, 4))
 
 
+def sample(config: ProtocolConfig, n_trajectories: int, master_seed: int, workers: int = 1) -> tuple:
+    """(exact_reference(config), estimate(config, n_trajectories, master_seed, workers)), the reference
+    computed on the calling thread (not one of workers) while the worker threads run the batches.
+    An exception there (a refused reference, a KeyboardInterrupt, ...) stops every worker within one
+    kernel call and propagates; the reference's error wins when the Monte Carlo side refuses too."""
+    return _run(config, n_trajectories, master_seed, workers, exact_reference)
+
+
 def estimate(
     config: ProtocolConfig,
     n_trajectories: int,
@@ -260,10 +272,18 @@ def estimate(
         fourth central moment), and q_estimate = (beta/2)*var - mean with a
         delta-method standard error that keeps the mean-variance covariance.
     """
+    return _run(config, n_trajectories, master_seed, workers, lambda config: None)[1]
+
+
+def _run(config, n_trajectories, master_seed, workers, meanwhile) -> tuple[object, SampleStats]:
+    """(meanwhile(config), estimate's SampleStats), meanwhile called while the batches run."""
     n_trajectories, master_seed, workers = require_run(n_trajectories, master_seed, workers)
     population_cdf = np.cumsum(gibbs_populations(config.beta, TWO_QUBIT_ENERGIES))
-    born = _born_matrix(config.step_unitary())
-    born_cdf_rows = np.cumsum(born, axis=0).T.copy()
+    try:
+        born_cdf_rows = np.cumsum(_born_matrix(config.step_unitary()), axis=0).T.copy()
+    except Exception:
+        meanwhile(config)  # a refused reference is the error raised, as when it ran first
+        raise
     energies = np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64)
 
     n_steps = config.n_steps
@@ -273,25 +293,33 @@ def estimate(
     # many whole Philox blocks as the budget holds
     steps_per_block = _WORDS_PER_BLOCK // _DRAWS_PER_STEP
     chunk = min(n_steps, steps_per_block * max(1, _DRAWS_PER_BATCH // _WORDS_PER_BLOCK))
+    stopped = threading.Event()
 
     def power_sums(thread: int) -> list[int]:
         scratch = _Scratch()
         sums = [0, 0, 0, 0]
         for start in range(thread * per_batch, n_trajectories, threads * per_batch):
             count = min(per_batch, n_trajectories - start)
-            totals = sum(
-                _simulate_batch(
+            totals = 0
+            for first in range(0, n_steps, chunk):
+                if stopped.is_set():  # the calling thread raised; these sums are dropped
+                    return sums
+                totals += _simulate_batch(
                     master_seed, start, count, n_steps, population_cdf, born_cdf_rows, energies,
                     first, min(first + chunk, n_steps), scratch,
                 )
-                for first in range(0, n_steps, chunk)
-            )
             sums = [a + b for a, b in zip(sums, _power_sums(totals))]
         return sums
 
     # one task, and so one scratch space, per thread
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        s1, s2, s3, s4 = (sum(column) for column in zip(*pool.map(power_sums, range(threads))))
+        try:
+            tasks = [pool.submit(power_sums, thread) for thread in range(threads)]
+            reference = meanwhile(config)
+            s1, s2, s3, s4 = (sum(column) for column in zip(*(task.result() for task in tasks)))
+        except BaseException:
+            stopped.set()  # every worker returns before its next kernel call
+            raise
 
     n = n_trajectories
     mean = s1 / n
@@ -306,7 +334,7 @@ def estimate(
     q_var = max(
         half_beta**2 * var_of_var + max(sample_var, 0.0) / n - 2.0 * half_beta * m3 / n, 0.0
     )
-    return SampleStats(
+    return reference, SampleStats(
         n_trajectories=n,
         mean_w=mean,
         var_w=sample_var,

@@ -346,12 +346,13 @@ def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
     return n * s * ((beta / 2.0) * (1.0 - s * t * t) - t)
 
 
-def small_angle_terms(terms, *args) -> tuple:
-    """terms(*args), a small-angle (f_term, g_term) pair, of floats or of arrays over a beta grid;
-    ValidationError if any of their sums overflows a float."""
+def small_angle_terms(terms, n, f, g, dth, params) -> tuple:
+    """terms(n, f, g, dth, params), a small-angle (f_term, g_term) pair, of floats or of arrays over a beta
+    grid; ValidationError naming an angle that is not a finite number, or if any of their sums overflows."""
+    require_finite(dth=dth, **params)
     with np.errstate(over="ignore", invalid="ignore"):  # n * x gives inf and inf * 0 gives nan
         try:  # float ** raises past about 1.3e154
-            f_term, g_term = terms(*args)
+            f_term, g_term = terms(n, f, g, dth, params)
         except OverflowError:
             f_term = g_term = math.inf
         finite = np.isfinite(f_term + g_term)

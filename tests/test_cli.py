@@ -3,13 +3,16 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from workfdr import ProtocolConfig, ValidationError, cli, model, verify, work_stats
+from workfdr import ProtocolConfig, ValidationError, cli, model, sampler, verify, work_stats
 from workfdr.cli import build_parser, main
 from workfdr.entanglers import ENTANGLERS, SINGLE_QUBIT, Entangler, Param
 
@@ -204,17 +207,48 @@ def test_config_integers_print_like_flags(capsys, tmp_path):
     assert '"beta": 2.0' in out_file
 
 
-def test_sample_builds_exact_reference_before_monte_carlo(capsys, monkeypatch):
+def test_a_refused_sample_reference_stops_monte_carlo(capsys, monkeypatch):
+    # the reference runs beside the Monte Carlo threads; unstopped, these 10**8 trajectories
+    # would take 9,156 kernel calls, and each of the two threads makes at most one more
+    kernel, calls, at_failure = sampler._simulate_batch, [], []
+    started = threading.Event()
+
+    def recording(*args):
+        calls.append(args[1])  # the batch start
+        started.set()
+        return kernel(*args)
+
     def fail(*args, **kwargs):
+        assert started.wait(60)
+        at_failure.append(len(calls))
         raise ValidationError("probabilities sum to 0.99, expected 1")
 
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("estimate ran before the exact reference")
-
     monkeypatch.setattr(work_stats, "convolve_n", fail)
-    monkeypatch.setattr(cli, "estimate", must_not_run)
-    code, out, err = run_cli(capsys, "sample", "--n", "5", "--theta", "0.1", "--trajectories", "100", "--seed", "1")
+    monkeypatch.setattr(sampler, "_simulate_batch", recording)
+    code, out, err = run_cli(capsys, "sample", "--n", "5", "--theta", "0.1", "--trajectories", str(10**8),
+                             "--seed", "1", "--workers", "2")
     assert code == 2 and out == "" and "probabilities" in err
+    assert len(calls) - at_failure[0] <= 2
+
+
+def test_ctrl_c_stops_a_long_sample_run():
+    # most of a day of Monte Carlo on one thread; SIGINT ends it within one kernel call
+    argv = ["sample", "--n", "50", "--entangler", "rxx", "--theta", "0.5", "--phi", "0.5",
+            "--trajectories", str(10**10), "--seed", "1", "--workers", "1"]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "workfdr.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    time.sleep(2.0)  # past the import, into the batches
+    assert proc.poll() is None
+    proc.send_signal(signal.SIGINT)
+    try:
+        out, _ = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise AssertionError("sample ran on for 10 s after SIGINT") from None
+    assert proc.returncode != 0 and out == b""
 
 
 def test_verify_checks_seed_and_count_before_check_1(capsys, monkeypatch):

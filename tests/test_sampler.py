@@ -1,7 +1,9 @@
 """Monte Carlo sampler: determinism, statistical agreement with the exact pipeline."""
 
 import math
+import threading
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,8 +19,17 @@ from workfdr import (
     identity,
 )
 from workfdr import sampler, work_stats
+from workfdr.entanglers import ENTANGLERS
 from workfdr.model import TWO_QUBIT_ENERGIES, gibbs_populations
-from workfdr.sampler import _Scratch, _blocks_per_trajectory, _born_matrix, _power_sums, _simulate_batch
+from workfdr.sampler import (
+    _Scratch,
+    _blocks_per_trajectory,
+    _born_matrix,
+    _power_sums,
+    _simulate_batch,
+    exact_reference,
+    sample,
+)
 from workfdr.work_stats import convolve_n, moments, step_distribution
 
 from mc_oracle import run_protocol, sample_step, trajectory_stream
@@ -66,6 +77,7 @@ def test_estimate_is_independent_of_worker_count():
     # 10 batches: 50 workers are more workers than batches
     for workers in (2, 3, 8, 50):
         assert estimate(config, 30000, 42, workers=workers) == reference
+    assert sample(config, 30000, 42, workers=3)[1] == reference
 
 
 def test_estimate_uses_no_more_threads_than_batches(monkeypatch):
@@ -80,7 +92,67 @@ def test_estimate_uses_no_more_threads_than_batches(monkeypatch):
     estimate(config, 2, 7, workers=50)
     estimate(config, 30000, 42, workers=50)
     estimate(config, 30000, 42, workers=4)
-    assert pools == [1, 10, 4]
+    # workers counts Monte Carlo threads: the calling thread, which computes the reference, is not one
+    sample(config, 30000, 42, workers=4)
+    sample(config, 2, 7, workers=50)
+    assert pools == [1, 10, 4, 4, 1]
+
+
+@pytest.mark.parametrize("kind", list(ENTANGLERS))
+def test_sample_is_the_exact_reference_and_estimate(kind):
+    totals = {f"total_{spec.total}": 0.3 + 0.1 * i for i, spec in enumerate(ENTANGLERS[kind].params)}
+    config = ProtocolConfig(beta=0.8, n_steps=20, total_theta=0.5, entangler_kind=kind, **totals)
+    reference = exact_reference(config)
+    for workers in (1, 3, 8):  # 4 batches of 3,276 trajectories
+        expected = (reference, estimate(config, 10_000, 9, workers=workers))
+        assert repr(sample(config, 10_000, 9, workers=workers)) == repr(expected)
+
+
+def test_sample_raises_the_reference_error_when_both_sides_refuse(monkeypatch):
+    def refused(*args, **kwargs):
+        raise ValidationError("probabilities sum to 0.99, expected 1")
+
+    def unnormalized(unitary):
+        raise ContractViolationError("Born probabilities fail to normalize")
+
+    config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=0.5, entangler_kind="rxx", total_phi=0.5)
+    monkeypatch.setattr(sampler, "_born_matrix", unnormalized)
+    with pytest.raises(ContractViolationError, match="Born"):
+        sample(config, 1000, 3)
+    monkeypatch.setattr(work_stats, "convolve_n", refused)
+    with pytest.raises(ValidationError, match="probabilities"):
+        sample(config, 1000, 3)
+
+
+@pytest.mark.parametrize("error", [ValidationError("reference refused"), KeyboardInterrupt()])
+@pytest.mark.parametrize("n_steps, n_trajectories", [(20, 10_000_000), (200_000, 1000)])  # the second is chunked
+def test_an_exception_on_the_calling_thread_stops_the_batches(monkeypatch, error, n_steps, n_trajectories):
+    # unstopped, each run would make thousands of kernel calls (3,052 batches; 4 chunks a trajectory)
+    config = ProtocolConfig(beta=1.0, n_steps=n_steps, total_theta=0.5, entangler_kind="rxx", total_phi=0.5)
+    started, raised = threading.Event(), threading.Event()
+    late = []  # the thread of each kernel call begun after the reference raised
+
+    def recording(*args):
+        if raised.is_set():
+            late.append(threading.get_ident())
+        started.set()
+        return _simulate_batch(*args)
+
+    def failing(config):
+        assert started.wait(60)
+        raised.set()
+        raise error
+
+    monkeypatch.setattr(sampler, "_simulate_batch", recording)
+    monkeypatch.setattr(sampler, "exact_reference", failing)
+    for workers in (1, 2):
+        started.clear()
+        raised.clear()
+        late.clear()
+        with pytest.raises(type(error)):
+            sample(config, n_trajectories, 5, workers=workers)
+        threads = Counter(late)
+        assert len(threads) <= workers and all(calls == 1 for calls in threads.values()), threads
 
 
 def test_per_step_histogram_matches_exact_distribution():

@@ -438,10 +438,25 @@ def test_q_single_closed_forms_reject_non_finite_angles():
     for bad in (float("nan"), float("inf"), -float("inf"), None):
         with pytest.raises(ValidationError, match="delta_theta"):
             q_single_exact(10, 1.0, bad)
-    # the small-angle terms, as every entry's, refuse a prediction that is not finite
+    # the small-angle terms, as every entry's, name an angle that is not finite
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValidationError, match="angles too large"):
+        with pytest.raises(ValidationError, match="dth must be finite"):
             small_angle_q("single", 10, 1.0, bad)
+
+
+@pytest.mark.parametrize("kind", ["single", *ENTANGLERS])
+def test_small_angle_terms_name_an_angle_that_is_not_a_finite_number(kind):
+    # the angle is named before any term is formed: None and a string end in no bare TypeError,
+    # and NaN is not taken for an overflow
+    model = SINGLE_QUBIT if kind == "single" else ENTANGLERS[kind]
+    good = {spec.step: 0.1 for spec in model.params}
+    for name in ("dth", *good):
+        for bad, message in ((None, "must be a real number"), ("0.1", "must be a real number"),
+                             (float("nan"), "must be finite")):
+            angles = dict(good, dth=0.1) | {name: bad}
+            dth = angles.pop("dth")
+            with pytest.raises(ValidationError, match=f"^{name} {message}"):
+                model.small_angle(10, f_beta(1.0), g_beta(1.0), dth, angles)
 
 
 def test_small_angle_predictions_refuse_angles_that_overflow():
