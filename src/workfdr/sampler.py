@@ -39,7 +39,7 @@ import numpy as np
 
 from . import work_stats as ws
 from .entanglers import DEFAULT_KIND, ENTANGLERS
-from .errors import ContractViolationError, ValidationError, require_beta, require_finite, require_int
+from .errors import ContractViolationError, ValidationError, WorkFdrError, require_beta, require_finite, require_int
 from .model import TWO_QUBIT_ENERGIES, gibbs_populations
 
 BORN_NORMALIZATION_TOL = 1e-10
@@ -281,7 +281,7 @@ def _run(config, n_trajectories, master_seed, workers, meanwhile) -> tuple[objec
     population_cdf = np.cumsum(gibbs_populations(config.beta, TWO_QUBIT_ENERGIES))
     try:
         born_cdf_rows = np.cumsum(_born_matrix(config.step_unitary()), axis=0).T.copy()
-    except Exception:
+    except WorkFdrError:
         meanwhile(config)  # a refused reference is the error raised, as when it ran first
         raise
     energies = np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64)
