@@ -1,11 +1,11 @@
 """Command-line front end: distributions, Q reports, sweeps, negativity tables,
 Monte Carlo runs, and the verification suite, emitting deterministic CSV/JSON.
 
-Conventions: `dist` takes per-step angles (--dtheta, --dphi, --c1, ...);
-`q`, `sweep`, and `sample` take protocol totals (--theta, --phi, --c1, ...)
-that are divided by the step count N; the entangler flags and --config keys
-come from the registry's parameter specs. Angles are radians unless --degrees
-is given. Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Conventions: `dist` takes per-step angles (--dtheta, --dphi, --c1, ...); `q`, `sweep`,
+and `sample` take protocol totals (--theta, --phi, --c1, ...) that are divided by the step
+count N; the entangler flags and --config keys come from the registry's parameter specs.
+Angles are radians unless --degrees is given. Exit codes: 0 success, 1 verification
+failure, 2 invalid input, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -108,12 +108,6 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _relative_gap(q_value: np.ndarray, prediction: np.ndarray) -> np.ndarray:
-    """|Q - prediction| / |Q| at each point, and 0 where Q is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(q_value != 0.0, np.abs(q_value - prediction) / np.abs(q_value), 0.0)
-
-
 def _q_reports(p: dict, n: int, betas: np.ndarray, f: np.ndarray, g: np.ndarray) -> dict:
     """The 13 `q` fields of one N at each beta (f, g their profiles), as columns in `q`'s key
     order: float64 arrays, and a list of ints for n_steps. Betas come sorted, so the inputs are
@@ -131,7 +125,7 @@ def _q_reports(p: dict, n: int, betas: np.ndarray, f: np.ndarray, g: np.ndarray)
         "w_diss": mean_work,
         "q_exact": q_value,
         "small_angle_prediction": prediction,
-        "relative_gap": _relative_gap(q_value, prediction),
+        "relative_gap": ws.relative_gap(q_value, prediction),
         "f_beta": f,
         "g_beta": g,
         "f_term": f_term,
@@ -211,7 +205,7 @@ def cmd_sweep(args) -> int:
             i, k = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, total)), len(steps))
             q, predicted = q_value[order[k], i], prediction[order[k], i]
             yield list(zip(betas[i].tolist(), ns[k].tolist(), q.tolist(), predicted.tolist(),
-                           f[i].tolist(), g[i].tolist(), _relative_gap(q, predicted).tolist()))
+                           f[i].tolist(), g[i].tolist(), ws.relative_gap(q, predicted).tolist()))
 
     header = ["beta", "n", "Q_exact", "Q_small_angle", "f", "g", "relative_gap"]
     _emit_table(args, _spec_echo(p), header, blocks())
@@ -232,7 +226,7 @@ def cmd_sample(args) -> int:
     if p["seed"] is None or p["trajectories"] is None:
         raise ValidationError("sample needs --seed and --trajectories")
     # the exact reference runs beside the Monte Carlo threads, and its refusal stops them
-    (mean_ref, var_ref, q_ref), stats = sample(_config(p), p["trajectories"], p["seed"], workers=p["workers"])
+    reference, stats = sample(_config(p), p["trajectories"], p["seed"], workers=p["workers"])
     results = {
         "estimates": {
             "n_trajectories": stats.n_trajectories,
@@ -243,12 +237,8 @@ def cmd_sample(args) -> int:
             "q_estimate": stats.q_estimate,
             "q_se": stats.q_se,
         },
-        "exact_reference": {"mean_W": mean_ref, "var_W": var_ref, "q_value": q_ref},
-        "z_scores": {
-            "mean_W": (stats.mean_w - mean_ref) / stats.se_mean if stats.se_mean else 0.0,
-            "var_W": (stats.var_w - var_ref) / stats.se_var if stats.se_var else 0.0,
-            "q": (stats.q_estimate - q_ref) / stats.q_se if stats.q_se else 0.0,
-        },
+        "exact_reference": dict(zip(("mean_W", "var_W", "q_value"), reference)),
+        "z_scores": dict(zip(("mean_W", "var_W", "q"), stats.z_scores(reference))),
     }
     _write_output([_json_document(_spec_echo(p), results, seed=p["seed"])], args.output)
     return 0
@@ -415,6 +405,9 @@ def main(argv=None) -> int:
     except (WorkFdrError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C: one line, and the shell's 128 + SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

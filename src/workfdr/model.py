@@ -20,6 +20,8 @@ from .linalg import _freeze, kron
 PAULI_X = _freeze(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 PAULI_Y = _freeze(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
 PAULI_Z = _freeze(np.array([[1, 0], [0, -1]], dtype=np.complex128))
+# the entangler generators sigma_k (x) sigma_k, built once
+XX, YY, ZZ = (_freeze(np.kron(pauli, pauli)) for pauli in (PAULI_X, PAULI_Y, PAULI_Z))
 
 # Hamiltonian spectra in the computational basis, in units of the splitting: one
 # qubit (ground 0, excited 1), and two non-interacting qubits on |00>,|01>,|10>,|11>
@@ -84,15 +86,15 @@ def rxx(delta_phi: float) -> np.ndarray:
     require_finite(delta_phi=delta_phi)
     c = math.cos(delta_phi / 2.0)
     s = math.sin(delta_phi / 2.0)
-    return _freeze(c * np.eye(4, dtype=np.complex128) - 1j * s * np.kron(PAULI_X, PAULI_X))
+    return _freeze(c * np.eye(4, dtype=np.complex128) - 1j * s * XX)
 
 
 def cartan_entangler(coeffs: CartanCoefficients) -> np.ndarray:
     """Product of the three commuting factors cos(c_k)*I - i*sin(c_k)*(sigma_k (x) sigma_k)."""
     eye = np.eye(4, dtype=np.complex128)
     result = eye
-    for angle, pauli in ((coeffs.c1, PAULI_X), (coeffs.c2, PAULI_Y), (coeffs.c3, PAULI_Z)):
-        factor = math.cos(angle) * eye - 1j * math.sin(angle) * np.kron(pauli, pauli)
+    for angle, generator in ((coeffs.c1, XX), (coeffs.c2, YY), (coeffs.c3, ZZ)):
+        factor = math.cos(angle) * eye - 1j * math.sin(angle) * generator
         result = result @ factor
     return _freeze(result)
 

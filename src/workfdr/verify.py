@@ -47,7 +47,7 @@ def check_01_single_qubit_exact_q() -> CheckResult:
             for n in (1, 10, 100):
                 q_dist = ws.q_correction(SINGLE_QUBIT.step_distribution(beta, dth, {}), beta, n).q_value
                 q_closed = ws.q_single_exact(n, beta, dth)
-                worst = max(worst, abs(q_dist - q_closed) / abs(q_closed))
+                worst = max(worst, float(ws.relative_gap(q_closed, q_dist)))
     return CheckResult(
         "1",
         "single-qubit exact Q: enumerated distribution vs closed form (rel 1e-12)",
@@ -62,7 +62,7 @@ def check_02_small_angle_convergence() -> CheckResult:
     def gap(model, n: int, totals: dict) -> float:  # theta = 1 and the entangler totals, by step name
         dth, params = 1.0 / n, {name: total / n for name, total in totals.items()}
         q = ws.q_correction(model.step_distribution(beta, dth, params), beta, n).q_value
-        return abs(q - sum(model.small_angle(n, f, g, dth, params))) / abs(q)
+        return float(ws.relative_gap(q, sum(model.small_angle(n, f, g, dth, params))))
 
     families = {"single": (SINGLE_QUBIT, {}), "rxx": (ENTANGLERS["rxx"], {"dphi": 1.0}),
                 "cartan": (ENTANGLERS["cartan"], {"c1": 0.8, "c2": 0.3, "c3": 0.2})}
@@ -123,12 +123,11 @@ def check_04_distribution_invariances() -> CheckResult:
 def check_05_separable_null_result() -> CheckResult:
     n = 200
     dth, c, l, m, nz = 1.0 / n, 0.4 / n, 0.3 / n, 0.6 / n, 0.2 / n
-    unitary = ENTANGLERS["separable_xzx"].step_unitary(dth, {"c": c, "l": l, "m": m, "nz": nz})
+    separable, params = ENTANGLERS["separable_xzx"], {"c": c, "l": l, "m": m, "nz": nz}
     betas = np.arange(0.2, 5.0 + 1e-9, 0.05).tolist()
-    per_step_q = ws.q_grid(*ws.step_grid(betas, unitary), betas, 1)[2]
-    design = np.column_stack([[ws.f_beta(b) for b in betas], [ws.g_beta(b) for b in betas]])
-    (coef_f, coef_g), *_ = np.linalg.lstsq(design, per_step_q, rcond=None)
-    predicted_f = (c + dth) ** 2 / 4.0 + (m + dth) ** 2 / 4.0
+    per_step_q = ws.q_grid(*ws.step_grid(betas, separable.step_unitary(dth, params)), betas, 1)[2]
+    (coef_f, coef_g), *_ = np.linalg.lstsq(np.column_stack(ws.profiles(betas)), per_step_q, rcond=None)
+    predicted_f = separable.small_angle(1, 1.0, 0.0, dth, params)[0]  # the f coefficient of one step
     g_small = abs(coef_g) < 1e-3 * coef_f
     f_match = abs(coef_f - predicted_f) <= 0.01 * predicted_f
     return CheckResult(
@@ -186,13 +185,9 @@ def check_07_jarzynski() -> CheckResult:
 
 
 def check_08a_fg_identity() -> CheckResult:
-    worst = 0.0
-    for beta in np.arange(0.0, 10.0 + 1e-9, 0.01):
-        beta = float(beta)
-        residual = abs(
-            ws.g_beta(beta) - ws.f_beta(beta) - (beta / 2.0) * math.tanh(beta / 2.0) ** 2
-        )
-        worst = max(worst, residual)
+    betas = np.arange(0.0, 10.0 + 1e-9, 0.01).tolist()
+    f, g = (profile.tolist() for profile in ws.profiles(betas))
+    worst = max(abs(g_b - f_b - (b / 2.0) * math.tanh(b / 2.0) ** 2) for b, f_b, g_b in zip(betas, f, g))
     return CheckResult(
         "8a",
         "identity g(beta) - f(beta) = (beta/2) tanh^2(beta/2) on [0, 10] (1e-13)",
@@ -227,11 +222,10 @@ def check_09_monte_carlo(n_trajectories: int, seed: int) -> CheckResult:
         beta=1.0, n_steps=50, total_theta=0.5, entangler_kind="rxx", total_phi=0.5
     )
     started = time.perf_counter()
-    (mean_ref, var_ref, _), stats = sample(config, n_trajectories, seed, workers=1)
+    reference, stats = sample(config, n_trajectories, seed, workers=1)
     elapsed = time.perf_counter() - started
     stats_parallel = estimate(config, n_trajectories, seed, workers=8)
-    z_mean = (stats.mean_w - mean_ref) / stats.se_mean
-    z_var = (stats.var_w - var_ref) / stats.se_var
+    z_mean, z_var, _ = stats.z_scores(reference)
     deterministic = stats == stats_parallel
     in_time = elapsed < 60.0
     passed = abs(z_mean) <= 5.0 and abs(z_var) <= 5.0 and deterministic and in_time

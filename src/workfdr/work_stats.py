@@ -346,6 +346,12 @@ def q_single_exact(n: int, beta: float, delta_theta: float) -> float:
     return n * s * ((beta / 2.0) * (1.0 - s * t * t) - t)
 
 
+def relative_gap(q_value, prediction) -> np.ndarray:
+    """|Q - prediction| / |Q| at each point (of floats or of arrays), and 0 where Q is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q_value != 0.0, np.abs(q_value - prediction) / np.abs(q_value), 0.0)
+
+
 def small_angle_terms(terms, n, f, g, dth, params) -> tuple:
     """terms(n, f, g, dth, params), a small-angle (f_term, g_term) pair, of floats or of arrays over a beta
     grid; ValidationError naming an angle that is not a finite number, or if any of their sums overflows."""

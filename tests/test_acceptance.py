@@ -15,9 +15,11 @@ to the measured ratio. `workfdr verify` alone keeps reporting the stated
 criterion as FAIL (exit 1); see README.
 """
 
+import dataclasses
+
 from workfdr import verify
 from workfdr import work_stats as ws
-from workfdr.entanglers import SINGLE_QUBIT
+from workfdr.entanglers import ENTANGLERS, SINGLE_QUBIT
 from workfdr.model import rxx
 
 
@@ -49,6 +51,20 @@ def test_criterion_04_distribution_invariances():
 
 def test_criterion_05_separable_null_result():
     report(verify.check_05_separable_null_result())
+
+
+def test_criterion_05_tests_the_registry_prediction(monkeypatch):
+    # check 5 compares the fit with the separable entry's small_angle, the formula q and sweep print
+    separable = ENTANGLERS["separable_xzx"]
+
+    def five_percent_off(n, f, g, dth, params):
+        f_term, g_term = separable.small_angle(n, f, g, dth, params)
+        return 1.05 * f_term, g_term
+
+    monkeypatch.setitem(ENTANGLERS, "separable_xzx", dataclasses.replace(separable, small_angle=five_percent_off))
+    result = verify.check_05_separable_null_result()
+    assert not result.passed, line(result)
+    assert "f-coef rel error vs prediction = 4.7" in result.detail, result.detail
 
 
 def test_criterion_06_negativity_closed_forms():

@@ -243,12 +243,26 @@ def test_ctrl_c_stops_a_long_sample_run():
     assert proc.poll() is None
     proc.send_signal(signal.SIGINT)
     try:
-        out, _ = proc.communicate(timeout=10)
+        out, err = proc.communicate(timeout=10)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.communicate()
         raise AssertionError("sample ran on for 10 s after SIGINT") from None
-    assert proc.returncode != 0 and out == b""
+    assert proc.returncode == 130 and out == b""
+    assert err == b"error: interrupted\n" and b"Traceback" not in err, err
+
+
+def test_an_interrupted_command_prints_one_line_and_leaves_no_file(capsys, monkeypatch, tmp_path):
+    def interrupted(header, blocks):
+        yield ",".join(header) + "\n"
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_csv_lines", interrupted)
+    target = tmp_path / "q.csv"
+    for output in ([], ["--output", str(target)]):
+        code, _, err = run_cli(capsys, "q", "--beta", "1", "--n", "5", "--theta", "0.3", *output)
+        assert code == 130 and err == "error: interrupted\n", output
+    assert not list(tmp_path.iterdir())  # neither the target nor a temp file
 
 
 def test_verify_checks_seed_and_count_before_check_1(capsys, monkeypatch):

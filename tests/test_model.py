@@ -23,6 +23,9 @@ from workfdr.model import (
     PAULI_Z,
     SINGLE_QUBIT_ENERGIES,
     TWO_QUBIT_ENERGIES,
+    XX,
+    YY,
+    ZZ,
     gibbs_populations,
 )
 
@@ -157,3 +160,34 @@ def test_non_finite_inputs_rejected():
         CartanCoefficients(0.1, float("nan"), 0.0)
     with pytest.raises(ValidationError):
         SeparableXZXParams(0.1, 0.2, float("inf"), 0.0)
+
+
+def _words(matrix):
+    return np.ascontiguousarray(matrix).view(np.uint64)
+
+
+def test_entangler_generators_are_built_once_with_the_bits_of_each_build():
+    # oracles: each entangler with its generators built by np.kron on every call
+    def rxx_oracle(delta_phi):
+        c, s = math.cos(delta_phi / 2.0), math.sin(delta_phi / 2.0)
+        return c * np.eye(4, dtype=np.complex128) - 1j * s * np.kron(PAULI_X, PAULI_X)
+
+    def cartan_oracle(coeffs):
+        eye = np.eye(4, dtype=np.complex128)
+        result = eye
+        for angle, pauli in ((coeffs.c1, PAULI_X), (coeffs.c2, PAULI_Y), (coeffs.c3, PAULI_Z)):
+            result = result @ (math.cos(angle) * eye - 1j * math.sin(angle) * np.kron(pauli, pauli))
+        return result
+
+    for generator, pauli in ((XX, PAULI_X), (YY, PAULI_Y), (ZZ, PAULI_Z)):
+        assert not generator.flags.writeable
+        assert np.array_equal(_words(generator), _words(np.kron(pauli, pauli)))
+    rng = np.random.default_rng(19)
+    special = [0.0, -0.0, math.pi, 1e200]
+    for angle in [*rng.uniform(-7.0, 7.0, 20).tolist(), *special]:
+        assert np.array_equal(_words(rxx(angle)), _words(rxx_oracle(angle))), angle
+    triples = [tuple(t) for t in rng.uniform(-7.0, 7.0, (20, 3)).tolist()]
+    triples += [(a, b, c) for a in special for b in special for c in (0.3, *special)]
+    for triple in triples:
+        coeffs = CartanCoefficients(*triple)
+        assert np.array_equal(_words(cartan_entangler(coeffs)), _words(cartan_oracle(coeffs))), triple

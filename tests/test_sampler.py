@@ -1,5 +1,6 @@
 """Monte Carlo sampler: determinism, statistical agreement with the exact pipeline."""
 
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -14,11 +15,12 @@ from scipy import stats as scipy_stats
 from workfdr import (
     ContractViolationError,
     ProtocolConfig,
+    SampleStats,
     ValidationError,
     estimate,
     identity,
 )
-from workfdr import sampler, work_stats
+from workfdr import sampler
 from workfdr.entanglers import ENTANGLERS
 from workfdr.model import TWO_QUBIT_ENERGIES, gibbs_populations
 from workfdr.sampler import (
@@ -109,19 +111,20 @@ def test_sample_is_the_exact_reference_and_estimate(kind):
 
 
 def test_sample_raises_the_reference_error_when_both_sides_refuse(monkeypatch):
-    def refused(*args, **kwargs):
-        raise ValidationError("probabilities sum to 0.99, expected 1")
+    # a run-time kind whose step is not unitary: both sides refuse it in check_unitary, alike
+    def must_not_run(*args):
+        raise AssertionError("a Monte Carlo batch ran on a refused step")
 
-    def unnormalized(unitary):
-        raise ContractViolationError("Born probabilities fail to normalize")
-
-    config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=0.5, entangler_kind="rxx", total_phi=0.5)
-    monkeypatch.setattr(sampler, "_born_matrix", unnormalized)
-    with pytest.raises(ContractViolationError, match="Born"):
-        sample(config, 1000, 3)
-    monkeypatch.setattr(work_stats, "convolve_n", refused)
-    with pytest.raises(ValidationError, match="probabilities"):
-        sample(config, 1000, 3)
+    shrunk = dataclasses.replace(ENTANGLERS["none"], unitary=lambda p: 0.9 * identity(4))
+    monkeypatch.setitem(ENTANGLERS, "shrunk", shrunk)
+    monkeypatch.setattr(sampler, "_simulate_batch", must_not_run)
+    config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=0.5, entangler_kind="shrunk")
+    with pytest.raises(ContractViolationError, match="not unitary") as reference_error:
+        exact_reference(config)
+    for workers in (1, 3):
+        with pytest.raises(ContractViolationError) as sample_error:
+            sample(config, 1000, 3, workers=workers)
+        assert str(sample_error.value) == str(reference_error.value)
 
 
 @pytest.mark.parametrize("error", [ValidationError("reference refused"), KeyboardInterrupt()])
@@ -219,11 +222,22 @@ def test_sample_step_draws_and_born_contract():
         sample_step(1.0, 0.9 * identity(4), stream)
 
 
-def test_born_normalization_check_rejects_nan(monkeypatch):
-    monkeypatch.setattr(work_stats, "check_unitary", lambda u: u)
+def test_born_normalization_check_rejects_nan():
+    # the Born matrix is normalized only after check_unitary holds each column sum within 1e-12 of 1
     nan = np.full((4, 4), np.nan, dtype=complex)
-    with pytest.raises(ContractViolationError, match="normalize"):
+    with pytest.raises(ContractViolationError, match="not unitary"):
         _born_matrix(nan)
+
+
+def test_z_scores_are_zero_where_a_standard_error_is_zero():
+    stats = SampleStats(n_trajectories=4, mean_w=0.5, var_w=2.0, se_mean=0.25, se_var=0.0,
+                        q_estimate=1.5, q_se=0.0, master_seed=0)
+    assert stats.z_scores((0.0, 1.0, 1.0)) == (2.0, 0.0, 0.0)
+    # a run whose every trajectory does the same work: every standard error is 0
+    config = ProtocolConfig(beta=1.0, n_steps=3, total_theta=0.0)
+    reference, stats = sample(config, 100, 1)
+    assert (stats.se_mean, stats.se_var, stats.q_se) == (0.0, 0.0, 0.0)
+    assert stats.z_scores(reference) == (0.0, 0.0, 0.0)
 
 
 def test_integer_thresholds_agree_with_float_uniforms():

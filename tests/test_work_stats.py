@@ -589,3 +589,13 @@ def test_jarzynski_per_step_and_convolved():
         )
         assert abs(jarzynski_check(pair, beta) - 1.0) <= 1e-12
         assert abs(jarzynski_check(convolve_n(pair, 200), beta) - 1.0) <= 1e-11
+
+
+def test_relative_gap_is_zero_where_q_is_zero():
+    q = np.array([0.0, -0.0, 2.0, -4.0, 0.0])
+    prediction = np.array([1.0, 0.0, 1.5, -3.0, 0.0])
+    with np.errstate(all="raise"):  # no division warning either
+        gaps = work_stats.relative_gap(q, prediction)
+    assert gaps.tolist() == [0.0, 0.0, 0.25, 0.25, 0.0]
+    assert float(work_stats.relative_gap(0.0, 3.0)) == 0.0
+    assert float(work_stats.relative_gap(0.3, 0.1)) == abs(0.3 - 0.1) / 0.3
