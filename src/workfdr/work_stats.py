@@ -1,6 +1,7 @@
 """Work statistics of the discrete two-point-measurement (TPM) protocol.
 
-Per-step work distributions (exact enumeration and closed forms),
+Per-step work distributions (exact enumeration, and closed forms; the
+single-qubit and separable ones are built from one longdouble qubit law),
 N-fold convolution, cumulants, the Jarzynski identity check, and the
 fluctuation-dissipation correction with its small-angle predictions.
 
@@ -172,13 +173,21 @@ def step_distribution_bipartite(beta: float, quench: np.ndarray, entangler: np.n
     return step_distribution(beta, np.matmul(quench, entangler))
 
 
+def _qubit_law(beta: float, delta_theta: float, x: float = 0.0) -> np.ndarray:
+    # longdouble (P(-1), P(0), P(+1)) of one qubit's step R_X(delta_theta) R_X(x) from its Gibbs
+    # state: s = sin^2((dth + x)/2) and w = exp(-beta). The sine is taken by the addition formula,
+    # as the matrix product forms it, so it stays exact when |x| >> |dth|.
+    w = np.exp(-_LD(beta))
+    half_dth, half_x = _LD(delta_theta) / 2, _LD(x) / 2
+    s = (np.sin(half_dth) * np.cos(half_x) + np.cos(half_dth) * np.sin(half_x)) ** 2
+    return np.array([w * s / (1 + w), 1 - s, s / (1 + w)])
+
+
 def closed_form_distribution_single(beta: float, delta_theta: float) -> WorkDistribution:
-    """Closed-form single-qubit step distribution in float64: P(+-1) = sin^2(dth/2) * population."""
+    """Closed-form single-qubit step distribution in longdouble: P(+-1) = sin^2(dth/2) * population."""
     beta = require_beta(beta)
     require_finite(delta_theta=delta_theta)
-    s = math.sin(delta_theta / 2.0) ** 2
-    w = math.exp(-beta)
-    return WorkDistribution((-1, 0, 1), (w * s / (1.0 + w), 1.0 - s, s / (1.0 + w)))
+    return WorkDistribution((-1, 0, 1), _qubit_law(beta, delta_theta))
 
 
 def closed_form_distribution_cartan(
@@ -201,41 +210,17 @@ def closed_form_distribution_cartan(
     return WorkDistribution((-2, -1, 0, 1, 2), (*tails[:2], 1 - sum(tails), *tails[2:]))
 
 
-def closed_form_distribution_separable(
-    beta: float, delta_theta: float, c: float, m: float
-) -> WorkDistribution:
-    """Closed-form two-qubit step distribution for a separable X-Z-X entangler.
+def closed_form_distribution_separable(beta: float, delta_theta: float, c: float, m: float) -> WorkDistribution:
+    """Closed-form two-qubit step distribution for a separable X-Z-X entangler, in longdouble.
 
-    The Z angles drop out of the probabilities (they only add phases to
-    computational-basis columns before the X structure acts), so only the two
-    X angles c and m enter; P(0) is obtained by normalization.
+    The step R_X(dth)R_X(c)R_Z(l) (x) R_X(dth)R_X(m)R_Z(n) is two independent qubits, so its law
+    is the convolution of their two single-qubit laws, exact at any angle. The Z angles drop out:
+    they only add phases to computational-basis columns.
     """
     beta = require_beta(beta)
     require_finite(delta_theta=delta_theta, c=c, m=m)
-    w = np.exp(-_LD(beta))
-    denom = (1 + w) ** 2
-    dth = _LD(delta_theta)
-    sc, cc = np.sin((_LD(c) + dth) / 2), np.cos((_LD(c) + dth) / 2)
-    sm, cm = np.sin((_LD(m) + dth) / 2), np.cos((_LD(m) + dth) / 2)
-    sc2, cc2 = np.sin(_LD(c) / 2), np.cos(_LD(c) / 2)
-    sm2, cm2 = np.sin(_LD(m) / 2), np.cos(_LD(m) / 2)
-    sdt, sdt_half, cdt_half = np.sin(dth), np.sin(dth / 2), np.cos(dth / 2)
-    p_minus_1 = (
-        w * w * sc**2 * cm**2
-        + w * cc**2 * sm**2
-        + w * w * cc**2 * sm**2
-        + w * sc * cm * (-0.5 * sc2 * sm2 * sdt + sc2 * cm2 * cdt_half**2)
-        + w * sc * cm * cc2 * sdt_half * cm
-    ) / denom
-    p_plus_1 = (
-        w * sc**2 * cm**2
-        + sc**2 * cm**2
-        + cc**2 * sm**2
-        + w * cc * sm * (-0.5 * sc2 * sm2 * sdt - sc2 * cm2 * sdt_half**2)
-        + w * cc * sm * cc2 * cdt_half * sm
-    ) / denom
-    tails = (w * w * sc**2 * sm**2 / denom, p_minus_1, p_plus_1, sc**2 * sm**2 / denom)  # w = -2, -1, 1, 2
-    return WorkDistribution((-2, -1, 0, 1, 2), (*tails[:2], 1 - sum(tails), *tails[2:]))
+    law = np.convolve(_qubit_law(beta, delta_theta, c), _qubit_law(beta, delta_theta, m))
+    return WorkDistribution((-2, -1, 0, 1, 2), law)
 
 
 def _moments_rows(support, probs):

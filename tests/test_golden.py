@@ -11,13 +11,16 @@ alter the CLI's output, and say so in that change.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
+from mp_oracle import qubit_law, separable_law
 from workfdr.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -81,6 +84,12 @@ def _cases() -> dict[str, tuple[list[str], int]]:
          "--degrees", "--format", "json"],
         0,
     )
+    # the closed form's qubit laws take dtheta + c by the addition formula: exact here
+    cases["dist_separable_xzx_huge_csv"] = (
+        ["dist", "--beta", "1", "--dtheta", "1e200", "--entangler", "separable_xzx", "--c", "1e300",
+         "--format", "csv"],
+        0,
+    )
     cases["q_config_json"] = (["q", "--config", CONFIG, "--format", "json"], 0)
     cases["sweep_config_override"] = (["sweep", "--config", CONFIG, "--n-grid", "5,10", "--beta", "2"], 0)
     cases["sample_config_workers"] = (["sample", "--config", CONFIG, "--workers", "3"], 0)
@@ -111,13 +120,39 @@ def _reject_constant(name: str):
 
 
 # the goldens that hold a JSON document (`--format json`, and every `sample`)
-JSON_GOLDENS = sorted(name for name in CASES if (GOLDEN / f"{name}.out").read_bytes().startswith(b"{"))
+JSON_GOLDENS = sorted(name for name, (argv, _) in CASES.items() if argv[0] == "sample" or "json" in argv)
 
 
 @pytest.mark.parametrize("name", JSON_GOLDENS)
 def test_json_golden_is_strict_json(name):
     # json.loads accepts NaN, Infinity and -Infinity unless parse_constant refuses them
     json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+def _closed_form_column(text: str) -> list[tuple[int, float]]:
+    if text.startswith("{"):
+        return [(row["w"], row["P_closed_form"]) for row in json.loads(text)["results"]["rows"]]
+    return [(int(row["w"]), float(row["P_closed_form"])) for row in csv.DictReader(io.StringIO(text))]
+
+
+# the dist goldens whose closed form is built from one-qubit laws (--entangler none without --two-qubit, separable_xzx)
+QUBIT_LAW_DISTS = ("dist_none_csv", "dist_none_json", "dist_separable_xzx_csv", "dist_separable_xzx_json",
+                   "dist_separable_xzx_huge_csv")
+
+
+@pytest.mark.parametrize("name", QUBIT_LAW_DISTS)
+def test_dist_golden_closed_form_is_within_one_ulp_of_the_oracle(name):
+    argv = CASES[name][0]
+    flags = dict(zip(argv[1::2], argv[2::2]))  # every flag of these command lines takes a value; --m defaults to 0
+    beta, dtheta = float(flags["--beta"]), float(flags["--dtheta"])
+    if flags["--entangler"] == "none":
+        law, lowest = qubit_law(beta, dtheta), -1
+    else:
+        law, lowest = separable_law(beta, dtheta, float(flags["--c"]), float(flags.get("--m", 0.0))), -2
+    rows = _closed_form_column((GOLDEN / f"{name}.out").read_text(encoding="utf-8"))
+    assert [w for w, _ in rows] == list(range(lowest, -lowest + 1))
+    for w, p in rows:
+        assert abs(p - float(law[w - lowest])) <= math.ulp(p), (w, p)
 
 
 def _write() -> None:

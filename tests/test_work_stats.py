@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from workfdr import (
     CartanCoefficients,
@@ -38,6 +39,7 @@ from workfdr import work_stats
 from workfdr.entanglers import SINGLE_QUBIT, Entangler
 
 import convolve_oracle
+import mp_oracle
 
 RNG = np.random.default_rng(2718)
 
@@ -211,6 +213,40 @@ def test_separable_closed_form_vs_enumeration_grid():
                 closed = closed_form_distribution_separable(float(beta), dth, float(c), float(m))
                 worst = max(worst, distribution_distance(enum, closed))
     assert worst <= 1e-11
+
+
+def test_separable_closed_form_keeps_a_small_dtheta_beside_a_huge_c():
+    # sin((dth + c)/2) by the addition formula: dth + c in any float would round 0.1 away at c = 1e17
+    separable = ENTANGLERS["separable_xzx"]
+    for c in (1e17, 1e19):
+        p = {"c": c, "l": 0.0, "m": 0.2, "nz": 0.0}
+        enum, closed = separable.step_distribution(1.0, 0.1, p), separable.closed_form(1.0, 0.1, p)
+        assert distribution_distance(enum, closed) <= 1e-15
+
+
+@pytest.mark.parametrize("beta, dth, c, m", [(1.3, 0.4, 0.0, 0.0), (1.3, 0.3, 0.2, -0.15), (0.0, 2.0, -1.1, 0.7),
+                                             (40.0, 1e-8, 3.0, -3.0), (1.0, 1e200, 1e300, 0.0)])
+def test_qubit_law_closed_forms_are_longdouble_accurate(beta, dth, c, m):
+    # float64 arithmetic alone would leave errors near 1e-17; longdouble keeps them near 1e-20
+    for dist, law in ((closed_form_distribution_single(beta, dth), mp_oracle.qubit_law(beta, dth)),
+                      (closed_form_distribution_separable(beta, dth, c, m), mp_oracle.separable_law(beta, dth, c, m))):
+        lowest = -(len(law) // 2)
+        for w, p in zip(dist.support, dist.probs):
+            assert abs(mp_oracle.exact(p) - law[w - lowest]) <= 2e-19, (w, p)
+
+
+_BETAS = st.sampled_from([0.0, 1e-300, 0.5, 40.0, 700.0, 12000.0]) | st.floats(0.0, 50.0)
+_ANGLES = (st.sampled_from([0.0, -0.0]) | st.integers(-10**6, 10**6).map(lambda k: k * math.pi)
+           | st.floats(-10.0, 10.0) | st.floats(-1e300, 1e300))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(beta=_BETAS, dth=_ANGLES, c=_ANGLES, l=_ANGLES, m=_ANGLES, nz=_ANGLES)
+def test_qubit_law_closed_forms_match_enumeration_at_any_angle(beta, dth, c, l, m, nz):
+    assert distribution_distance(single_step(beta, dth), closed_form_distribution_single(beta, dth)) <= 2e-15
+    separable, p = ENTANGLERS["separable_xzx"], {"c": c, "l": l, "m": m, "nz": nz}
+    enum = separable.step_distribution(beta, dth, p)
+    assert distribution_distance(enum, separable.closed_form(beta, dth, p)) <= 2e-15
 
 
 # ------------------------------------------------- convolution and moments ---
