@@ -93,6 +93,12 @@ def _cases() -> dict[str, tuple[list[str], int]]:
     cases["q_config_json"] = (["q", "--config", CONFIG, "--format", "json"], 0)
     cases["sweep_config_override"] = (["sweep", "--config", CONFIG, "--n-grid", "5,10", "--beta", "2"], 0)
     cases["sample_config_workers"] = (["sample", "--config", CONFIG, "--workers", "3"], 0)
+    # theta = 0: every Born row of the rxx step repeats thresholds, so the batch kernel skips terms
+    cases["sample_rxx_theta_0"] = (
+        ["sample", "--beta", "1", "--n", "20", "--entangler", "rxx", "--theta", "0", "--phi", "0.7",
+         "--trajectories", "2000", "--seed", "7"],
+        0,
+    )
     cases["verify"] = (["verify", "--trajectories", "4000", "--seed", "42"], 1)
     return cases
 
