@@ -264,7 +264,8 @@ def convolve_n(step: WorkDistribution, n: int) -> WorkDistribution:
         while last > first + len(dense) and window[last - 1] == 0:
             last -= 1
         window, start = window[first:last], start + first
-    row = np.pad(window, (start, n * (hi - lo) + 1 - start - len(window)))
+    row = np.zeros(n * (hi - lo) + 1, _LD)
+    row[start : start + len(window)] = window
     return WorkDistribution(range(n * lo, n * lo + len(row)), row)
 
 

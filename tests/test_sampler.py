@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats as scipy_stats
 
@@ -252,16 +253,40 @@ def test_integer_thresholds_agree_with_float_uniforms():
                 assert (k >= t) == (k * 2.0**-53 >= c), (c, k)
 
 
-# odd N (two padding draws per trajectory), beta = 0, beta = 50 (population
-# thresholds at or next to 1.0) and theta = 0 (Born rows of exact 0 and 1)
+# odd N (two padding draws per trajectory), beta = 0, 1e-300, 50 and 700
+# (population thresholds at 1/4 steps, or at or next to 1.0), theta = 0 and
+# pi (Born rows of exact or near 0 and 1), and every kind; each repeats a Born
+# threshold, so the kernel's staircase skips a term
 EDGE_CONFIGS = {
     "odd_n": ProtocolConfig(beta=0.8, n_steps=7, total_theta=6.0, entangler_kind="cartan",
                             total_c1=3.0, total_c2=-1.0, total_c3=2.0),
     "beta_0": ProtocolConfig(beta=0.0, n_steps=6, total_theta=0.9, entangler_kind="rxx", total_phi=1.4),
+    "beta_1e-300": ProtocolConfig(beta=1e-300, n_steps=5, total_theta=1.2, entangler_kind="rxx", total_phi=0.5),
     "beta_50": ProtocolConfig(beta=50.0, n_steps=5, total_theta=2.0, entangler_kind="rxx", total_phi=0.7),
+    "beta_700": ProtocolConfig(beta=700.0, n_steps=5, total_theta=1.2, entangler_kind="rxx", total_phi=0.5),
     "theta_0": ProtocolConfig(beta=1.0, n_steps=8, total_theta=0.0),
+    "rxx_theta_0": ProtocolConfig(beta=1.0, n_steps=6, total_theta=0.0, entangler_kind="rxx", total_phi=0.7),
+    "rxx_theta_pi": ProtocolConfig(beta=1.0, n_steps=5, total_theta=5 * math.pi, entangler_kind="rxx",
+                                   total_phi=0.9),
+    # c = -theta: qubit A's X angle undoes its quench, so only qubit B moves
+    "separable_xzx": ProtocolConfig(beta=0.6, n_steps=5, total_theta=1.1, entangler_kind="separable_xzx",
+                                    total_c=-1.1, total_l=0.3, total_m=-0.4, total_nz=0.5),
+    "none": ProtocolConfig(beta=1.3, n_steps=4, total_theta=0.8),
 }
 EDGE_COUNT = 23
+
+
+def _repeated_thresholds(config):
+    """How many staircase terms the kernel skips: (first outcome k, energy rise j) pairs
+    whose Born rows k and k+1 share threshold j."""
+    thresholds = sampler._thresholds(np.cumsum(_born_matrix(config.step_unitary()), axis=0).T[:, :-1])
+    rises = np.flatnonzero(np.diff(TWO_QUBIT_ENERGIES))
+    return int(np.sum(thresholds[1:, rises] == thresholds[:-1, rises]))
+
+
+@pytest.mark.parametrize("name", list(EDGE_CONFIGS))
+def test_edge_configs_repeat_a_born_threshold(name):
+    assert _repeated_thresholds(EDGE_CONFIGS[name]) > 0
 
 
 def _recorded_estimate(monkeypatch, config, n_trajectories, seed):
@@ -346,6 +371,31 @@ def test_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps):
     totals = [sum(int(works[0]) for start, _, _, _, works in calls if start == i) for i in range(9)]
     assert totals == oracle
     assert stats == unchunked
+
+
+_MC_BETAS = st.sampled_from([0.0, 1e-300, 0.5, 50.0, 700.0]) | st.floats(0.0, 50.0)
+_MC_TOTALS = st.sampled_from([0.0, -0.0]) | st.integers(-4, 4).map(lambda k: k * math.pi) | st.floats(-10.0, 10.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(kind=st.sampled_from(list(ENTANGLERS)), beta=_MC_BETAS, theta=_MC_TOTALS,
+       totals=st.lists(_MC_TOTALS, min_size=4, max_size=4), n_steps=st.integers(1, 40),
+       seed=st.integers(0, 2**64 - 1), start=st.integers(0, 10**6), batches=st.integers(0, 7),
+       extra=st.integers(2, 300), workers=st.integers(1, 3), budget_bits=st.integers(15, 21))
+def test_batch_kernel_is_the_oracle_and_stats_ignore_workers_and_budget(
+    kind, beta, theta, totals, n_steps, seed, start, batches, extra, workers, budget_bits
+):
+    names = [f"total_{spec.total}" for spec in ENTANGLERS[kind].params]
+    config = ProtocolConfig(beta, n_steps, theta, kind, **dict(zip(names, totals)))
+    oracle = [run_protocol(config, start + i, seed) for i in range(3)]
+    assert batch_works(config, seed, start, 3).tolist() == oracle
+    # batches full batches and a partial one at the smallest budget, 2**15 words
+    n_trajectories = batches * (2**15 // (4 * _blocks_per_trajectory(n_steps))) + extra
+    reference = estimate(config, n_trajectories, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        for budget in (2**15, 2**budget_bits):
+            patch.setattr(sampler, "_DRAWS_PER_BATCH", budget)
+            assert estimate(config, n_trajectories, seed, workers=workers) == reference
 
 
 @pytest.mark.parametrize(("n_steps", "n_trajectories"), [(50, 20_000), (300_000, 2)])
