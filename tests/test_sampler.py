@@ -389,7 +389,7 @@ def test_batch_kernel_is_the_oracle_and_stats_ignore_workers_and_budget(
     config = ProtocolConfig(beta, n_steps, theta, kind, **dict(zip(names, totals)))
     oracle = [run_protocol(config, start + i, seed) for i in range(3)]
     assert batch_works(config, seed, start, 3).tolist() == oracle
-    # batches full batches and a partial one at the smallest budget, 2**15 words
+    # `batches` full batches and a partial one at the smallest budget, 2**15 words
     n_trajectories = batches * (2**15 // (4 * _blocks_per_trajectory(n_steps))) + extra
     reference = estimate(config, n_trajectories, seed)
     with pytest.MonkeyPatch.context() as patch:
@@ -401,7 +401,7 @@ def test_batch_kernel_is_the_oracle_and_stats_ignore_workers_and_budget(
 @pytest.mark.parametrize(("n_steps", "n_trajectories"), [(50, 20_000), (300_000, 2)])
 def test_estimate_memory_is_bounded_by_the_draw_budget(n_steps, n_trajectories):
     # numpy reports its array buffers to tracemalloc; one batch's words and
-    # kernel arrays come to about 3.3 times the budget's bytes
+    # kernel arrays (22 bytes a step) come to about 2.4 times the budget's bytes
     config = ProtocolConfig(beta=1.0, n_steps=n_steps, total_theta=0.3)
     tracemalloc.start()
     try:
