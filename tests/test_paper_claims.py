@@ -61,10 +61,14 @@ def test_separable_q_is_two_single_qubit_qs(beta, n, totals):
     # times _rho of each qubit's angle sum. N((beta/2)Var + |<w>|) is no such size, because
     # Var = <w^2> - <w>^2 and <w> (up minus down flows) cancel: 1e-14 of it is exceeded below
     # beta = 0.05, at angle sums near pi and near dth = -x. Past per-step angles of about 10,
-    # the float sum dth + x that q_single_exact takes rounds by more.
+    # the float sum dth + x that q_single_exact takes rounds by more. The _rho factor is a known
+    # gap: it weakens the bound as the angles near cancelling, and at an exact cancellation
+    # (rho infinite) the example is dropped, so every accepted one meets a finite bound. Exact
+    # step unitaries (ROADMAP item 13) should let the factor go.
     theta, c, l, m, nz = (total / n for total in totals)
     step = ENTANGLERS["separable_xzx"].step_distribution(beta, theta, {"c": c, "l": l, "m": m, "nz": nz})
     w, p = np.asarray(step.support, dtype=float), np.asarray(step.probs, dtype=float)
     size = n * (beta / 2 * (p @ w**2) + p @ np.abs(w)) * max(_rho(theta, c), _rho(theta, m))
+    assume(math.isfinite(size))
     gap = q_correction(step, beta, n).q_value - q_single_exact(n, beta, theta + c) - q_single_exact(n, beta, theta + m)
     assert gap == 0 or abs(gap) <= 1e-14 * size
