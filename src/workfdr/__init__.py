@@ -2,7 +2,7 @@
 discrete two-point-measurement protocol: exact enumeration, closed-form
 cross-checks, entanglement negativity, and seeded Monte Carlo validation."""
 
-from .entanglement import NegativityResult, negativity, negativity_cartan_basis
+from .entanglement import negativity, negativity_cartan_basis
 from .entanglers import ENTANGLERS, SINGLE_QUBIT, Entangler
 from .errors import (
     ContractViolationError,
@@ -23,7 +23,6 @@ from .model import (
 )
 from .sampler import ProtocolConfig, SampleStats, estimate
 from .work_stats import (
-    QReport,
     WorkDistribution,
     closed_form_distribution_cartan,
     closed_form_distribution_separable,
@@ -48,10 +47,8 @@ __all__ = [
     "ContractViolationError",
     "ENTANGLERS",
     "Entangler",
-    "NegativityResult",
     "NumericFailureError",
     "ProtocolConfig",
-    "QReport",
     "SINGLE_QUBIT",
     "SampleStats",
     "SeparableXZXParams",

@@ -9,38 +9,29 @@ cross-checked on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericFailureError, ValidationError, require_finite, require_int
-from .linalg import check_density, hermitian_eigenvalues, partial_transpose_A, require_each
+from .linalg import _freeze, check_density, hermitian_eigenvalues, partial_transpose_A, require_each
 from .model import CartanCoefficients, cartan_entangler
 
 CROSS_CHECK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class NegativityResult:
-    """Entanglement negativity plus the negative partial-transpose eigenvalues behind it."""
-
-    value: float
-    negative_eigenvalues: tuple[float, ...]
-
-
-def negativity(rho: np.ndarray) -> NegativityResult | list[NegativityResult]:
-    """Negativity of a 4x4 density matrix, or one per matrix of a (k, 4, 4) stack, all
-    solved in one eigensolver call; zero exactly on product states."""
+def negativity(rho: np.ndarray) -> np.ndarray:
+    """Negativity of a 4x4 density matrix (a 0-d array), or of each matrix of a (k, 4, 4) stack
+    (shape (k,)), all solved in one eigensolver call; a write-protected float64 array, zero
+    exactly on product states."""
     rho = check_density(rho)
     if rho.shape[-1] != 4:
         raise ValidationError("negativity is defined here for 4x4 two-qubit densities")
     spectra = hermitian_eigenvalues(partial_transpose_A(rho)).reshape(-1, 4).tolist()
-    results = [NegativityResult(-math.fsum(n), n) for n in (tuple(v for v in e if v < 0.0) for e in spectra)]
-    values = np.array([result.value for result in results]).reshape(rho.shape[:-2])
+    values = np.array([-math.fsum(v for v in e if v < 0.0) for e in spectra]).reshape(rho.shape[:-2])
     alternates = np.array([(math.fsum(abs(v) for v in e) - 1.0) / 2.0 for e in spectra]).reshape(values.shape)
     message = "negativity self-check failed: {!r} vs (||.||_1 - 1)/2 = {!r}"
     require_each(np.abs(values - alternates) <= CROSS_CHECK_TOL, message, values, alternates, error=NumericFailureError)
-    return results if rho.ndim == 3 else results[0]
+    return _freeze(values)
 
 
 def column_states(unitaries) -> np.ndarray:
@@ -68,4 +59,4 @@ def cartan_basis_negativities(c1: float, c2: float, c3: float) -> list[tuple[int
     """(u, numerical, closed form) for each computational basis state u: the negativity of
     its image under the Cartan entangler, by partial transpose and by negativity_cartan_basis."""
     states = column_states(cartan_entangler(CartanCoefficients(c1, c2, c3)))
-    return [(u, result.value, negativity_cartan_basis(u, c1, c2)) for u, result in enumerate(negativity(states))]
+    return [(u, value, negativity_cartan_basis(u, c1, c2)) for u, value in enumerate(negativity(states).tolist())]

@@ -120,7 +120,7 @@ def exact_reference(config: ProtocolConfig) -> tuple[float, float, float]:
     moments of the N-fold convolution of the step distribution, and the step's Q."""
     step = ws.step_distribution(config.beta, config.step_unitary())
     mean_w, var_w = ws.moments(ws.convolve_n(step, config.n_steps))
-    return mean_w, var_w, ws.q_correction(step, config.beta, config.n_steps).q_value
+    return mean_w, var_w, ws.q_correction(step, config.beta, config.n_steps)
 
 
 def _blocks_per_trajectory(n_steps: int) -> int:

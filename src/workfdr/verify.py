@@ -45,7 +45,7 @@ def check_01_single_qubit_exact_q() -> CheckResult:
     for beta in (0.1, 1.0, 5.0):
         for dth in (0.01, 0.1, 0.5):
             for n in (1, 10, 100):
-                q_dist = ws.q_correction(SINGLE_QUBIT.step_distribution(beta, dth, {}), beta, n).q_value
+                q_dist = ws.q_correction(SINGLE_QUBIT.step_distribution(beta, dth, {}), beta, n)
                 q_closed = ws.q_single_exact(n, beta, dth)
                 worst = max(worst, float(ws.relative_gap(q_closed, q_dist)))
     return CheckResult(
@@ -61,7 +61,7 @@ def check_02_small_angle_convergence() -> CheckResult:
 
     def gap(model, n: int, totals: dict) -> float:  # theta = 1 and the entangler totals, by step name
         dth, params = 1.0 / n, {name: total / n for name, total in totals.items()}
-        q = ws.q_correction(model.step_distribution(beta, dth, params), beta, n).q_value
+        q = ws.q_correction(model.step_distribution(beta, dth, params), beta, n)
         return float(ws.relative_gap(q, sum(model.small_angle(n, f, g, dth, params))))
 
     families = {"single": (SINGLE_QUBIT, {}), "rxx": (ENTANGLERS["rxx"], {"dphi": 1.0}),
@@ -88,7 +88,7 @@ def check_03_no_entangler_reduction() -> CheckResult:
         beta = float(rng.uniform(0.1, 4.0))
         dth = float(rng.uniform(0.01, 1.0))
         n = int(rng.integers(1, 201))
-        q_two, q_one = (ws.q_correction(model.step_distribution(beta, dth, {}), beta, n).q_value
+        q_two, q_one = (ws.q_correction(model.step_distribution(beta, dth, {}), beta, n)
                         for model in (ENTANGLERS[DEFAULT_KIND], SINGLE_QUBIT))
         worst = max(worst, _rel_gap(q_two, 2.0 * q_one))
     return CheckResult(
@@ -146,7 +146,7 @@ def check_06_negativity_closed_forms() -> CheckResult:
     gates = [cartan_entangler(CartanCoefficients(c1, c2, 0.37)) for c1, c2 in grid] + [
         separable_xzx(SeparableXZXParams(*(float(x) for x in rng.uniform(-2.0, 2.0, 4)))) for _ in range(10)
     ]
-    values = [result.value for result in negativity(column_states(gates))]  # all 524 states in one stack
+    values = negativity(column_states(gates)).tolist()  # all 524 states in one stack
     closed = [negativity_cartan_basis(u, c1, c2) for c1, c2 in grid for u in range(4)]
     worst = max([0.0] + [abs(numeric - form) for numeric, form in zip(values, closed)])
     worst_separable = max([0.0] + values[len(closed) :])

@@ -75,19 +75,6 @@ class WorkDistribution:
             return _LD(0.0)
 
 
-@dataclass(frozen=True)
-class QReport:
-    """Cumulants of the N-step work, with the FDR correction Q = (beta/2)Var - W_diss."""
-
-    mean_work: float
-    var_work: float
-    delta_f: float
-    w_diss: float
-    q_value: float
-    beta: float
-    n_steps: int
-
-
 def _f(beta: float) -> float:
     return beta / 2.0 - math.tanh(beta / 2.0)
 
@@ -293,10 +280,8 @@ def jarzynski_check(dist: WorkDistribution, beta: float) -> float:
 
 
 def q_grid(support, probs, betas, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q_correction over a grid: row i of probs is the step distribution over support at betas[i].
-
-    Returns float64 arrays (mean_work, var_work, q_value), each row computed in
-    q_correction's operation order.
+    """Cumulants and FDR correction over a grid: row i of probs is the step distribution over
+    support at betas[i]. Returns float64 arrays (mean_work, var_work, q_value).
     """
     betas = require_betas(betas).astype(_LD)
     n = require_int("n", n, minimum=1)
@@ -307,19 +292,11 @@ def q_grid(support, probs, betas, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return mean_work.astype(np.float64), var_work.astype(np.float64), q_value.astype(np.float64)
 
 
-def q_correction(dist: WorkDistribution, beta: float, n: int) -> QReport:
-    """FDR correction of the N-step protocol built on a per-step distribution.
-
-    Uses cumulant additivity of independent identical steps:
-    mean and variance of the total work are n times the per-step values, and
-    Q = (beta/2) * n * Var(w) - n * <w>. Every unitary in scope preserves the
-    spectrum, so the free-energy change is 0 and W_diss is the mean work.
-    """
-    beta = require_beta(beta)
-    n = require_int("n", n, minimum=1)
-    mean_work, var_work, q_value = (float(x[0]) for x in q_grid(dist.support, [dist.probs], [beta], n))
-    return QReport(mean_work=mean_work, var_work=var_work, delta_f=0.0, w_diss=mean_work, q_value=q_value,
-                   beta=beta, n_steps=n)
+def q_correction(dist: WorkDistribution, beta: float, n: int) -> float:
+    """FDR correction Q = (beta/2) * n * Var(w) - n * <w> of n independent steps of dist (cumulant
+    additivity): the one-beta case of q_grid. Every unitary in scope preserves the spectrum, so
+    the free-energy change is 0 and W_diss is the mean work."""
+    return float(q_grid(dist.support, [dist.probs], [beta], n)[2][0])
 
 
 def q_single_exact(n: int, beta: float, delta_theta: float) -> float:

@@ -93,8 +93,8 @@ def test_criterion_08b_fg_low_temperature_ratio():
     # (c) exact enumeration: Q = (a^2/2) g for an rxx(a)-only step and
     # Q = (a^2/4) f for a single-qubit step at d(theta) = a
     a = 1e-4
-    g_enum = ws.q_correction(ws.step_distribution(beta, rxx(a)), beta, 1).q_value
-    f_enum = ws.q_correction(SINGLE_QUBIT.step_distribution(beta, a, {}), beta, 1).q_value
+    g_enum = ws.q_correction(ws.step_distribution(beta, rxx(a)), beta, 1)
+    f_enum = ws.q_correction(SINGLE_QUBIT.step_distribution(beta, a, {}), beta, 1)
     ratio_enum = (g_enum / (a * a / 2.0)) / (f_enum / (a * a / 4.0))
     assert abs(ratio_enum - exact) <= 1e-6 * exact, f"enumerated g/f = {ratio_enum!r}"
     # (d) the verify check still applies the stated window to the measured ratio

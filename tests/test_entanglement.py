@@ -12,9 +12,11 @@ from workfdr import (
     SeparableXZXParams,
     ValidationError,
     cartan_entangler,
+    hermitian_eigenvalues,
     kron,
     negativity,
     negativity_cartan_basis,
+    partial_transpose_A,
     rotation_x,
     rotation_z,
     rxx,
@@ -39,22 +41,23 @@ def random_local_unitary():
 def test_thermal_product_states_are_separable():
     for beta in (0.0, 0.8, 3.0):
         single = np.diag(gibbs_populations(beta, SINGLE_QUBIT_ENERGIES))
-        result = negativity(kron(single, single))
-        assert result.value <= 1e-14
-        assert not result.negative_eigenvalues
+        assert negativity(kron(single, single)) == 0.0  # no negative partial-transpose eigenvalue
 
 
 def test_bell_state_negativity_is_half():
     psi = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     result = negativity(pure_state(psi))
-    assert abs(result.value - 0.5) <= 1e-11
-    assert len(result.negative_eigenvalues) == 1
-    assert abs(result.negative_eigenvalues[0] + 0.5) <= 1e-11
+    assert result.shape == () and result.dtype == np.float64
+    assert abs(result - 0.5) <= 1e-11
+    with pytest.raises(ValueError, match="read-only"):
+        result[()] = 0.0
+    negative = [v for v in hermitian_eigenvalues(partial_transpose_A(pure_state(psi))) if v < 0.0]
+    assert len(negative) == 1 and abs(negative[0] + 0.5) <= 1e-11
 
 
 def test_rxx_image_of_ground_state():
     rho = pure_state(rxx(0.2)[:, 0])
-    assert abs(negativity(rho).value - 0.09933466539753061) <= 1e-11
+    assert abs(negativity(rho) - 0.09933466539753061) <= 1e-11
 
 
 def test_closed_form_basics():
@@ -77,7 +80,7 @@ def test_closed_form_matches_numerics_on_grid():
             gate = cartan_entangler(CartanCoefficients(float(c1), float(c2), 0.45))
             table = cartan_basis_negativities(float(c1), float(c2), 0.45)
             for u in range(4):
-                numeric = negativity(pure_state(gate[:, u])).value
+                numeric = negativity(pure_state(gate[:, u]))
                 closed = negativity_cartan_basis(u, float(c1), float(c2))
                 assert abs(numeric - closed) <= 1e-10
                 assert table[u] == (u, numeric, closed)
@@ -86,11 +89,11 @@ def test_closed_form_matches_numerics_on_grid():
 def test_negativity_invariant_under_local_unitaries():
     gate = cartan_entangler(CartanCoefficients(0.3, -0.15, 0.7))
     rho = pure_state(gate[:, 2])
-    base = negativity(rho).value
+    base = negativity(rho)
     for _ in range(10):
         local = kron(random_local_unitary(), random_local_unitary())
         rotated = local @ rho @ local.conj().T
-        assert abs(negativity(rotated).value - base) <= 1e-10
+        assert abs(negativity(rotated) - base) <= 1e-10
 
 
 def test_separable_unitaries_create_no_entanglement():
@@ -98,14 +101,14 @@ def test_separable_unitaries_create_no_entanglement():
         params = SeparableXZXParams(*(float(x) for x in RNG.uniform(-3.0, 3.0, 4)))
         gate = separable_xzx(params)
         for u in range(4):
-            assert negativity(pure_state(gate[:, u])).value <= 1e-12
+            assert negativity(pure_state(gate[:, u])) <= 1e-12
 
 
 def test_superposition_negativity_is_amplitude_product():
     for theta in np.linspace(0.0, math.pi, 12):
         alpha, beta = math.cos(theta / 2.0), math.sin(theta / 2.0)
         psi = np.array([alpha, 0.0, 0.0, beta], dtype=complex)
-        assert abs(negativity(pure_state(psi)).value - abs(alpha * beta)) <= 1e-11
+        assert abs(negativity(pure_state(psi)) - abs(alpha * beta)) <= 1e-11
 
 
 def test_negativity_cross_check_rejects_nan_eigenvalues(monkeypatch):

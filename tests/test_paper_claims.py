@@ -3,7 +3,10 @@
 An entangling step adds a positive term to the dissipated work, beyond the
 local-coherence term of the same quench, and in the slow-driving limit that
 term is the registry's small-angle g term. A separable step is two independent
-qubits, so its Q is exactly the sum of two single-qubit Qs: it adds no term.
+qubits, so its Q is exactly the sum of two single-qubit Qs: it adds no term,
+and without an entangler the two qubits' Q is twice one qubit's. The Cartan
+step's law sees the entangler only through c1 - c2, and the entangled image of
+a basis state has the closed-form negativity |sin(2c1 -+ 2c2)|/2.
 """
 
 import math
@@ -11,17 +14,39 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from workfdr import ENTANGLERS, f_beta, g_beta, q_correction, q_single_exact
+from workfdr import (
+    ENTANGLERS,
+    SINGLE_QUBIT,
+    CartanCoefficients,
+    cartan_entangler,
+    distribution_distance,
+    f_beta,
+    g_beta,
+    negativity,
+    negativity_cartan_basis,
+    q_correction,
+    q_single_exact,
+)
+from workfdr.entanglement import column_states
 
 
 def _q(kind, beta, n, theta, **totals):
     """Exact Q of the N-step protocol of a kind at protocol totals (per-step angles are total / N)."""
     entry = ENTANGLERS[kind]
     params = {spec.step: totals.get(spec.total, 0.0) / n for spec in entry.params}
-    return q_correction(entry.step_distribution(beta, theta / n, params), beta, n).q_value
+    return q_correction(entry.step_distribution(beta, theta / n, params), beta, n)
 
 
 _TOTALS = st.floats(-1.5, 1.5)
+_BETAS = st.sampled_from([0.0, 1e-300, 0.05, 40.0, 700.0]) | st.floats(0.0, 50.0)
+# per-step angles within 2 pi: past that the float64 fold of CartanCoefficients loses bits (ROADMAP item 13)
+_ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+def _size(step, beta, n):
+    """N((beta/2)<w^2> + <|w|>): the size of the sums Q is formed from, the scale its rounding is relative to."""
+    w, p = np.asarray(step.support, dtype=float), np.asarray(step.probs, dtype=float)
+    return n * (beta / 2 * (p @ w**2) + p @ np.abs(w))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -54,8 +79,7 @@ def _rho(dth, x):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(beta=st.sampled_from([0.0, 1e-300, 0.05, 40.0, 700.0]) | st.floats(0.0, 50.0), n=st.integers(1, 1000),
-       totals=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5))
+@given(beta=_BETAS, n=st.integers(1, 1000), totals=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5))
 def test_separable_q_is_two_single_qubit_qs(beta, n, totals):
     # The bound is relative to the size of the sums Q is formed from, N((beta/2)<w^2> + <|w|>),
     # times _rho of each qubit's angle sum. N((beta/2)Var + |<w>|) is no such size, because
@@ -67,8 +91,42 @@ def test_separable_q_is_two_single_qubit_qs(beta, n, totals):
     # step unitaries (ROADMAP item 13) should let the factor go.
     theta, c, l, m, nz = (total / n for total in totals)
     step = ENTANGLERS["separable_xzx"].step_distribution(beta, theta, {"c": c, "l": l, "m": m, "nz": nz})
-    w, p = np.asarray(step.support, dtype=float), np.asarray(step.probs, dtype=float)
-    size = n * (beta / 2 * (p @ w**2) + p @ np.abs(w)) * max(_rho(theta, c), _rho(theta, m))
+    size = _size(step, beta, n) * max(_rho(theta, c), _rho(theta, m))
     assume(math.isfinite(size))
-    gap = q_correction(step, beta, n).q_value - q_single_exact(n, beta, theta + c) - q_single_exact(n, beta, theta + m)
+    gap = q_correction(step, beta, n) - q_single_exact(n, beta, theta + c) - q_single_exact(n, beta, theta + m)
     assert gap == 0 or abs(gap) <= 1e-14 * size
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(beta=_BETAS, n=st.integers(1, 1000), theta=st.floats(-10.0, 10.0))
+def test_two_qubits_without_an_entangler_have_twice_the_single_qubit_q(beta, n, theta):
+    # the two-qubit step is R_X(dth) (x) R_X(dth) on two independent qubits; its Born matrix is
+    # the Kronecker square of the qubit's, each entry within an ulp or two of that product
+    two = ENTANGLERS["none"].step_distribution(beta, theta / n, {})
+    gap = q_correction(two, beta, n) - 2 * q_correction(SINGLE_QUBIT.step_distribution(beta, theta / n, {}), beta, n)
+    assert gap == 0 or abs(gap) <= 1e-14 * _size(two, beta, n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(beta=_BETAS, dth=_ANGLES, c1=st.floats(-math.pi, math.pi), c2=st.floats(-math.pi, math.pi),
+       shift=st.floats(-math.pi, math.pi), c3=_ANGLES)
+def test_cartan_law_is_invariant_under_a_common_shift_and_any_c3(beta, dth, c1, c2, shift, c3):
+    # the xx and yy terms act on |00>,|11> through c1 - c2 and on |01>,|10> through c1 + c2,
+    # where the quench's Born weights see only a phase; zz is diagonal there
+    cartan = ENTANGLERS["cartan"]
+    base, shifted, rotated = (
+        cartan.step_distribution(beta, dth, {"c1": a, "c2": b, "c3": c})
+        for a, b, c in ((c1, c2, 0.0), (c1 + shift, c2 + shift, 0.0), (c1, c2, c3))
+    )
+    assert distribution_distance(base, shifted) <= 1e-12
+    assert distribution_distance(base, rotated) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(c1=_ANGLES, c2=_ANGLES, c3=_ANGLES)
+def test_negativity_of_cartan_images_is_the_closed_form(c1, c2, c3):
+    values = negativity(column_states(cartan_entangler(CartanCoefficients(c1, c2, c3))))
+    assert values.shape == (4,)
+    for u, value in enumerate(values.tolist()):
+        assert 0.0 <= value <= 0.5
+        assert abs(value - negativity_cartan_basis(u, c1, c2)) <= 1e-10
