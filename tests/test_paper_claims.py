@@ -111,8 +111,7 @@ def test_two_qubits_without_an_entangler_have_twice_the_single_qubit_q(beta, n, 
 @given(beta=_BETAS, dth=_ANGLES, c1=st.floats(-math.pi, math.pi), c2=st.floats(-math.pi, math.pi),
        shift=st.floats(-math.pi, math.pi), c3=_ANGLES)
 def test_cartan_law_is_invariant_under_a_common_shift_and_any_c3(beta, dth, c1, c2, shift, c3):
-    # the xx and yy terms act on |00>,|11> through c1 - c2 and on |01>,|10> through c1 + c2,
-    # where the quench's Born weights see only a phase; zz is diagonal there
+    # the step law sees the entangler only through c1 - c2, as closed_form_distribution_cartan states it
     cartan = ENTANGLERS["cartan"]
     base, shifted, rotated = (
         cartan.step_distribution(beta, dth, {"c1": a, "c2": b, "c3": c})
