@@ -22,7 +22,19 @@ degenerate |01>/|10> rise of 0 costs nothing. The second draw's threshold j
 is that of the first outcome f's Born row, taken by a staircase, not a gather:
 [second >= j+1] = c_0 + sum_{k<f} (c_{k+1} - c_k) = c_f, with c_k the draw
 compared with row k's threshold j; k < f exactly where [first >= k+1], and a
-term whose two rows share the threshold is 0 and skipped. A batch holds as many
+term whose two rows share the threshold is 0 and skipped.
+
+Slowly driven, a step keeps its first outcome f with probability 1 - O(dtheta**2).
+A second draw d with T[f, f-1] <= d < T[f, f] (T the Born thresholds) keeps f, so
+one in [max_f T[f, f-1], min_f T[f, f]) keeps every f and does no work whatever the
+first draw was. The band filter (_moving_rows) flags, in one pass over the raw
+second words, the trajectories that hold a draw outside that band; only those run
+the staircase, and every other trajectory's total is exactly 0. It runs when it
+expects to flag at most half a batch's rows, the measured break-even: fast-driving
+protocols run every row, as does a batch whose flagged rows do not fit, words and
+draws, in the draws' own space.
+
+A batch holds as many
 trajectories as fit in _DRAWS_PER_BATCH raw words (1 MB); a longer trajectory
 runs alone, in chunks of whole Philox blocks that each fit the budget, and its
 partial totals add up to its exact total. Memory is therefore bounded for any
@@ -35,6 +47,7 @@ run the batches; they stop within one kernel call if the calling thread raises.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,6 +63,8 @@ _DRAWS_PER_STEP = 2
 _WORDS_PER_BLOCK = 4
 _DRAWS_PER_BATCH = 2**17  # raw words drawn per kernel call, padding included: 1 MB
 _UNIFORM_BITS = 53  # Generator.random keeps the top 53 bits of each raw Philox word
+_FLAGGED_SHARE_MAX = 0.5  # the band filter runs when it expects to flag at most this share of a batch's rows
+_HIGH_HALF = 1 if sys.byteorder == "little" else 0  # index of a uint64's high 32 bits in its uint32 view
 
 
 @dataclass(frozen=True, init=False)
@@ -151,16 +166,19 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
 
 
 class _Scratch:
-    """Arrays that one worker thread reuses from kernel call to kernel call.
+    """Arrays and the Philox generator that one worker thread reuses from kernel call to kernel call.
 
     Allocated afresh on each call, a batch's megabyte-sized arrays come back
     as fresh pages (glibc malloc hands the freed top of the heap back to the
     system between calls): about 500 page faults a batch, which took 40% of
-    estimate's time at N = 50 on a 2-vCPU VM.
+    estimate's time at N = 50 on a 2-vCPU VM. Re-keying one generator through
+    its state takes 8-13 us a call, against 15-27 us for a new np.random.Philox,
+    whose constructor first draws OS entropy that the key then replaces.
     """
 
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
+        self._bits = None
 
     def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """An uninitialised array of this shape, kept under name for the next call."""
@@ -169,6 +187,49 @@ class _Scratch:
         if held is None or held.size < size:
             held = self._arrays[name] = np.empty(size, dtype)
         return held[:size].reshape(shape)
+
+    def words(self, master_seed: int, block: int, size: int) -> np.ndarray:
+        """size raw words of the Philox stream keyed by master_seed, from counter block `block` on:
+        the words of np.random.Philox(key=master_seed) after advance(block)."""
+        if self._bits is None:
+            self._bits = np.random.Philox(key=np.uint64(0))  # numpy loads np.random on this first use
+        state = self._bits.state
+        state["state"] = {"counter": np.zeros(4, np.uint64), "key": np.array([master_seed, 0], np.uint64)}
+        state["buffer_pos"] = _WORDS_PER_BLOCK  # nothing buffered, as in a new generator
+        self._bits.state = state
+        self._bits.advance(block)
+        return self._bits.random_raw(size)
+
+
+def _moving_rows(second_words: np.ndarray, second_thresholds: np.ndarray, space: np.ndarray):
+    """Indices of the rows (trajectories) of second_words [trajectory, step] that hold a second draw
+    outside the band every first outcome keeps, or None where the filter does not pay.
+
+    Outcome f is kept by a draw d with T[f, f-1] <= d < T[f, f], so d in [max_f T[f, f-1],
+    min_f T[f, f]) keeps every f: a row with no draw outside that band does no work. The
+    band is taken on the raw words' high 32-bit halves, rounded inward, so a draw within
+    2**-32 of an edge may be flagged too; a flagged row gets its exact work. The filter
+    runs when the expected flagged share, 1 - (1 - q)**steps with q the share of words
+    outside the band, is at most _FLAGGED_SHARE_MAX. Its temporaries live in space, a
+    uint64 array of at least one word a step.
+    """
+    shape = second_words.shape
+    low = int(np.diagonal(second_thresholds, -1).max()) << (64 - _UNIFORM_BITS)
+    high = int(np.diagonal(second_thresholds).min()) << (64 - _UNIFORM_BITS)
+    band_low, band_high = -(-low >> 32), min(high >> 32, 2**32 - 1)
+    width = band_high - band_low  # high halves h with band_low <= h < band_high keep every outcome
+    if width <= 0 or 1.0 - (width / 2**32) ** shape[1] > _FLAGGED_SHARE_MAX:
+        return None
+    size = math.prod(shape)
+    high_halves = second_words[..., np.newaxis].view(np.uint32)[..., _HIGH_HALF]
+    # a half below band_low wraps past width, so one compare flags both sides of the band
+    offsets = np.subtract(high_halves, np.uint32(band_low), out=space.view(np.uint32)[:size].reshape(shape))
+    outside = np.greater_equal(offsets, np.uint32(width), out=space.view(np.bool_)[-size:].reshape(shape))
+    # not flatnonzero: while the words are held, every array made here has one size per batch shape.
+    # numpy keeps small freed buffers for reuse, and one of a new size, made above the words on the
+    # heap, keeps the freed words from rejoining the heap's top (peak RSS +1 MB at N = 4000)
+    moving = np.bitwise_or.reduceat(outside.view(np.uint8).reshape(-1), np.arange(0, size, shape[1]))
+    return np.argsort(moving == 0, kind="stable")[: np.count_nonzero(moving)]
 
 
 def _simulate_batch(
@@ -184,24 +245,40 @@ def _simulate_batch(
     scratch: _Scratch,
 ) -> np.ndarray:
     """Integer work of steps [first_step, last_step) of trajectories [start, start+count),
-    vectorized with no gather, in arrays reused from scratch: about 22 bytes a step.
+    vectorized with no per-step gather, in arrays reused from scratch: at most 22 bytes a step,
+    16 of them the draws' space (which first holds the band filter's temporaries and the flagged
+    rows' words) and 6 in int8 arrays over the rows that run.
 
     A partial range must start at an even step (a Philox block holds two steps)
     and is for a single trajectory, whose words are then contiguous.
     """
-    shape = (count, last_step - first_step)
+    steps = last_step - first_step
     first_thresholds = _thresholds(population_cdf[:-1])
     second_thresholds = _thresholds(born_cdf_rows[:, :-1])  # [first outcome, j]
-    bits = np.random.Philox(key=np.uint64(master_seed))  # numpy loads np.random on this first use
-    bits.advance(start * _blocks_per_trajectory(n_steps) + first_step // _DRAWS_PER_STEP)
-    words = bits.random_raw(count * _WORDS_PER_BLOCK * _blocks_per_trajectory(shape[1]))
+    words = scratch.words(
+        master_seed,
+        start * _blocks_per_trajectory(n_steps) + first_step // _DRAWS_PER_STEP,
+        count * _WORDS_PER_BLOCK * _blocks_per_trajectory(steps),
+    ).reshape(count, -1)
+    pairs = words.reshape(count, -1, _DRAWS_PER_STEP)[:, :steps]  # [trajectory, step, outcome]
+    space = scratch.array("draws", (_DRAWS_PER_STEP * count * steps,), np.uint64)
+    rows = _moving_rows(pairs[..., 1], second_thresholds, space)
+    if rows is not None and len(rows) * (words.shape[1] + _DRAWS_PER_STEP * steps) > space.size:
+        rows = None  # too many for their words and draws to share space: run every row
+    if rows is not None:
+        if len(rows) == 0:
+            return np.zeros(count, np.int64)
+        # the flagged rows' words go to the end of space, their draws to its start
+        held = space[space.size - len(rows) * words.shape[1] :].reshape(len(rows), -1)
+        pairs = np.take(words, rows, axis=0, out=held, mode="clip").reshape(len(rows), -1, _DRAWS_PER_STEP)[:, :steps]
     # one pass from interleaved (step, outcome) words to contiguous draws [outcome, trajectory, step]
     first_draws, second_draws = np.right_shift(
-        words.reshape(count, -1, _DRAWS_PER_STEP)[:, : shape[1]].transpose(2, 0, 1),
+        pairs.transpose(2, 0, 1),
         np.uint64(64 - _UNIFORM_BITS),
-        out=scratch.array("draws", (_DRAWS_PER_STEP, *shape), np.uint64),
+        out=space[: _DRAWS_PER_STEP * pairs.shape[0] * steps].reshape(_DRAWS_PER_STEP, -1, steps),
     )
-    del words
+    del words, pairs
+    shape = first_draws.shape
     # [first >= k+1] as int8 0/1: a bool array viewed as int8
     first_above = [
         np.greater_equal(first_draws, threshold, out=scratch.array(f"above{j}", shape, np.bool_)).view(np.int8)
@@ -224,7 +301,11 @@ def _simulate_batch(
         reached -= first_above[j]
         reached *= np.int8(rises[j])
         work += reached
-    return work.sum(axis=1, dtype=np.int64)
+    if rows is None:
+        return work.sum(axis=1, dtype=np.int64)
+    totals = np.zeros(count, np.int64)
+    totals[rows] = work.sum(axis=1, dtype=np.int64)
+    return totals
 
 
 def _power_sums(w: np.ndarray) -> tuple[int, int, int, int]:

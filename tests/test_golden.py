@@ -99,6 +99,12 @@ def _cases() -> dict[str, tuple[list[str], int]]:
          "--trajectories", "2000", "--seed", "7"],
         0,
     )
+    # 0.8 and 0.6 a step: nearly every trajectory leaves the band, so the batch kernel skips its band filter
+    cases["sample_rxx_fast_driving"] = (
+        ["sample", "--beta", "1", "--n", "20", "--entangler", "rxx", "--theta", "16", "--phi", "12",
+         "--trajectories", "2000", "--seed", "7"],
+        0,
+    )
     cases["verify"] = (["verify", "--trajectories", "4000", "--seed", "42"], 1)
     return cases
 

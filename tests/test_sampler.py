@@ -35,7 +35,7 @@ from workfdr.sampler import (
 )
 from workfdr.work_stats import convolve_n, moments, step_distribution
 
-from mc_oracle import run_protocol, sample_step, trajectory_stream
+from mc_oracle import _pick, run_protocol, sample_step, trajectory_stream
 
 
 def batch_works(config, master_seed, start, count):
@@ -276,10 +276,17 @@ EDGE_CONFIGS = {
 EDGE_COUNT = 23
 
 
+def _band(config):
+    """The kernel's Born thresholds T[first outcome, j] and the band [low, high) of second
+    draws that keep every first outcome: low = max_f T[f, f-1], high = min_f T[f, f]."""
+    thresholds = sampler._thresholds(np.cumsum(_born_matrix(config.step_unitary()), axis=0).T[:, :-1])
+    return thresholds, int(np.diagonal(thresholds, -1).max()), int(np.diagonal(thresholds).min())
+
+
 def _repeated_thresholds(config):
     """How many staircase terms the kernel skips: (first outcome k, energy rise j) pairs
     whose Born rows k and k+1 share threshold j."""
-    thresholds = sampler._thresholds(np.cumsum(_born_matrix(config.step_unitary()), axis=0).T[:, :-1])
+    thresholds = _band(config)[0]
     rises = np.flatnonzero(np.diff(TWO_QUBIT_ENERGIES))
     return int(np.sum(thresholds[1:, rises] == thresholds[:-1, rises]))
 
@@ -358,11 +365,17 @@ def test_no_batch_draws_more_than_the_budget(monkeypatch, n_steps, n_trajectorie
 
 
 @pytest.mark.parametrize("n_steps", [13, 14])
-def test_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps):
+@pytest.mark.parametrize("slow", [False, True])
+def test_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps, slow):
     # a budget of 8 words is 2 Philox blocks, 4 steps: every trajectory runs in
-    # chunks, and at odd N the last chunk ends in two padding words
-    config = ProtocolConfig(beta=0.8, n_steps=n_steps, total_theta=6.0, entangler_kind="cartan",
-                            total_c1=3.0, total_c2=-1.0, total_c3=2.0)
+    # chunks, and at odd N the last chunk ends in two padding words. Slow (0.2 a
+    # step) the band filter runs on each chunk and flags about one in five
+    if slow:
+        config = ProtocolConfig(beta=0.8, n_steps=n_steps, total_theta=0.2 * n_steps, entangler_kind="rxx",
+                                total_phi=0.2 * n_steps)
+    else:
+        config = ProtocolConfig(beta=0.8, n_steps=n_steps, total_theta=6.0, entangler_kind="cartan",
+                                total_c1=3.0, total_c2=-1.0, total_c3=2.0)
     oracle = [run_protocol(config, i, 17) for i in range(9)]
     unchunked = estimate(config, 9, 17)
     monkeypatch.setattr(sampler, "_DRAWS_PER_BATCH", 8)
@@ -371,6 +384,73 @@ def test_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps):
     totals = [sum(int(works[0]) for start, _, _, _, works in calls if start == i) for i in range(9)]
     assert totals == oracle
     assert stats == unchunked
+    if slow:  # some chunks flag no step and return 0 unrun; some trajectories still do work
+        _, low, high = _band(config)
+        seconds = [trajectory_stream(17, i, n_steps).bit_generator.random_raw(2 * n_steps)[1::2] >> 11
+                   for i in range(9)]
+        chunks = [bool(np.any((d[first:first + 4] < low) | (d[first:first + 4] >= high)))
+                  for d in seconds for first in range(0, n_steps, 4)]
+        assert not all(chunks) and any(oracle)
+
+
+# the paper's protocol, 0.01 a step: a row leaves the band with probability 0.75% (50 steps)
+SLOW = ProtocolConfig(beta=1.0, n_steps=50, total_theta=0.5, entangler_kind="rxx", total_phi=0.5)
+
+
+def test_band_filter_is_exact_at_the_band_edges(monkeypatch):
+    # hand-picked raw words: row 4e + f has first outcome f and, at step e, the second
+    # draw edges[e]; every other second draw is mid-band. 48 rows draw only mid-band
+    # words, so the filter keeps at most a third of the rows and they run gathered
+    _, low, high = _band(SLOW)
+    assert 0 < low < high < 2**53
+    edges = [0, (low << 11) - 1, low << 11, (high << 11) - 1, high << 11, 2**64 - 1]
+    population_cdf = np.cumsum(gibbs_populations(SLOW.beta, TWO_QUBIT_ENERGIES))
+    first_words = [0] + [int(t) << 11 for t in sampler._thresholds(population_cdf[:-1])]
+    words = np.zeros((4 * len(edges) + 48, SLOW.n_steps, 2), dtype=np.uint64)
+    words[:, :, 1] = (low + high) // 2 << 11
+    for e, edge in enumerate(edges):
+        for f, first in enumerate(first_words):
+            words[4 * e + f, :, 0] = first
+            words[4 * e + f, e, 1] = edge
+
+    class HandPickedPhilox(Philox):
+        def random_raw(self, size=None, output=True):
+            assert size == words.size
+            return words.reshape(-1).copy()
+
+    monkeypatch.setattr(np.random, "Philox", HandPickedPhilox)
+    born = _born_matrix(SLOW.step_unitary())
+
+    def oracle_work(row):
+        total = 0
+        for first_word, second_word in row.tolist():
+            first = _pick(population_cdf, (first_word >> 11) * 2.0**-53)
+            second = _pick(np.cumsum(born[:, first]), (second_word >> 11) * 2.0**-53)
+            total += round(TWO_QUBIT_ENERGIES[second] - TWO_QUBIT_ENERGIES[first])
+        return total
+
+    expected = [oracle_work(row) for row in words]
+    assert batch_works(SLOW, 0, 0, len(words)).tolist() == expected
+    assert expected[4 * 4] == 1 and expected[4 * 1 + 3] == -1  # high itself leaves f = 0, low - 1 leaves f = 3
+
+
+def test_band_filter_runs_the_staircase_on_the_flagged_rows_only():
+    # per-step angles of 0.05: about 7% of 100 trajectories hold a second draw outside the band
+    config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=1.0, entangler_kind="rxx", total_phi=1.0)
+    count = 100
+    oracle = [run_protocol(config, i, 5) for i in range(count)]
+    assert batch_works(config, 5, 0, count).tolist() == oracle
+    thresholds, low, high = _band(config)
+    words = np.stack([trajectory_stream(5, i, config.n_steps).bit_generator.random_raw(2 * config.n_steps)
+                      for i in range(count)])
+    seconds = words[:, 1::2]
+    flagged = np.flatnonzero(np.any(((seconds >> 11) < low) | ((seconds >> 11) >= high), axis=1))
+    assert 0 < len(flagged) < count // 2 and any(oracle[i] for i in flagged)
+    space = np.empty(words.size, np.uint64)
+    assert sampler._moving_rows(seconds, thresholds, space).tolist() == flagged.tolist()
+    # fast driving (the fast-driving golden's protocol) flags nearly every row: the filter does not run
+    fast = ProtocolConfig(beta=1.0, n_steps=20, total_theta=16.0, entangler_kind="rxx", total_phi=12.0)
+    assert sampler._moving_rows(seconds, _band(fast)[0], space) is None
 
 
 _MC_BETAS = st.sampled_from([0.0, 1e-300, 0.5, 50.0, 700.0]) | st.floats(0.0, 50.0)
@@ -400,8 +480,10 @@ def test_batch_kernel_is_the_oracle_and_stats_ignore_workers_and_budget(
 
 @pytest.mark.parametrize(("n_steps", "n_trajectories"), [(50, 20_000), (300_000, 2)])
 def test_estimate_memory_is_bounded_by_the_draw_budget(n_steps, n_trajectories):
-    # numpy reports its array buffers to tracemalloc; one batch's words and
-    # kernel arrays (22 bytes a step) come to about 2.4 times the budget's bytes
+    # numpy reports its array buffers to tracemalloc. One batch's words (16 bytes a step) and
+    # kernel arrays (at most 22 bytes a step: the draws' space, which first holds the band
+    # filter's temporaries and the flagged rows' words, and int8 arrays over the rows that
+    # run) come to about 2.4 times the budget's bytes; both runs here are slow enough to filter
     config = ProtocolConfig(beta=1.0, n_steps=n_steps, total_theta=0.3)
     tracemalloc.start()
     try:
