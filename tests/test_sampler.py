@@ -364,33 +364,41 @@ def test_no_batch_draws_more_than_the_budget(monkeypatch, n_steps, n_trajectorie
     assert calls[0][1] == min(n_trajectories, max(1, 2**16 // words))
 
 
-@pytest.mark.parametrize("n_steps", [13, 14])
-@pytest.mark.parametrize("slow", [False, True])
-def test_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps, slow):
+def _assert_chunks_match_scalar_oracle(monkeypatch, config):
     # a budget of 8 words is 2 Philox blocks, 4 steps: every trajectory runs in
-    # chunks, and at odd N the last chunk ends in two padding words. Slow (0.2 a
-    # step) the band filter runs on each chunk and flags about one in five
-    if slow:
-        config = ProtocolConfig(beta=0.8, n_steps=n_steps, total_theta=0.2 * n_steps, entangler_kind="rxx",
-                                total_phi=0.2 * n_steps)
-    else:
-        config = ProtocolConfig(beta=0.8, n_steps=n_steps, total_theta=6.0, entangler_kind="cartan",
-                                total_c1=3.0, total_c2=-1.0, total_c3=2.0)
+    # chunks, and at odd N the last chunk ends in two padding words
     oracle = [run_protocol(config, i, 17) for i in range(9)]
     unchunked = estimate(config, 9, 17)
     monkeypatch.setattr(sampler, "_DRAWS_PER_BATCH", 8)
     stats, calls, drawn = _recorded_estimate(monkeypatch, config, 9, 17)
-    assert max(drawn) == 8 and len(calls) == 9 * math.ceil(n_steps / 4)
+    assert max(drawn) == 8 and len(calls) == 9 * math.ceil(config.n_steps / 4)
     totals = [sum(int(works[0]) for start, _, _, _, works in calls if start == i) for i in range(9)]
     assert totals == oracle
     assert stats == unchunked
-    if slow:  # some chunks flag no step and return 0 unrun; some trajectories still do work
-        _, low, high = _band(config)
-        seconds = [trajectory_stream(17, i, n_steps).bit_generator.random_raw(2 * n_steps)[1::2] >> 11
-                   for i in range(9)]
-        chunks = [bool(np.any((d[first:first + 4] < low) | (d[first:first + 4] >= high)))
-                  for d in seconds for first in range(0, n_steps, 4)]
-        assert not all(chunks) and any(oracle)
+    return oracle
+
+
+@pytest.mark.parametrize("n_steps", [13, 14])
+def test_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps):
+    config = ProtocolConfig(beta=0.8, n_steps=n_steps, total_theta=6.0, entangler_kind="cartan",
+                            total_c1=3.0, total_c2=-1.0, total_c3=2.0)
+    _assert_chunks_match_scalar_oracle(monkeypatch, config)
+
+
+@pytest.mark.parametrize("n_steps", [13, 14])
+def test_slow_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps):
+    # slow (0.2 a step), the band filter runs on each chunk and flags about one
+    # in five: some chunks flag no step and return 0 unrun, and some
+    # trajectories still do work
+    config = ProtocolConfig(beta=0.8, n_steps=n_steps, total_theta=0.2 * n_steps, entangler_kind="rxx",
+                            total_phi=0.2 * n_steps)
+    oracle = _assert_chunks_match_scalar_oracle(monkeypatch, config)
+    _, low, high = _band(config)
+    seconds = [trajectory_stream(17, i, n_steps).bit_generator.random_raw(2 * n_steps)[1::2] >> 11
+               for i in range(9)]
+    chunks = [bool(np.any((d[first:first + 4] < low) | (d[first:first + 4] >= high)))
+              for d in seconds for first in range(0, n_steps, 4)]
+    assert not all(chunks) and any(oracle)
 
 
 # the paper's protocol, 0.01 a step: a row leaves the band with probability 0.75% (50 steps)
