@@ -71,13 +71,16 @@ def _json_document(spec: dict, results, seed=None) -> str:
 
 
 def _json_lines(spec: dict, header: list[str], blocks):
-    """_json_document of the table {"rows": [...]}, one string per block of rows."""
+    """_json_document of the table {"rows": [...]}, one string per block of rows: one C-encoder dump of
+    the block, its cells (numbers, split at ", " and "], [") set into an indent-2 row, keys sorted."""
     marker = "\0rows"
     head, tail = _json_document(spec, {"rows": [marker]}).split(json.dumps(marker))
+    keys = sorted(range(len(header)), key=header.__getitem__)  # a row sits at depth 3 of the document
+    template = "{{\n" + ",\n".join(f"        {json.dumps(header[i])}: {{{i}}}" for i in keys) + "\n      }}"
     yield head
     separator = ""
-    for rows in blocks:  # a row sits at depth 3 of the document: 6 more spaces on each of its lines
-        texts = [json.dumps(dict(zip(header, row)), indent=2, sort_keys=True).replace("\n", "\n      ") for row in rows]
+    for rows in blocks:
+        texts = [template.format(*row.split(", ")) for row in json.dumps(rows)[2:-2].split("], [")]
         yield separator + ",\n      ".join(texts)
         separator = ",\n      "
     yield tail
@@ -108,37 +111,42 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _q_reports(p: dict, n: int, betas: np.ndarray, f: np.ndarray, g: np.ndarray) -> dict:
-    """The 13 `q` fields of one N at each beta (f, g their profiles), as columns in `q`'s key
-    order: float64 arrays, and a list of ints for n_steps. Betas come sorted, so the inputs are
-    checked at the first; the small-angle terms come before the grid: they refuse too large angles."""
-    config, model = _config(dict(p, beta=float(betas[0]), n=n)), _model(p)
-    dtheta, params = config.delta_theta, config.step_params()
-    f_term, g_term = (np.broadcast_to(term, betas.shape) for term in model.small_angle(n, f, g, dtheta, params))
-    grid = ws.step_grid(betas, model.step_unitary(dtheta, params), model.energies)
-    mean_work, var_work, q_value = ws.q_grid(*grid, betas, n)
+def _q_reports(p: dict, steps: list[int], betas: np.ndarray, f: np.ndarray, g: np.ndarray) -> dict:
+    """The 13 `q` fields at each (N, beta) of steps x betas (f, g the betas' profiles), as columns in
+    `q`'s key order: (len(steps), len(betas)) float64 arrays, and rows of ints for n_steps. The N values'
+    steps are one stack. Betas come sorted, so each N's inputs are checked at the first; the
+    small-angle terms come before the grid: they refuse too large angles."""
+    model = _model(p)
+    configs = (_config(dict(p, beta=float(betas[0]), n=n)) for n in steps)
+    angles = [(config.delta_theta, config.step_params()) for config in configs]
+    f_term, g_term = np.empty((2, len(steps), len(betas)))
+    for i, (n, (dtheta, params)) in enumerate(zip(steps, angles)):
+        f_term[i], g_term[i] = model.small_angle(n, f, g, dtheta, params)
+    stacked = {spec.step: np.array([params[spec.step] for _, params in angles]) for spec in model.params}
+    stack = model.step_unitary(np.array([dtheta for dtheta, _ in angles]), stacked)
+    mean_work, var_work, q_value = ws.q_grid(*ws.step_grid(betas, stack, model.energies), betas, [[n] for n in steps])
     prediction = f_term + g_term
     return {
         "mean_work": mean_work,
         "var_work": var_work,
-        "delta_F": np.zeros(len(betas)),
+        "delta_F": np.zeros(q_value.shape),
         "w_diss": mean_work,
         "q_exact": q_value,
         "small_angle_prediction": prediction,
         "relative_gap": ws.relative_gap(q_value, prediction),
-        "f_beta": f,
-        "g_beta": g,
+        "f_beta": np.broadcast_to(f, q_value.shape),
+        "g_beta": np.broadcast_to(g, q_value.shape),
         "f_term": f_term,
         "g_term": g_term,
-        "beta": betas,
-        "n_steps": [n] * len(betas),
+        "beta": np.broadcast_to(betas, q_value.shape),
+        "n_steps": [[n] * len(betas) for n in steps],
     }
 
 
 def cmd_q(args) -> int:
     p = _params(args)
     betas = np.array([p["beta"]])
-    results = {key: column[0] for key, column in _q_reports(p, p["n"], betas, *ws.profiles(betas)).items()}
+    results = {key: column[0][0] for key, column in _q_reports(p, [p["n"]], betas, *ws.profiles(betas)).items()}
     if args.format == "csv":
         _write_output(_csv_lines(list(results), [[results.values()]]), args.output)
     else:
@@ -148,7 +156,7 @@ def cmd_q(args) -> int:
 
 def _parse_grid(text: str, integral: bool):
     """Parse 'start:stop:step' (inclusive endpoints, at most _MAX_GRID_POINTS) or a comma list,
-    into a float64 array, or a list of ints if integral."""
+    into a float64 array, or if integral an int64 array (an object array of ints past int64's range)."""
     is_range = ":" in text
     try:
         items = [float(x) for x in text.split(":" if is_range else ",") if x.strip()]
@@ -170,9 +178,9 @@ def _parse_grid(text: str, integral: bool):
         values = np.array(items)
     if not len(values):
         raise ValidationError(f"grid {text!r} is empty")
-    if integral:
-        return [require_int("n-grid value", v) for v in values.tolist()]
-    return values
+    if integral and ((values != np.trunc(values)) | ~(np.abs(values) < 2**63)).any():  # require_int names a non-integer
+        return np.array([require_int("n-grid value", v) for v in values.tolist()], dtype=object)
+    return values.astype(np.int64) if integral else values
 
 
 def cmd_sweep(args) -> int:
@@ -185,26 +193,29 @@ def cmd_sweep(args) -> int:
             raise ValidationError(f"sweep takes --{scalar} or --{grid.replace('_', '-')}, not both")
     betas = _parse_grid(args.beta_grid, integral=False) if args.beta_grid else np.array([p["beta"]])
     betas.sort(kind="stable")  # stable: -0.0 and 0.0 keep their order, as sorted() keeps it
-    steps = sorted(_parse_grid(args.n_grid, integral=True) if args.n_grid else [p["n"]])
+    steps = np.sort(_parse_grid(args.n_grid, integral=True) if args.n_grid else np.array([p["n"]], dtype=object),
+                    kind="stable")  # as betas: the default int64 sort's SIMD code costs 0.4 MB of RSS
     if len(betas) * len(steps) > _MAX_GRID_POINTS:
         raise ValidationError(f"sweep has {len(betas)} x {len(steps)} points, more than {_MAX_GRID_POINTS}")
-    # every point before any output, so a refusal prints nothing: 16 bytes a point, 24 a beta
-    index = {n: j for j, n in enumerate(dict.fromkeys(steps))}  # of each distinct N
+    # every point before any output, so a refusal prints nothing: 16 bytes a point, 24 a beta, 21 an N
+    starts = np.concatenate([[True], steps[1:] != steps[:-1]])  # where each distinct N starts
+    distinct, order = steps[starts], np.cumsum(starts, dtype=np.int32) - 1  # and each N's index among them
     f, g = np.empty((2, len(betas)))
-    q_value, prediction = np.empty((2, len(index), len(betas)))
+    q_value, prediction = np.empty((2, len(distinct), len(betas)))
     for start in range(0, len(betas), _SWEEP_BLOCK):
         part = slice(start, start + _SWEEP_BLOCK)
         f[part], g[part] = ws.profiles(betas[part])
-        for n, j in index.items():
-            columns = _q_reports(p, n, betas[part], f[part], g[part])
-            q_value[j, part], prediction[j, part] = columns["q_exact"], columns["small_angle_prediction"]
-    order, ns, total = np.array([index[n] for n in steps]), np.array(steps, dtype=object), len(betas) * len(steps)
+        stacked = _SWEEP_BLOCK // len(betas[part])  # N values per stack: at most _SWEEP_BLOCK rows of probabilities
+        for block in (slice(first, first + stacked) for first in range(0, len(distinct), stacked)):
+            columns = _q_reports(p, distinct[block].tolist(), betas[part], f[part], g[part])
+            q_value[block, part], prediction[block, part] = columns["q_exact"], columns["small_angle_prediction"]
+    total = len(betas) * len(steps)
 
     def blocks():  # row r is (betas[r // len(steps)], steps[r % len(steps)]): sorted beta outer, sorted N inner
         for start in range(0, total, _SWEEP_BLOCK):
             i, k = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, total)), len(steps))
             q, predicted = q_value[order[k], i], prediction[order[k], i]
-            yield list(zip(betas[i].tolist(), ns[k].tolist(), q.tolist(), predicted.tolist(),
+            yield list(zip(betas[i].tolist(), steps[k].tolist(), q.tolist(), predicted.tolist(),
                            f[i].tolist(), g[i].tolist(), ws.relative_gap(q, predicted).tolist()))
 
     header = ["beta", "n", "Q_exact", "Q_small_angle", "f", "g", "relative_gap"]

@@ -53,8 +53,8 @@ class Entangler:
     def __post_init__(self):  # every kind names a non-finite angle and refuses angles whose prediction overflows
         object.__setattr__(self, "small_angle", functools.partial(ws.small_angle_terms, self.small_angle))
 
-    def step_unitary(self, dth: float, p: Mapping) -> np.ndarray:
-        """The per-step unitary: the local quench, then the entangler."""
+    def step_unitary(self, dth, p: Mapping) -> np.ndarray:
+        """The per-step unitary: the local quench, then the entangler; of (k,) angle arrays, a stack."""
         return self.quench(dth) @ self.unitary(p)
 
     def step_distribution(self, beta: float, dth: float, p: Mapping) -> ws.WorkDistribution:

@@ -31,9 +31,12 @@ class NumericFailureError(WorkFdrError):
 def require_finite(**values: float) -> None:
     """Raise ValidationError naming the first keyword value that is not a finite real number.
 
-    A bool is not a number here, and an int too large for a float is not finite.
+    A bool is not a number here, and an int too large for a float is not finite. Of a non-empty
+    real numpy array, its first non-finite element is the value checked.
     """
     for name, value in values.items():
+        if isinstance(value, np.ndarray) and value.dtype.kind in "fiu" and value.size:
+            value = value.flat[np.argmin(np.isfinite(value))]
         # float and int listed first: the abstract numbers.Real check alone takes about 1 us
         if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
             raise ValidationError(f"{name} must be a real number, got {value!r}")

@@ -48,15 +48,14 @@ def identity(dim: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, restricted to results of dimension at most 4."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > 4:
-        raise UnsupportedDimensionError(
-            f"kron result would be {a.shape[0] * b.shape[0]}x{a.shape[0] * b.shape[0]}; "
-            "only dimensions up to 4 are supported"
-        )
-    return _freeze(np.kron(a, b))
+    """Kronecker product, restricted to results of dimension at most 4; of (k, d, d) stacks (or a
+    stack and a matrix), matrix by matrix: the products np.kron forms, batched."""
+    a, b = as_matrix(a, stacked=True), as_matrix(b, stacked=True)
+    dim = a.shape[-1] * b.shape[-1]
+    if dim > 4:
+        raise UnsupportedDimensionError(f"kron result would be {dim}x{dim}; only dimensions up to 4 are supported")
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return _freeze(product.reshape(product.shape[:-4] + (dim, dim)))
 
 
 def partial_transpose_A(rho: np.ndarray) -> np.ndarray:
@@ -78,10 +77,10 @@ def require_each(ok: np.ndarray, message: str, *values: np.ndarray, error=Contra
 
 
 def check_unitary(u: np.ndarray) -> np.ndarray:
-    u = as_matrix(u)
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if not dev <= UNITARY_TOL:
-        raise ContractViolationError(f"matrix is not unitary: max |U†U - I| = {dev:.3e} > {UNITARY_TOL:.0e}")
+    """Require max |U†U - I| <= UNITARY_TOL of a matrix, or of each matrix of a (k, d, d) stack."""
+    u = as_matrix(u, stacked=True)
+    dev = np.abs(u.conj().swapaxes(-2, -1) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    require_each(dev <= UNITARY_TOL, f"matrix is not unitary: max |U†U - I| = {{:.3e}} > {UNITARY_TOL:.0e}", dev)
     return u
 
 

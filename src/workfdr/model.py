@@ -4,7 +4,9 @@ Provides the diagonal qubit spectra as energy tuples (level splitting fixed
 to 1) and their thermal populations, per-step local quench rotations, the xx
 entangling rotation, the general two-qubit entangler generated by commuting
 xx/yy/zz terms, and separable X-Z-X product unitaries. All constructors are
-pure and return write-protected complex128 arrays.
+pure and return write-protected complex128 arrays: a (d, d) matrix for float
+angles, and a (k, d, d) stack for arrays of k angles, each matrix with the bits
+its angles give alone (numpy's cos, sin and % round as math's do; the tests pin it).
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ TWO_QUBIT_ENERGIES = (0.0, 1.0, 1.0, 2.0)
 
 
 def _fold_angle(angle: float) -> float:
-    # canonical range [-pi, pi); entangler generators are 2*pi-periodic
+    # canonical range [-pi, pi), of a float or of each element of an array; entangler generators are 2*pi-periodic
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
 @dataclass(frozen=True)
 class CartanCoefficients:
-    """Angles of the commuting xx/yy/zz entangler generators, folded into [-pi, pi)."""
+    """Angles of the commuting xx/yy/zz entangler generators, folded into [-pi, pi): floats, or arrays for a stack."""
 
     c1: float
     c2: float
@@ -51,7 +53,7 @@ class CartanCoefficients:
 
 @dataclass(frozen=True)
 class SeparableXZXParams:
-    """X and Z angles (c, l) for qubit A and (m, n) for qubit B of a product unitary."""
+    """X and Z angles (c, l) for qubit A and (m, n) for qubit B of a product unitary: floats, or arrays for a stack."""
 
     c: float
     l: float
@@ -62,52 +64,52 @@ class SeparableXZXParams:
         require_finite(c=self.c, l=self.l, m=self.m, n=self.n)
 
 
-def rotation_x(angle: float) -> np.ndarray:
-    """exp(-i*angle*sigma_x/2) as a 2x2 closed form."""
+def _matrix(rows) -> np.ndarray:
+    # a complex128 matrix from rows of entries, numbers or arrays of one shape: one matrix per element
+    m = np.array(rows, dtype=np.complex128)
+    return _freeze(np.ascontiguousarray(m.transpose(*range(2, m.ndim), 0, 1)))
+
+
+def rotation_x(angle) -> np.ndarray:
+    """exp(-i*angle*sigma_x/2) as a 2x2 closed form; of an array of angles, one matrix per angle."""
     require_finite(angle=angle)
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
-    return _freeze(np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128))
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return _matrix([[c, -1j * s], [-1j * s, c]])
 
 
-def rotation_z(angle: float) -> np.ndarray:
-    """exp(-i*angle*sigma_z/2) as a 2x2 closed form."""
+def rotation_z(angle) -> np.ndarray:
+    """exp(-i*angle*sigma_z/2) as a 2x2 closed form; of an array of angles, one matrix per angle."""
     require_finite(angle=angle)
-    return _freeze(
-        np.array(
-            [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]],
-            dtype=np.complex128,
-        )
-    )
+    zero = np.zeros(np.shape(angle))
+    return _matrix([[np.exp(-0.5j * angle), zero], [zero, np.exp(0.5j * angle)]])
 
 
-def rxx(delta_phi: float) -> np.ndarray:
-    """exp(-i*(delta_phi/2)*sigma_x (x) sigma_x): cos(d/2)*I - i*sin(d/2)*XX."""
+def rxx(delta_phi) -> np.ndarray:
+    """exp(-i*(delta_phi/2)*sigma_x (x) sigma_x): cos(d/2)*I - i*sin(d/2)*XX; of an array, one per angle."""
     require_finite(delta_phi=delta_phi)
-    c = math.cos(delta_phi / 2.0)
-    s = math.sin(delta_phi / 2.0)
-    return _freeze(c * np.eye(4, dtype=np.complex128) - 1j * s * XX)
+    c, s = np.cos(delta_phi / 2.0), np.sin(delta_phi / 2.0)
+    return _freeze(np.multiply.outer(c, np.eye(4, dtype=np.complex128)) - np.multiply.outer(1j * s, XX))
 
 
 def cartan_entangler(coeffs: CartanCoefficients) -> np.ndarray:
-    """Product of the three commuting factors cos(c_k)*I - i*sin(c_k)*(sigma_k (x) sigma_k)."""
+    """Product of the three commuting factors cos(c_k)*I - i*sin(c_k)*(sigma_k (x) sigma_k); of
+    coefficients that are arrays, one matrix per element of their broadcast shape."""
     eye = np.eye(4, dtype=np.complex128)
     result = eye
     for angle, generator in ((coeffs.c1, XX), (coeffs.c2, YY), (coeffs.c3, ZZ)):
-        factor = math.cos(angle) * eye - 1j * math.sin(angle) * generator
-        result = result @ factor
+        result = result @ (np.multiply.outer(np.cos(angle), eye) - np.multiply.outer(1j * np.sin(angle), generator))
     return _freeze(result)
 
 
 def separable_xzx(params: SeparableXZXParams) -> np.ndarray:
-    """Product unitary R_X(c)R_Z(l) (x) R_X(m)R_Z(n)."""
+    """Product unitary R_X(c)R_Z(l) (x) R_X(m)R_Z(n); of angles that are arrays, one matrix per element."""
     local_a = rotation_x(params.c) @ rotation_z(params.l)
     local_b = rotation_x(params.m) @ rotation_z(params.n)
     return kron(local_a, local_b)
 
 
-def bipartite_quench(delta_theta: float) -> np.ndarray:
-    """Per-step two-qubit quench R_X(delta_theta) (x) R_X(delta_theta)."""
+def bipartite_quench(delta_theta) -> np.ndarray:
+    """Per-step two-qubit quench R_X(delta_theta) (x) R_X(delta_theta); of an array, one per angle."""
     u = rotation_x(delta_theta)
     return kron(u, u)
 

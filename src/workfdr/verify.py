@@ -41,13 +41,11 @@ def _rel_gap(value: float, reference: float) -> float:
 
 
 def check_01_single_qubit_exact_q() -> CheckResult:
-    worst = 0.0
-    for beta in (0.1, 1.0, 5.0):
-        for dth in (0.01, 0.1, 0.5):
-            for n in (1, 10, 100):
-                q_dist = ws.q_correction(SINGLE_QUBIT.step_distribution(beta, dth, {}), beta, n)
-                q_closed = ws.q_single_exact(n, beta, dth)
-                worst = max(worst, float(ws.relative_gap(q_closed, q_dist)))
+    betas, angles, steps = [0.1, 1.0, 5.0], [0.01, 0.1, 0.5], [1, 10, 100]
+    grid = ws.step_grid(betas, SINGLE_QUBIT.step_unitary(np.array(angles), {}), SINGLE_QUBIT.energies)
+    q_dist = ws.q_grid(*grid, betas, np.array(steps)[:, None, None])[2]  # [n, dth, beta]
+    q_closed = [[[ws.q_single_exact(n, beta, dth) for beta in betas] for dth in angles] for n in steps]
+    worst = float(np.max(ws.relative_gap(np.array(q_closed), q_dist)))
     return CheckResult(
         "1",
         "single-qubit exact Q: enumerated distribution vs closed form (rel 1e-12)",
@@ -83,14 +81,12 @@ def check_02_small_angle_convergence() -> CheckResult:
 
 def check_03_no_entangler_reduction() -> CheckResult:
     rng = np.random.default_rng(_RNG_SEED)
-    worst = 0.0
-    for _ in range(10):
-        beta = float(rng.uniform(0.1, 4.0))
-        dth = float(rng.uniform(0.01, 1.0))
-        n = int(rng.integers(1, 201))
-        q_two, q_one = (ws.q_correction(model.step_distribution(beta, dth, {}), beta, n)
-                        for model in (ENTANGLERS[DEFAULT_KIND], SINGLE_QUBIT))
-        worst = max(worst, _rel_gap(q_two, 2.0 * q_one))
+    points = [(rng.uniform(0.1, 4.0), rng.uniform(0.01, 1.0), int(rng.integers(1, 201))) for _ in range(10)]
+    betas, angles, steps = (np.array(column)[:, None] for column in zip(*points))  # row i: point i's step at its beta
+    grids = (ws.step_grid(betas, model.step_unitary(angles[:, 0], {}), model.energies)
+             for model in (ENTANGLERS[DEFAULT_KIND], SINGLE_QUBIT))
+    q_two, q_one = (ws.q_grid(*grid, betas, steps)[2].ravel().tolist() for grid in grids)
+    worst = max(_rel_gap(two, 2.0 * one) for two, one in zip(q_two, q_one))
     return CheckResult(
         "3",
         "no-entangler reduction: two-qubit Q equals twice the single-qubit Q (1e-12)",
@@ -101,17 +97,17 @@ def check_03_no_entangler_reduction() -> CheckResult:
 
 def check_04_distribution_invariances() -> CheckResult:
     rng = np.random.default_rng(_RNG_SEED + 1)
-    cartan, worst = ENTANGLERS["cartan"], 0.0
+    points = []  # (beta, dth, c1, c2, c3) of each grid point's base, common-shifted and c3-rotated entangler
     for beta in rng.uniform(0.1, 3.0, 3):
         for dth in rng.uniform(0.05, 1.0, 3):
             for _ in range(3):
                 c1, c2 = rng.uniform(-0.8, 0.8, 2)
                 delta, c3 = float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-1.5, 1.5))
-                base, shifted, rotated = (
-                    cartan.step_distribution(float(beta), float(dth), {"c1": a, "c2": b, "c3": c})
-                    for a, b, c in ((c1, c2, 0.0), (c1 + delta, c2 + delta, 0.0), (c1, c2, c3))
-                )
-                worst = max(worst, ws.distribution_distance(base, shifted), ws.distribution_distance(base, rotated))
+                points += [(beta, dth, *c) for c in ((c1, c2, 0.0), (c1 + delta, c2 + delta, 0.0), (c1, c2, c3))]
+    betas, angles, c1, c2, c3 = (np.array(column) for column in zip(*points))
+    stack = ENTANGLERS["cartan"].step_unitary(angles, {"c1": c1, "c2": c2, "c3": c3})
+    rows = ws.step_grid(betas[:, None], stack)[1].reshape(len(points) // 3, 3, -1)  # [point, variant, w]
+    worst = float(np.max(np.abs(rows[:, 1:] - rows[:, :1])))
     return CheckResult(
         "4",
         "distribution invariances under (c1,c2) common shift and arbitrary c3 (1e-12)",
@@ -143,9 +139,8 @@ def check_06_negativity_closed_forms() -> CheckResult:
     axis = np.arange(0.0, 0.5 + 1e-9, 0.05).tolist()
     grid = [(c1, c2) for c1 in axis for c2 in axis]
     rng = np.random.default_rng(_RNG_SEED + 2)
-    gates = [cartan_entangler(CartanCoefficients(c1, c2, 0.37)) for c1, c2 in grid] + [
-        separable_xzx(SeparableXZXParams(*(float(x) for x in rng.uniform(-2.0, 2.0, 4)))) for _ in range(10)
-    ]
+    gates = np.concatenate([cartan_entangler(CartanCoefficients(*np.array(grid).T, 0.37)),
+                            separable_xzx(SeparableXZXParams(*rng.uniform(-2.0, 2.0, (10, 4)).T))])  # two stacks
     values = negativity(column_states(gates)).tolist()  # all 524 states in one stack
     closed = [negativity_cartan_basis(u, c1, c2) for c1, c2 in grid for u in range(4)]
     worst = max([0.0] + [abs(numeric - form) for numeric, form in zip(values, closed)])
@@ -240,21 +235,15 @@ def check_09_monte_carlo(n_trajectories: int, seed: int) -> CheckResult:
 
 
 def check_10_cross_oracle() -> CheckResult:
-    cartan, worst, count = ENTANGLERS["cartan"], 0.0, 0
-    for beta in (0.0, 0.5, 1.0, 2.5):
-        for dth in (0.0, 0.1, 0.5, 1.2):
-            for c1, c2, c3 in (
-                (0.0, 0.0, 0.0),
-                (0.3, 0.0, 0.0),
-                (0.25, 0.25, 0.6),
-                (0.5, -0.2, 0.0),
-                (-0.4, 0.3, -0.9),
-                (0.7, 0.1, 1.3),
-            ):
-                p = {"c1": c1, "c2": c2, "c3": c3}
-                enumerated, closed = cartan.step_distribution(beta, dth, p), cartan.closed_form(beta, dth, p)
-                worst = max(worst, ws.distribution_distance(enumerated, closed))
-                count += 1
+    cartan, betas = ENTANGLERS["cartan"], [0.0, 0.5, 1.0, 2.5]
+    coefficients = ((0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.25, 0.25, 0.6), (0.5, -0.2, 0.0), (-0.4, 0.3, -0.9),
+                    (0.7, 0.1, 1.3))
+    points = [(dth, {"c1": c1, "c2": c2, "c3": c3}) for dth in (0.0, 0.1, 0.5, 1.2) for c1, c2, c3 in coefficients]
+    params = {name: np.array([p[name] for _, p in points]) for name in ("c1", "c2", "c3")}
+    support, probs = ws.step_grid(betas, cartan.step_unitary(np.array([dth for dth, _ in points]), params))
+    distances = [ws.distribution_distance(ws.WorkDistribution(support, row), cartan.closed_form(beta, dth, p))
+                 for (dth, p), grid in zip(points, probs) for beta, row in zip(betas, grid)]  # [point][beta]
+    worst, count = max(distances), len(distances)
     return CheckResult(
         "10",
         "closed form vs 16-term enumeration for the general entangler (1e-11)",

@@ -102,46 +102,48 @@ def profiles(betas) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_rows(support, probs: np.ndarray) -> np.ndarray:
-    """Every row of a (rows, k) probability array within PROB_CLAMP of [0, 1], clamped
-    into it, and summing to 1 within NORMALIZATION_TOL; returns the clamped rows."""
+    """Every row (the last axis, over support) of a probability array within PROB_CLAMP of [0, 1],
+    clamped into it, and summing to 1 within NORMALIZATION_TOL; returns the clamped rows."""
     outside = ~((probs >= -PROB_CLAMP) & (probs <= 1.0 + PROB_CLAMP))
     if outside.any():
-        row, col = np.argwhere(outside)[0]
-        raise ValidationError(f"probability {float(probs[row, col])!r} at work {support[col]} is outside [0, 1]")
+        where = tuple(np.argwhere(outside)[0])
+        raise ValidationError(f"probability {float(probs[where])!r} at work {support[where[-1]]} is outside [0, 1]")
     probs = np.minimum(np.maximum(probs, _LD(0.0)), _LD(1.0))
-    totals = np.sum(probs, axis=1)
+    totals = np.sum(probs, axis=-1)
     off = ~(np.abs(totals.astype(np.float64) - 1.0) <= NORMALIZATION_TOL)
     if off.any():
-        raise ValidationError(f"probabilities sum to {float(totals[np.argmax(off)])!r}, expected 1")
+        raise ValidationError(f"probabilities sum to {float(totals.flat[np.argmax(off)])!r}, expected 1")
     return probs
 
 
 def _enumerate(populations: np.ndarray, transition: np.ndarray, energies) -> tuple[tuple[int, ...], np.ndarray]:
-    # TPM enumeration, one row per row of populations: first outcome from the thermal
-    # populations, second from the Born matrix; equal work values from degenerate
-    # outcome pairs aggregate, in first-then-second order.
+    # TPM enumeration, one row per (Born matrix, populations row) as their shapes broadcast (a matrix's with
+    # a trailing 1): first outcome from the thermal populations, second from the Born matrix; equal work
+    # values from degenerate outcome pairs aggregate, in first-then-second order.
     dim = len(energies)
     works = [[int(round(energies[second] - energies[first])) for second in range(dim)] for first in range(dim)]
     support = sorted({w for row in works for w in row})
-    probs = np.zeros((len(populations), len(support)), dtype=_LD)
+    probs = np.zeros(np.broadcast(populations[..., 0], transition[..., 0, 0, None]).shape + (len(support),), dtype=_LD)
     for first in range(dim):
+        terms = populations[..., first, None] * transition[..., None, :, first]  # [..., beta, second]
         for second in range(dim):
-            probs[:, support.index(works[first][second])] += populations[:, first] * transition[second, first]
+            probs[..., support.index(works[first][second])] += terms[..., second]
     return tuple(support), _checked_rows(support, probs)
 
 
 def born_moduli(unitary: np.ndarray, dtype=_LD) -> np.ndarray:
-    """Born matrix T[second, first] = |<second|U|first>|^2 of a checked unitary, in dtype."""
+    """Born matrix T[second, first] = |<second|U|first>|^2 of a checked unitary (of each of a stack), in dtype."""
     return np.abs(check_unitary(unitary)).astype(dtype) ** 2
 
 
 def step_grid(betas, unitary: np.ndarray, energies=TWO_QUBIT_ENERGIES) -> tuple[tuple[int, ...], np.ndarray]:
-    """Step distributions at every beta (each >= 0) by enumeration of the outcome pairs: the first
-    from the Gibbs populations of energies, the second from born_moduli(unitary), the step's one
-    unitary (two qubits: quench @ entangler); equal work values (the degenerate |01>/|10> levels)
-    aggregate. Returns the sorted support and one longdouble row of probabilities per beta, zeros kept."""
+    """Step distributions at every beta (each >= 0) by enumeration of the outcome pairs: the first from
+    the Gibbs populations of energies, the second from born_moduli(unitary), the step's one unitary (two
+    qubits: quench @ entangler) or each of a (k, d, d) stack; equal work values (the degenerate |01>/|10>
+    levels) aggregate. Returns the sorted support and longdouble probability rows, zeros kept: one per
+    beta, and of a stack one per (matrix, beta), (k, len(betas), .); (k, 1) betas pair matrix i with beta i."""
     dim = len(energies)
-    if np.shape(unitary) != (dim, dim):
+    if np.ndim(unitary) not in (2, 3) or np.shape(unitary)[-2:] != (dim, dim):
         raise UnsupportedDimensionError(f"{dim} levels take a {dim}x{dim} unitary, not shape {np.shape(unitary)}")
     populations = gibbs_populations(betas, energies, dtype=_LD)
     return _enumerate(populations, born_moduli(unitary), energies)
@@ -214,8 +216,8 @@ def _moments_rows(support, probs):
     # Zero entries, which a WorkDistribution drops, leave these sums unchanged
     # while a row has fewer than 8 entries: numpy then adds them in order from 0.
     support, probs = np.asarray(support, dtype=_LD), np.asarray(probs, dtype=_LD)
-    mean = np.sum(support * probs, axis=1)
-    second = np.sum(support * support * probs, axis=1)
+    mean = np.sum(support * probs, axis=-1)
+    second = np.sum(support * support * probs, axis=-1)
     return mean, second - mean * mean
 
 
@@ -279,12 +281,14 @@ def jarzynski_check(dist: WorkDistribution, beta: float) -> float:
     return float(np.sum(np.exp(np.log(probs) - _LD(beta) * support)))
 
 
-def q_grid(support, probs, betas, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulants and FDR correction over a grid: row i of probs is the step distribution over
-    support at betas[i]. Returns float64 arrays (mean_work, var_work, q_value).
+def q_grid(support, probs, betas, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cumulants and FDR correction over a grid: each row of probs (its last axis, over support) is
+    a step distribution, of the protocol of n steps at the beta that broadcast to that row: a step_grid
+    of one unitary takes its betas and an int n, one of a (k, d, d) stack a (k, 1) array of counts.
+    Returns float64 arrays (mean_work, var_work, q_value) of the rows' shape.
     """
     betas = require_betas(betas).astype(_LD)
-    n = require_int("n", n, minimum=1)
+    n = np.array([require_int("n", count, minimum=1) for count in np.ravel(n).tolist()], dtype=_LD).reshape(np.shape(n))
     mean_step, var_step = _moments_rows(support, probs)
     mean_work = n * mean_step
     var_work = n * var_step

@@ -128,7 +128,7 @@ def sweep_output(argv: list[str]) -> str:
     args = cli.build_parser().parse_args(["sweep", *argv])
     p = cli._params(args)
     betas = cli._parse_grid(args.beta_grid, integral=False) if args.beta_grid else [p["beta"]]
-    steps = cli._parse_grid(args.n_grid, integral=True) if args.n_grid else [p["n"]]
+    steps = cli._parse_grid(args.n_grid, integral=True).tolist() if args.n_grid else [p["n"]]
     rows = []
     for beta in sorted(betas):
         for n in sorted(steps):

@@ -1,4 +1,10 @@
-"""Constructors: rotations, entanglers, separable products, Gibbs populations."""
+"""Constructors: rotations, entanglers, separable products, Gibbs populations.
+
+Every builder takes arrays of angles and returns one matrix per angle: each
+matrix of a stack, and the one-element call, must equal today's scalar
+expression (kept here) word for word, at random angles and at 0, -0.0, 1e-300,
+multiples of pi, +-1e200 and the Cartan angle 2*pi + 0.3.
+"""
 
 import math
 
@@ -8,6 +14,7 @@ import pytest
 from workfdr import (
     CartanCoefficients,
     SeparableXZXParams,
+    UnsupportedDimensionError,
     ValidationError,
     cartan_entangler,
     identity,
@@ -26,6 +33,7 @@ from workfdr.model import (
     XX,
     YY,
     ZZ,
+    bipartite_quench,
     gibbs_populations,
 )
 
@@ -191,3 +199,99 @@ def test_entangler_generators_are_built_once_with_the_bits_of_each_build():
     for triple in triples:
         coeffs = CartanCoefficients(*triple)
         assert np.array_equal(_words(cartan_entangler(coeffs)), _words(cartan_oracle(coeffs))), triple
+
+
+# Each builder with today's scalar expression, kept here as the oracle of its stacked form: math's
+# cos and sin of one float, Python's % fold, np.kron of one pair of 2x2 matrices.
+def _fold(angle):
+    return (angle + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _scalar_rotation_x(angle):
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+
+
+def _scalar_rotation_z(angle):
+    return np.array([[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=np.complex128)
+
+
+def _scalar_rxx(delta_phi):
+    c, s = math.cos(delta_phi / 2.0), math.sin(delta_phi / 2.0)
+    return c * np.eye(4, dtype=np.complex128) - 1j * s * XX
+
+
+def _scalar_cartan(c1, c2, c3):
+    eye = np.eye(4, dtype=np.complex128)
+    result = eye
+    for angle, generator in ((_fold(c1), XX), (_fold(c2), YY), (_fold(c3), ZZ)):
+        result = result @ (math.cos(angle) * eye - 1j * math.sin(angle) * generator)
+    return result
+
+
+def _scalar_separable(c, l, m, n):
+    return np.kron(_scalar_rotation_x(c) @ _scalar_rotation_z(l), _scalar_rotation_x(m) @ _scalar_rotation_z(n))
+
+
+def _scalar_quench(delta_theta):
+    u = _scalar_rotation_x(delta_theta)
+    return np.kron(u, u)
+
+
+_SPECIAL = [0.0, -0.0, 1e-300, *(k * math.pi for k in (1, -1, 2, 3, -7, 100)), 1e200, -1e200, 2 * math.pi + 0.3]
+_ANGLES = np.array([*_SPECIAL, *np.random.default_rng(2024).uniform(-10.0, 10.0, 4000)])
+
+
+def _assert_stack_matches(stack, one_element, scalar, points):
+    """Matrix i of a stack, the one-element call and the scalar expression at point i: equal uint64 words."""
+    assert stack.shape == (len(points), *scalar(*points[0]).shape) and not stack.flags.writeable
+    for matrix, point in zip(stack, points):
+        expected = _words(scalar(*point))
+        assert np.array_equal(_words(matrix), expected), point
+        assert np.array_equal(_words(one_element(*point)), expected), point
+
+
+def test_stacked_single_angle_builders_equal_scalar_expressions_word_for_word():
+    points = [(a,) for a in _ANGLES.tolist()]
+    for builder, scalar in ((rotation_x, _scalar_rotation_x), (rotation_z, _scalar_rotation_z), (rxx, _scalar_rxx),
+                            (bipartite_quench, _scalar_quench)):
+        _assert_stack_matches(builder(_ANGLES), builder, scalar, points)
+
+
+def test_stacked_cartan_and_separable_builders_equal_scalar_expressions_word_for_word():
+    rng = np.random.default_rng(7)
+    triples = np.vstack([rng.uniform(-7.0, 7.0, (1000, 3)), [(a, b, 0.3) for a in _SPECIAL for b in _SPECIAL]])
+    stack = cartan_entangler(CartanCoefficients(*triples.T))
+    _assert_stack_matches(stack, lambda *t: cartan_entangler(CartanCoefficients(*t)), _scalar_cartan, triples.tolist())
+    # a scalar coefficient broadcasts against the arrays: one matrix per element
+    mixed = cartan_entangler(CartanCoefficients(triples[:, 0], 0.37, triples[:, 2]))
+    _assert_stack_matches(mixed, lambda a, c: cartan_entangler(CartanCoefficients(a, 0.37, c)),
+                          lambda a, c: _scalar_cartan(a, 0.37, c), triples[:, [0, 2]].tolist())
+    quads = np.vstack([rng.uniform(-7.0, 7.0, (1000, 4)), [(a, b, b, a) for a in _SPECIAL for b in _SPECIAL]])
+    stack = separable_xzx(SeparableXZXParams(*quads.T))
+    _assert_stack_matches(stack, lambda *q: separable_xzx(SeparableXZXParams(*q)), _scalar_separable, quads.tolist())
+
+
+def test_batched_kron_equals_np_kron_word_for_word():
+    rng = np.random.default_rng(11)
+    a, b = (rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2)) for _ in range(2))
+    a[0, 0, 0], b[1, 1, 0] = -0.0, complex(0.0, -0.0)
+    for left, right in ((a, b), (a, b[0]), (a[0], b)):
+        stack = kron(left, right)
+        assert stack.shape == (50, 4, 4) and not stack.flags.writeable
+        for i in range(50):
+            pair = (left if left.ndim == 2 else left[i], right if right.ndim == 2 else right[i])
+            assert np.array_equal(_words(stack[i]), _words(np.kron(*pair)))
+            assert np.array_equal(_words(kron(*pair)), _words(np.kron(*pair)))
+    with pytest.raises(UnsupportedDimensionError, match="kron result would be 8x8"):
+        kron(a, np.eye(4))
+
+
+def test_stacked_builders_refuse_a_non_finite_angle():
+    for builder in (rotation_x, rotation_z, rxx, bipartite_quench):
+        with pytest.raises(ValidationError, match="must be finite, got .*nan"):
+            builder(np.array([0.1, np.nan, np.inf]))
+    with pytest.raises(ValidationError, match="c2 must be finite, got .*inf"):
+        CartanCoefficients(np.zeros(3), np.array([0.0, 0.0, -np.inf]))
+    with pytest.raises(ValidationError, match="l must be finite"):
+        SeparableXZXParams(0.1, np.array([np.nan]), 0.2, 0.3)

@@ -8,7 +8,10 @@ must have the Born moduli of rotation_x alone, word for word, at 0, -0.0,
 multiples of pi, 1e200 and random angles, in longdouble (the enumeration) and
 in float64 (the Monte Carlo). Also the refusals of step_grid, the defaults
 of an entry that names no energies or quench (README's zz example), and the
-registry's call-time lookup of model functions through SINGLE_QUBIT.
+registry's call-time lookup of model functions through SINGLE_QUBIT. A
+(k, d, d) stack gives, row for row, the grids of its matrices one at a time,
+for d = 2 and d = 4; a (k, 1) array of betas pairs matrix i with beta i; and a
+stack with a non-unitary member is refused by that member's index.
 """
 
 import math
@@ -31,6 +34,7 @@ from workfdr import (
 )
 from workfdr import work_stats as ws
 from workfdr.entanglers import Param, _local_term
+from workfdr.linalg import check_unitary
 from workfdr.model import SINGLE_QUBIT_ENERGIES, TWO_QUBIT_ENERGIES, bipartite_quench, rotation_x
 
 RNG = np.random.default_rng(1999)
@@ -138,3 +142,40 @@ def test_single_qubit_looks_rotation_x_up_at_call_time(monkeypatch):
     assert words(SINGLE_QUBIT.step_unitary(0.3, {})) == words(original(0.6) @ identity(2))
     assert calls == [0.3]
     assert SINGLE_QUBIT.step_distribution(0.7, 0.25, {}) == step_distribution(0.7, original(0.5), SINGLE_QUBIT_ENERGIES)
+
+
+@pytest.mark.parametrize("energies", [SINGLE_QUBIT_ENERGIES, TWO_QUBIT_ENERGIES], ids=["d2", "d4"])
+def test_stack_grid_rows_equal_per_matrix_grids_word_for_word(energies):
+    stack = np.array([unitary for unitary, levels in step_unitaries() if levels == energies])
+    support, probs = step_grid(BETAS, stack, energies)
+    assert probs.shape == (len(stack), len(BETAS), len(support)) and probs.dtype == np.longdouble
+    for unitary, grid in zip(stack, probs):
+        one_support, one_grid = step_grid(BETAS, unitary, energies)
+        assert one_support == support and words(one_grid) == words(grid)
+    # a (k, 1) array of betas pairs matrix i with beta i, and the Q columns broadcast the same way
+    betas = np.array(BETAS[: len(stack)] * 2)[: len(stack), None]
+    steps = np.arange(1, len(stack) + 1)[:, None]
+    paired_support, paired = step_grid(betas, stack, energies)
+    q_paired = ws.q_grid(paired_support, paired, betas, steps)
+    assert paired.shape == (len(stack), 1, len(support)) and q_paired[2].shape == (len(stack), 1)
+    for i, unitary in enumerate(stack):
+        beta, n = float(betas[i, 0]), int(steps[i, 0])
+        one_support, one_grid = step_grid([beta], unitary, energies)
+        assert words(one_grid[0]) == words(paired[i, 0]), i
+        one_q = ws.q_grid(one_support, one_grid, [beta], n)
+        assert [column[0] for column in one_q] == [column[i, 0] for column in q_paired], i
+
+
+def test_a_stack_with_a_non_unitary_member_is_refused_by_its_index():
+    stack = np.array([bipartite_quench(0.1 * k) for k in range(5)])
+    stack[3] = stack[3] @ np.diag([1, 1, 1, 1.1]).astype(complex)
+    message = r"^matrix 3 of the stack: matrix is not unitary: max \|U†U - I\| = 2\.100e-01 > 1e-12$"
+    for call in (lambda: step_grid(BETAS, stack), lambda: ws.born_moduli(stack), lambda: check_unitary(stack)):
+        with pytest.raises(ContractViolationError, match=message):
+            call()
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ContractViolationError, match="^matrix 1 of the stack: matrix is not unitary"):
+        check_unitary(stack)
+    # one matrix: the message names no index
+    with pytest.raises(ContractViolationError, match=r"^matrix is not unitary"):
+        check_unitary(stack[3])

@@ -3,12 +3,16 @@
 Grids, their one-row cases, q_grid, `q` and the `sweep` CSV and JSON bytes
 must equal the oracle exactly, for every registry kind, single-qubit and
 two-qubit, at betas where populations underflow (5000, 12000) and at N = 1,
-3 and 400. Probabilities are compared with ==, which for the non-zero values
-kept here is equality of the values bit for bit.
+3 and 400, and over one beta at N = 1..400, where the N values are one stack.
+JSON tables must equal the earlier per-row encoder's bytes. Probabilities are
+compared with ==, which for the non-zero values kept here is equality of the
+values bit for bit.
 """
 
 import contextlib
 import io
+import json
+import math
 
 import numpy as np
 import pytest
@@ -101,24 +105,30 @@ def test_q_is_the_one_point_case(variant):
         for n in STEPS:
             p = _point(variant, beta, n)
             betas = np.array([beta])
-            columns = cli._q_reports(p, n, betas, *work_stats.profiles(betas))
-            assert all(len(column) == 1 for column in columns.values())
-            report = {key: column[0] for key, column in columns.items()}
+            columns = cli._q_reports(p, [n], betas, *work_stats.profiles(betas))
+            assert all(np.shape(column) == (1, 1) for column in columns.values())
+            report = {key: column[0][0] for key, column in columns.items()}
             expected = sweep_oracle.q_report(p)
             assert list(report) == list(expected) and report == expected, (beta, n)
 
 
 def test_one_grid_per_distinct_n(monkeypatch, capsys):
+    # (betas, the unitaries' stack shape) of each grid: the distinct N values are one stack
     calls = []
     grid = work_stats.step_grid
-    monkeypatch.setattr(work_stats, "step_grid", lambda *args: calls.append(len(args[0])) or grid(*args))
+
+    def record(*args):
+        calls.append((len(args[0]), np.shape(args[1])[:-2]))
+        return grid(*args)
+
+    monkeypatch.setattr(work_stats, "step_grid", record)
     argv = ["sweep", "--beta-grid", "0:1:0.1", "--n-grid", "5,10,5", "--entangler", "rxx", "--phi", "0.3"]
     assert cli.main(argv) == 0
-    assert calls == [11, 11]
+    assert calls == [(11, (2,))]
     assert len(capsys.readouterr().out.splitlines()) == 1 + 11 * 3
     calls.clear()
     assert verify.check_05_separable_null_result().passed
-    assert calls == [97]
+    assert calls == [(97, ())]
 
 
 def test_grid_checks_every_row():
@@ -142,3 +152,39 @@ def test_grid_of_random_unitaries_equals_point_enumeration():
             expected = sweep_oracle.step_bipartite(beta, quench, entangler)
             assert WorkDistribution(support, probs[i]) == expected, beta
             assert work_stats.step_distribution_bipartite(beta, quench, entangler) == expected, beta
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_many_n_sweep_equals_point_loop(variant):
+    # one beta over N = 1..400: all 400 N values are one stack
+    argv = ["--beta", "1.3", "--n-grid", "1:400:1", *VARIANTS[variant]]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(["sweep", *argv]) == 0
+    assert buffer.getvalue() == sweep_oracle.sweep_output(argv)
+
+
+def _per_row_json_lines(spec: dict, header: list, blocks):
+    # the earlier table encoder: json.dumps(row, indent=2, sort_keys=True) of each row, re-indented
+    marker = "\0rows"
+    head, tail = cli._json_document(spec, {"rows": [marker]}).split(json.dumps(marker))
+    yield head
+    separator = ""
+    for rows in blocks:
+        texts = [json.dumps(dict(zip(header, row)), indent=2, sort_keys=True).replace("\n", "\n      ") for row in rows]
+        yield separator + ",\n      ".join(texts)
+        separator = ",\n      "
+    yield tail
+
+
+def test_json_rows_equal_the_per_row_encoder():
+    header = ["w", "beta", "Q_exact", "n", "abs_diff"]  # not in sorted order
+    rows = [
+        (1, 0.5, math.nan, -0.0, math.inf),
+        (-2, -math.inf, 1e-300, 10**30, np.float64(0.1)),
+        (0, 0.0, -1.7976931348623157e308, 1, 5e-324),
+        (3, 1.3, 2.0000000000000004, -7, -math.nan),
+    ]
+    spec = {"beta": 1.0, "entangler": "cartan"}
+    for blocks in ([rows], [rows[:1], rows[1:3], rows[3:]]):
+        assert "".join(cli._json_lines(spec, header, blocks)) == "".join(_per_row_json_lines(spec, header, blocks))
