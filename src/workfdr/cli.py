@@ -11,20 +11,16 @@ failure, 2 invalid input, 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__
 from . import work_stats as ws
-from .entanglement import cartan_basis_negativities
-from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT, Entangler, Param, all_params
+from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT, Entangler, Param, ProtocolConfig, all_params
 from .errors import WorkFdrError, ValidationError, require_finite, require_int
-from .sampler import ProtocolConfig, sample
 
 _MAX_GRID_POINTS = 1_000_000  # per grid, and per sweep
 _SWEEP_BLOCK = 8192  # betas per grid and rows per output block of a sweep: it bounds memory; no row depends on it
@@ -38,6 +34,8 @@ def _write_output(pieces, path: str | None) -> None:
     if path is None:
         sys.stdout.writelines(pieces)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".workfdr-", suffix=".tmp")
     try:
@@ -61,6 +59,8 @@ def _csv_lines(header: list[str], blocks):
 
 
 def _json_document(spec: dict, results, seed=None) -> str:
+    import json
+
     document = {
         "spec": spec,
         "results": results,
@@ -73,6 +73,8 @@ def _json_document(spec: dict, results, seed=None) -> str:
 def _json_lines(spec: dict, header: list[str], blocks):
     """_json_document of the table {"rows": [...]}, one string per block of rows: one C-encoder dump of
     the block, its cells (numbers, split at ", " and "], [") set into an indent-2 row, keys sorted."""
+    import json
+
     marker = "\0rows"
     head, tail = _json_document(spec, {"rows": [marker]}).split(json.dumps(marker))
     keys = sorted(range(len(header)), key=header.__getitem__)  # a row sits at depth 3 of the document
@@ -154,30 +156,45 @@ def cmd_q(args) -> int:
     return 0
 
 
+def _grid_value(text: str, integral: bool):
+    """float(text); of an integral grid, a whole number as an int: float() rounds an int past 2**53."""
+    if integral:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    value = float(text)
+    return int(value) if integral and value.is_integer() else value
+
+
 def _parse_grid(text: str, integral: bool):
     """Parse 'start:stop:step' (inclusive endpoints, at most _MAX_GRID_POINTS) or a comma list,
     into a float64 array, or if integral an int64 array (an object array of ints past int64's range)."""
     is_range = ":" in text
     try:
-        items = [float(x) for x in text.split(":" if is_range else ",") if x.strip()]
+        items = [_grid_value(x, integral) for x in text.split(":" if is_range else ",") if x.strip()]
     except ValueError:
         raise ValidationError(f"grid values must be numbers, got {text!r}") from None
     for item in items:
         require_finite(**{f"grid {text!r} value": item})
+    # every value an int, computed in ints: each item of a list, or a range's start and step
+    exact = integral and all(type(item) is int for item in (items[::2] if is_range else items))
     if is_range:
         if len(items) != 3:
             raise ValidationError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = items
         if step <= 0 or stop < start:
             raise ValidationError(f"grid needs stop >= start and step > 0, got {text!r}")
-        span = (stop - start) / step + 1e-9
+        span = (stop - start) // step if exact else (stop - start) / step + 1e-9
         if span >= _MAX_GRID_POINTS:
             raise ValidationError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-        values = start + np.arange(int(span) + 1) * step  # start + k * step, as floats
+        values = start + np.arange(int(span) + 1, dtype=object if exact else float) * step  # start + k * step
     else:
-        values = np.array(items)
+        values = np.array(items, dtype=object if exact else float)
     if not len(values):
         raise ValidationError(f"grid {text!r} is empty")
+    if exact:
+        return values.astype(np.int64) if -(2**63) <= values.min() and values.max() < 2**63 else values
     if integral and ((values != np.trunc(values)) | ~(np.abs(values) < 2**63)).any():  # require_int names a non-integer
         return np.array([require_int("n-grid value", v) for v in values.tolist()], dtype=object)
     return values.astype(np.int64) if integral else values
@@ -225,6 +242,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_negativity(args) -> int:
     p = _params(args)
+    from .entanglement import cartan_basis_negativities  # on first use: no other command computes a negativity
+
     table = cartan_basis_negativities(p["c1"], p["c2"], p["c3"])
     rows = [(u, numerical, closed, abs(numerical - closed)) for u, numerical, closed in table]
     header = ["u", "negativity_numerical", "negativity_closed_form", "abs_diff"]
@@ -236,6 +255,8 @@ def cmd_sample(args) -> int:
     p = _params(args)
     if p["seed"] is None or p["trajectories"] is None:
         raise ValidationError("sample needs --seed and --trajectories")
+    from .sampler import sample  # on first use: no other command runs the Monte Carlo
+
     # the exact reference runs beside the Monte Carlo threads, and its refusal stops them
     reference, stats = sample(_config(p), p["trajectories"], p["seed"], workers=p["workers"])
     results = {
@@ -292,6 +313,8 @@ def _params(args) -> dict:
     angles = dict.fromkeys([*(s.step for s in specs), *(s.total for s in specs)], 0.0)
     merged = {**_COMMON_DEFAULTS, **angles}
     if getattr(args, "config", None):
+        import json
+
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 file_values = json.load(handle)

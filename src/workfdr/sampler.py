@@ -50,13 +50,13 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import work_stats as ws
-from .entanglers import DEFAULT_KIND, ENTANGLERS
-from .errors import ValidationError, require_beta, require_finite, require_int
+from .entanglers import ProtocolConfig  # what estimate and sample take; callers import it from here too
+from .errors import require_int
 from .model import TWO_QUBIT_ENERGIES, gibbs_populations
 
 _DRAWS_PER_STEP = 2
@@ -65,50 +65,6 @@ _DRAWS_PER_BATCH = 2**17  # raw words drawn per kernel call, padding included: 1
 _UNIFORM_BITS = 53  # Generator.random keeps the top 53 bits of each raw Philox word
 _FLAGGED_SHARE_MAX = 0.5  # the band filter runs when it expects to flag at most this share of a batch's rows
 _HIGH_HALF = 1 if sys.byteorder == "little" else 0  # index of a uint64's high 32 bits in its uint32 view
-
-
-@dataclass(frozen=True, init=False)
-class ProtocolConfig:
-    """Two-qubit protocol description; angles are totals, per-step values are totals/n_steps.
-
-    The entangler's totals are keywords total_<name>, one per total name of the
-    kind's registry specs (total_phi for rxx, total_c1..total_c3 for cartan, ...),
-    and are kept in `totals` under that name; an omitted total is 0. step_unitary()
-    is the kind's Entangler.step_unitary at the per-step values: always two qubits,
-    so a kind "none" config is two independent copies of SINGLE_QUBIT.
-    """
-
-    beta: float
-    n_steps: int
-    total_theta: float
-    entangler_kind: str
-    totals: dict[str, float] = field(hash=False)  # unhashable; equal configs still hash equal
-
-    def __init__(self, beta, n_steps, total_theta, entangler_kind=DEFAULT_KIND, **totals):
-        object.__setattr__(self, "beta", require_beta(beta))
-        object.__setattr__(self, "n_steps", require_int("n_steps", n_steps, minimum=1))
-        if not isinstance(entangler_kind, str) or entangler_kind not in ENTANGLERS:
-            raise ValidationError(f"entangler_kind must be one of {tuple(ENTANGLERS)}, got {entangler_kind!r}")
-        require_finite(total_theta=total_theta, **totals)
-        names = [spec.total for spec in ENTANGLERS[entangler_kind].params]
-        values = {name: totals.pop(f"total_{name}", 0.0) for name in names}
-        if totals:
-            raise ValidationError(f"entangler {entangler_kind!r} takes no {', '.join(totals)}")
-        object.__setattr__(self, "total_theta", total_theta)
-        object.__setattr__(self, "entangler_kind", entangler_kind)
-        object.__setattr__(self, "totals", values)
-
-    @property
-    def delta_theta(self) -> float:
-        return self.total_theta / self.n_steps
-
-    def step_params(self) -> dict[str, float]:
-        """Per-step entangler parameters (total / n_steps), keyed by the registry specs' step names."""
-        params = ENTANGLERS[self.entangler_kind].params
-        return {spec.step: self.totals[spec.total] / self.n_steps for spec in params}
-
-    def step_unitary(self) -> np.ndarray:
-        return ENTANGLERS[self.entangler_kind].step_unitary(self.delta_theta, self.step_params())
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import work_stats as ws
 from .entanglement import column_states, negativity, negativity_cartan_basis
-from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT
+from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT, ProtocolConfig
 from .model import CartanCoefficients, SeparableXZXParams, cartan_entangler, separable_xzx
-from .sampler import ProtocolConfig, estimate, require_run, sample
+from .sampler import estimate, require_run, sample
 
 _RNG_SEED = 20250810
 

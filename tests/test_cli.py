@@ -123,6 +123,24 @@ def test_sweep_n_grid_gap_shrinks_fourfold(capsys):
         assert 3.5 <= first / second <= 4.5
 
 
+def test_sweep_n_grid_keeps_integers_past_2_to_the_53(capsys):
+    # an integer of --n-grid is the int it names, as --n's is; a float would round 2**53 + 1 to 2**53
+    for n in (2**53 + 1, 2**63 - 1, 2**64 + 1):
+        code, out, _ = run_cli(capsys, "q", "--beta", "1", "--theta", "1", "--n", str(n))
+        header, rows = parse_csv(out)
+        q_row = dict(zip(header, rows[0]))
+        assert code == 0 and q_row["n_steps"] == str(n)
+        for grid in (str(n), f"{n - 2}:{n}:2", f"1e3,{n}"):  # one value, a range, an integral float beside it
+            code, out, _ = run_cli(capsys, "sweep", "--beta", "1", "--theta", "1", "--n-grid", grid)
+            header, rows = parse_csv(out)
+            row = dict(zip(header, rows[-1]))
+            assert code == 0 and (row["n"], row["Q_exact"]) == (q_row["n_steps"], q_row["q_exact"]), grid
+        assert rows[0][header.index("n")] == "1000"
+    # an integer range counts its points exactly: a float count put N = 3000000001 past this stop
+    code, out, _ = run_cli(capsys, "sweep", "--beta", "1", "--theta", "1", "--n-grid", "1:3000000000:1000000000")
+    assert code == 0 and [row[1] for row in parse_csv(out)[1]] == ["1", "1000000001", "2000000001"]
+
+
 def test_sweep_without_grid_fails(capsys):
     code, _, err = run_cli(capsys, "sweep", "--beta", "1", "--theta", "0.5")
     assert code == 2
@@ -327,21 +345,34 @@ def test_refused_sweep_writes_nothing(capsys, tmp_path, two_qubit):
 
 
 def test_numpy_random_is_loaded_on_first_use():
-    # only the Monte Carlo kernel draws random numbers; every other command leaves numpy.random unloaded
+    # each command loads only the modules it runs: the exact commands leave the Monte Carlo, negativity,
+    # acceptance-suite and JSON modules unloaded; negativity loads entanglement, and sample the sampler
     golden = Path(__file__).parent / "golden"
     script = """if True:
         import contextlib, io, sys
+        import workfdr
+        assert not [name for name in sys.modules if name.startswith("workfdr.")], "import workfdr"
         import workfdr.cli
-        assert "numpy.random" not in sys.modules, "import"
+        lazy = ["workfdr.sampler", "workfdr.entanglement", "workfdr.verify", "concurrent.futures", "json",
+                "numpy.random"]
+        loaded = lambda: [name for name in lazy if name in sys.modules]
+        assert not loaded(), ("import", loaded())
         with contextlib.redirect_stdout(io.StringIO()):
             assert workfdr.cli.main(["q", "--beta", "1.3", "--n", "40", "--entangler", "rxx",
                                      "--theta", "0.8", "--phi", "0.6"]) == 0
-        assert "numpy.random" not in sys.modules, "q"
-        from workfdr import ProtocolConfig, estimate
+            assert workfdr.cli.main(["sweep", "--beta-grid", "0:2:0.5", "--n-grid", "10,20", "--entangler", "cartan",
+                                     "--theta", "0.8", "--c1", "0.9", "--c2", "0.2", "--c3", "0.5"]) == 0
+        assert not loaded(), ("q and sweep", loaded())
+        from workfdr import ProtocolConfig
+        assert not loaded(), ("ProtocolConfig", loaded())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert workfdr.cli.main(["negativity", "--c1", "0.3", "--c2", "0.1", "--c3", "0.37"]) == 0
+        assert loaded() == ["workfdr.entanglement"], ("negativity", loaded())
+        from workfdr import estimate
         assert "numpy.random" not in sys.modules, "names"
         assert workfdr.cli.main(["sample", "--beta", "1.3", "--n", "20", "--entangler", "rxx", "--theta", "0.8",
                                  "--phi", "0.6", "--trajectories", "2000", "--seed", "7"]) == 0
-        assert "numpy.random" in sys.modules, "sample"
+        assert loaded() == [name for name in lazy if name != "workfdr.verify"], ("sample", loaded())
     """
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,6 +1,11 @@
-"""The package namespace: `__all__` names exactly the public names `import workfdr` binds."""
+"""The package namespace: `__all__` names exactly the public names `import workfdr` binds, each
+imported from its defining module on first use."""
 
+import importlib
+import pickle
 import types
+
+import pytest
 
 import workfdr
 
@@ -16,3 +21,37 @@ def test_all_matches_the_public_namespace():
     unlisted = sorted(public - set(workfdr.__all__))
     assert not unlisted, f"bound but not listed in __all__: {unlisted}"
     assert len(workfdr.__all__) == len(set(workfdr.__all__))
+
+
+# the public instances, whose defining module their own __module__ does not name
+INSTANCES = {"ENTANGLERS": "workfdr.entanglers", "SINGLE_QUBIT": "workfdr.entanglers"}
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    for name in workfdr.__all__:
+        if name == "__version__":
+            continue
+        value = workfdr.__getattr__(name)  # the first-use lookup itself, whether or not the name is bound yet
+        assert getattr(workfdr, name) is value
+        defining = importlib.import_module(INSTANCES.get(name) or value.__module__)
+        assert getattr(defining, name) is value, name
+
+
+def test_the_lazy_namespace_lists_binds_and_refuses_names():
+    assert set(workfdr.__all__) <= set(dir(workfdr))
+    namespace = {}
+    exec("from workfdr import *", namespace)
+    assert set(workfdr.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(workfdr, name) for name in workfdr.__all__)
+    assert not hasattr(workfdr, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        workfdr.no_such_name
+
+
+def test_protocol_config_is_one_object_and_survives_a_pickle():
+    from workfdr import entanglers, sampler
+
+    assert workfdr.ProtocolConfig is sampler.ProtocolConfig is entanglers.ProtocolConfig
+    config = workfdr.ProtocolConfig(1.3, 20, 0.8, "rxx", total_phi=0.6)
+    copy = pickle.loads(pickle.dumps(config))
+    assert type(copy) is workfdr.ProtocolConfig and copy == config and copy.totals == {"phi": 0.6}

@@ -6,7 +6,9 @@ term is the registry's small-angle g term. A separable step is two independent
 qubits, so its Q is exactly the sum of two single-qubit Qs: it adds no term,
 and without an entangler the two qubits' Q is twice one qubit's. The Cartan
 step's law sees the entangler only through c1 - c2, and the entangled image of
-a basis state has the closed-form negativity |sin(2c1 -+ 2c2)|/2.
+a basis state has the closed-form negativity |sin(2c1 -+ 2c2)|/2. The two halves
+meet in one relation: the entangler's excess Q is 2N g(beta) times the squared
+negativity of its image of |00>, the entanglement each step generates.
 """
 
 import math
@@ -67,6 +69,23 @@ def test_entanglement_adds_a_positive_q_that_tends_to_the_g_term(beta, n, theta,
     _, finer = excess(2 * n)
     assert q_ent > 0
     assert abs(finer - 1) < abs(ratio - 1), (ratio, finer)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(beta=st.floats(0.1, 5.0), theta=_TOTALS, c1=_TOTALS, c2=_TOTALS, c3=_TOTALS)
+def test_the_entanglers_excess_q_is_2n_g_times_its_squared_negativity(beta, theta, c1, c2, c3):
+    # entanglement generated costs dissipated work: Q(cartan) - Q(none, two qubits) = 2N g(beta) N00^2
+    # (1 + O(N^-2)), N00 the negativity, by partial transpose, of the per-step entangler's image of |00>
+    assume(abs(c1 - c2) >= 0.1)
+
+    def ratio(n):
+        q_ent = _q("cartan", beta, n, theta, c1=c1, c2=c2, c3=c3) - _q("none", beta, n, theta)
+        image = column_states(cartan_entangler(CartanCoefficients(c1 / n, c2 / n, c3 / n)))[0]
+        return q_ent / (2 * n * g_beta(beta) * float(negativity(image)) ** 2)
+
+    coarse, fine = ratio(400), ratio(800)
+    assert abs(coarse - 1) <= 1e-3, coarse
+    assert abs(fine - 1) < abs(coarse - 1), (coarse, fine)
 
 
 def _rho(dth, x):
