@@ -29,6 +29,8 @@ __all__ = [*sorted(_MODULE_OF), "__version__"]
 
 
 def __getattr__(name: str):
+    if name in {*_MODULE_OF.values(), "cli", "verify"}:  # a submodule, as `import workfdr.<name>` binds it
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

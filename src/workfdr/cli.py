@@ -157,14 +157,16 @@ def cmd_q(args) -> int:
 
 
 def _grid_value(text: str, integral: bool):
-    """float(text); of an integral grid, a whole number as an int: float() rounds an int past 2**53."""
+    """float(text), or of an integral grid int(text) where it parses: float() rounds an int past 2**53."""
     if integral:
         try:
             return int(text)
         except ValueError:
             pass
-    value = float(text)
-    return int(value) if integral and value.is_integer() else value
+    return float(text)
+
+
+_INT64 = range(-(2**63), 2**63)
 
 
 def _parse_grid(text: str, integral: bool):
@@ -177,27 +179,27 @@ def _parse_grid(text: str, integral: bool):
         raise ValidationError(f"grid values must be numbers, got {text!r}") from None
     for item in items:
         require_finite(**{f"grid {text!r} value": item})
-    # every value an int, computed in ints: each item of a list, or a range's start and step
-    exact = integral and all(type(item) is int for item in (items[::2] if is_range else items))
-    if is_range:
-        if len(items) != 3:
-            raise ValidationError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = items
-        if step <= 0 or stop < start:
-            raise ValidationError(f"grid needs stop >= start and step > 0, got {text!r}")
-        span = (stop - start) // step if exact else (stop - start) / step + 1e-9
-        if span >= _MAX_GRID_POINTS:
-            raise ValidationError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-        values = start + np.arange(int(span) + 1, dtype=object if exact else float) * step  # start + k * step
-    else:
-        values = np.array(items, dtype=object if exact else float)
-    if not len(values):
-        raise ValidationError(f"grid {text!r} is empty")
-    if exact:
-        return values.astype(np.int64) if -(2**63) <= values.min() and values.max() < 2**63 else values
-    if integral and ((values != np.trunc(values)) | ~(np.abs(values) < 2**63)).any():  # require_int names a non-integer
-        return np.array([require_int("n-grid value", v) for v in values.tolist()], dtype=object)
-    return values.astype(np.int64) if integral else values
+    if not is_range:
+        if not items:
+            raise ValidationError(f"grid {text!r} is empty")
+        if not integral:
+            return np.array(items)
+        values = [require_int("n-grid value", item) for item in items]
+        return np.array(values, dtype=np.int64 if all(value in _INT64 for value in values) else object)
+    if len(items) != 3:
+        raise ValidationError(f"grid must be start:stop:step, got {text!r}")
+    start, stop, step = items
+    if step <= 0 or stop < start:
+        raise ValidationError(f"grid needs stop >= start and step > 0, got {text!r}")
+    if integral:  # counted and built in ints
+        start, stop, step = require_int("n-grid value", start), math.floor(stop), require_int("n-grid value", step)
+    span = (stop - start) // step if integral else (stop - start) / step + 1e-9
+    if span >= _MAX_GRID_POINTS:
+        raise ValidationError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    count = int(span) + 1
+    if integral and not (start in _INT64 and step in _INT64 and start + (count - 1) * step in _INT64):
+        return np.array([start + k * step for k in range(count)], dtype=object)
+    return start + np.arange(count) * step  # start + k * step, as floats or int64
 
 
 def cmd_sweep(args) -> int:

@@ -2,8 +2,12 @@
 imported from its defining module on first use."""
 
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +59,20 @@ def test_protocol_config_is_one_object_and_survives_a_pickle():
     config = workfdr.ProtocolConfig(1.3, 20, 0.8, "rxx", total_phi=0.6)
     copy = pickle.loads(pickle.dumps(config))
     assert type(copy) is workfdr.ProtocolConfig and copy == config and copy.totals == {"phi": 0.6}
+
+
+def test_each_submodule_is_an_attribute_after_import_workfdr():
+    # a fresh interpreter: no earlier test has imported a submodule that would bind it already
+    script = """if True:
+        import sys, types
+        import workfdr
+        for name in ["cli", "entanglement", "entanglers", "errors", "linalg", "model", "sampler", "verify",
+                     "work_stats"]:
+            module = getattr(workfdr, name)
+            assert isinstance(module, types.ModuleType) and module is sys.modules["workfdr." + name], name
+        assert workfdr.sampler.ProtocolConfig is workfdr.ProtocolConfig
+    """
+    src = str(Path(workfdr.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=False)
+    assert run.returncode == 0, run.stderr.decode()
