@@ -153,7 +153,7 @@ class ProtocolConfig:
         object.__setattr__(self, "n_steps", require_int("n_steps", n_steps, minimum=1))
         if not isinstance(entangler_kind, str) or entangler_kind not in ENTANGLERS:
             raise ValidationError(f"entangler_kind must be one of {tuple(ENTANGLERS)}, got {entangler_kind!r}")
-        require_finite(total_theta=total_theta, **totals)
+        require_finite(n_steps=self.n_steps, total_theta=total_theta, **totals)  # the per-step angles divide by n_steps
         names = [spec.total for spec in ENTANGLERS[entangler_kind].params]
         values = {name: totals.pop(f"total_{name}", 0.0) for name in names}
         if totals:

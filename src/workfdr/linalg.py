@@ -30,12 +30,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_matrix(a, stacked: bool = False) -> np.ndarray:
-    """Coerce input to a square complex128 matrix of dimension 2 or 4 (if stacked, also a (k, d, d) stack)."""
+def as_matrix(a) -> np.ndarray:
+    """Coerce input to a square complex128 matrix of dimension 2 or 4, or a (k, d, d) stack of them."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-2] != m.shape[-1]:
-        expected = "a square matrix or a (k, d, d) stack" if stacked else "a square matrix"
-        raise UnsupportedDimensionError(f"expected {expected}, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise UnsupportedDimensionError(f"expected a square matrix or a (k, d, d) stack, got shape {m.shape}")
     if m.shape[-1] not in (2, 4):
         raise UnsupportedDimensionError(f"supported dimensions are 2 and 4, got {m.shape[-1]}")
     return m
@@ -50,7 +49,7 @@ def identity(dim: int) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, restricted to results of dimension at most 4; of (k, d, d) stacks (or a
     stack and a matrix), matrix by matrix: the products np.kron forms, batched."""
-    a, b = as_matrix(a, stacked=True), as_matrix(b, stacked=True)
+    a, b = as_matrix(a), as_matrix(b)
     dim = a.shape[-1] * b.shape[-1]
     if dim > 4:
         raise UnsupportedDimensionError(f"kron result would be {dim}x{dim}; only dimensions up to 4 are supported")
@@ -78,7 +77,7 @@ def require_each(ok: np.ndarray, message: str, *values: np.ndarray, error=Contra
 
 def check_unitary(u: np.ndarray) -> np.ndarray:
     """Require max |U†U - I| <= UNITARY_TOL of a matrix, or of each matrix of a (k, d, d) stack."""
-    u = as_matrix(u, stacked=True)
+    u = as_matrix(u)
     dev = np.abs(u.conj().swapaxes(-2, -1) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
     require_each(dev <= UNITARY_TOL, f"matrix is not unitary: max |U†U - I| = {{:.3e}} > {UNITARY_TOL:.0e}", dev)
     return u
@@ -87,7 +86,7 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
 def check_density(rho: np.ndarray) -> np.ndarray:
     """Require of a matrix, or of each matrix of a (k, d, d) stack: Hermiticity to 1e-12,
     unit trace to 1e-12 and eigenvalues >= -1e-10. One bad matrix fails the whole call."""
-    rho = as_matrix(rho, stacked=True)
+    rho = as_matrix(rho)
     dagger = rho.conj().swapaxes(-2, -1)
     herm_dev = np.max(np.abs(rho - dagger), axis=(-2, -1))
     require_each(herm_dev <= DENSITY_HERMITICITY_TOL, "density is not Hermitian: max |rho - rho†| = {:.3e}", herm_dev)
@@ -144,7 +143,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     Raises ContractViolationError if max |h - h†| > 1e-10 (naming the first such
     matrix of a stack) and NumericFailureError if the sweep cap is exhausted.
     """
-    h = as_matrix(h, stacked=True)
+    h = as_matrix(h)
     dagger = h.conj().swapaxes(-2, -1)
     herm_dev = np.max(np.abs(h - dagger), axis=(-2, -1))
     require_each(herm_dev <= 1e-10, "matrix is not Hermitian: max |h - h†| = {:.3e}", herm_dev)

@@ -27,12 +27,11 @@ term whose two rows share the threshold is 0 and skipped.
 Slowly driven, a step keeps its first outcome f with probability 1 - O(dtheta**2).
 A second draw d with T[f, f-1] <= d < T[f, f] (T the Born thresholds) keeps f, so
 one in [max_f T[f, f-1], min_f T[f, f]) keeps every f and does no work whatever the
-first draw was. The band filter (_moving_rows) flags, in one pass over the raw
-second words, the trajectories that hold a draw outside that band; only those run
-the staircase, and every other trajectory's total is exactly 0. It runs when it
-expects to flag at most half a batch's rows, the measured break-even: fast-driving
-protocols run every row, as does a batch whose flagged rows do not fit, words and
-draws, in the draws' own space.
+first draw was. The band filter (_moving_steps) flags, in one pass over the raw
+second words, the steps whose draw is outside that band; only those run the
+staircase, and a trajectory's total is the sum of its flagged steps' work. It
+runs when at most an eighth of the second draws leave the band, just below the
+measured break-even: fast-driving protocols run every step.
 
 A batch holds as many
 trajectories as fit in _DRAWS_PER_BATCH raw words (1 MB); a longer trajectory
@@ -63,7 +62,7 @@ _DRAWS_PER_STEP = 2
 _WORDS_PER_BLOCK = 4
 _DRAWS_PER_BATCH = 2**17  # raw words drawn per kernel call, padding included: 1 MB
 _UNIFORM_BITS = 53  # Generator.random keeps the top 53 bits of each raw Philox word
-_FLAGGED_SHARE_MAX = 0.5  # the band filter runs when it expects to flag at most this share of a batch's rows
+_FLAGGED_SHARE_MAX = 0.125  # the band filter runs when at most this share of second draws leaves the band
 _HIGH_HALF = 1 if sys.byteorder == "little" else 0  # index of a uint64's high 32 bits in its uint32 view
 
 
@@ -157,35 +156,29 @@ class _Scratch:
         return self._bits.random_raw(size)
 
 
-def _moving_rows(second_words: np.ndarray, second_thresholds: np.ndarray, space: np.ndarray):
-    """Indices of the rows (trajectories) of second_words [trajectory, step] that hold a second draw
+def _moving_steps(second_words: np.ndarray, second_thresholds: np.ndarray, space: np.ndarray):
+    """Flat indices trajectory * steps + step of the second draws of second_words [trajectory, step]
     outside the band every first outcome keeps, or None where the filter does not pay.
 
     Outcome f is kept by a draw d with T[f, f-1] <= d < T[f, f], so d in [max_f T[f, f-1],
-    min_f T[f, f]) keeps every f: a row with no draw outside that band does no work. The
-    band is taken on the raw words' high 32-bit halves, rounded inward, so a draw within
-    2**-32 of an edge may be flagged too; a flagged row gets its exact work. The filter
-    runs when the expected flagged share, 1 - (1 - q)**steps with q the share of words
-    outside the band, is at most _FLAGGED_SHARE_MAX. Its temporaries live in space, a
-    uint64 array of at least one word a step.
+    min_f T[f, f]) keeps every f: a step with its draw in that band does no work. The band
+    is taken on the raw words' high 32-bit halves, rounded inward, so a draw within 2**-32
+    of an edge may be flagged too; a flagged step gets its exact work. The filter runs when
+    q, the share of words outside the band, is at most _FLAGGED_SHARE_MAX. Its temporaries
+    live in space, a uint64 array of at least one word a step.
     """
-    shape = second_words.shape
     low = int(np.diagonal(second_thresholds, -1).max()) << (64 - _UNIFORM_BITS)
     high = int(np.diagonal(second_thresholds).min()) << (64 - _UNIFORM_BITS)
     band_low, band_high = -(-low >> 32), min(high >> 32, 2**32 - 1)
     width = band_high - band_low  # high halves h with band_low <= h < band_high keep every outcome
-    if width <= 0 or 1.0 - (width / 2**32) ** shape[1] > _FLAGGED_SHARE_MAX:
+    if width <= 0 or 1.0 - width / 2**32 > _FLAGGED_SHARE_MAX:
         return None
-    size = math.prod(shape)
+    shape, size = second_words.shape, second_words.size
     high_halves = second_words[..., np.newaxis].view(np.uint32)[..., _HIGH_HALF]
     # a half below band_low wraps past width, so one compare flags both sides of the band
     offsets = np.subtract(high_halves, np.uint32(band_low), out=space.view(np.uint32)[:size].reshape(shape))
     outside = np.greater_equal(offsets, np.uint32(width), out=space.view(np.bool_)[-size:].reshape(shape))
-    # not flatnonzero: while the words are held, every array made here has one size per batch shape.
-    # numpy keeps small freed buffers for reuse, and one of a new size, made above the words on the
-    # heap, keeps the freed words from rejoining the heap's top (peak RSS +1 MB at N = 4000)
-    moving = np.bitwise_or.reduceat(outside.view(np.uint8).reshape(-1), np.arange(0, size, shape[1]))
-    return np.argsort(moving == 0, kind="stable")[: np.count_nonzero(moving)]
+    return np.flatnonzero(outside)
 
 
 def _simulate_batch(
@@ -201,9 +194,9 @@ def _simulate_batch(
     scratch: _Scratch,
 ) -> np.ndarray:
     """Integer work of steps [first_step, last_step) of trajectories [start, start+count),
-    vectorized with no per-step gather, in arrays reused from scratch: at most 22 bytes a step,
-    16 of them the draws' space (which first holds the band filter's temporaries and the flagged
-    rows' words) and 6 in int8 arrays over the rows that run.
+    vectorized with no Born-row gather, in arrays reused from scratch: at most 22 bytes a step,
+    16 of them the draws' space (which first holds the band filter's temporaries) and 6 in int8
+    arrays over the steps that run, every step or only the flagged ones.
 
     A partial range must start at an even step (a Philox block holds two steps)
     and is for a single trajectory, whose words are then contiguous.
@@ -218,22 +211,16 @@ def _simulate_batch(
     ).reshape(count, -1)
     pairs = words.reshape(count, -1, _DRAWS_PER_STEP)[:, :steps]  # [trajectory, step, outcome]
     space = scratch.array("draws", (_DRAWS_PER_STEP * count * steps,), np.uint64)
-    rows = _moving_rows(pairs[..., 1], second_thresholds, space)
-    if rows is not None and len(rows) * (words.shape[1] + _DRAWS_PER_STEP * steps) > space.size:
-        rows = None  # too many for their words and draws to share space: run every row
-    if rows is not None:
-        if len(rows) == 0:
-            return np.zeros(count, np.int64)
-        # the flagged rows' words go to the end of space, their draws to its start
-        held = space[space.size - len(rows) * words.shape[1] :].reshape(len(rows), -1)
-        pairs = np.take(words, rows, axis=0, out=held, mode="clip").reshape(len(rows), -1, _DRAWS_PER_STEP)[:, :steps]
-    # one pass from interleaved (step, outcome) words to contiguous draws [outcome, trajectory, step]
+    moving = _moving_steps(pairs[..., 1], second_thresholds, space)
+    if moving is not None:
+        trajectories, moving_steps = np.divmod(moving, steps)
+        pairs = pairs[trajectories, moving_steps]  # [flagged step, outcome]
+    # one pass from interleaved (step, outcome) words to contiguous draws [outcome, ...]
+    draws = np.moveaxis(pairs, -1, 0)
     first_draws, second_draws = np.right_shift(
-        pairs.transpose(2, 0, 1),
-        np.uint64(64 - _UNIFORM_BITS),
-        out=space[: _DRAWS_PER_STEP * pairs.shape[0] * steps].reshape(_DRAWS_PER_STEP, -1, steps),
+        draws, np.uint64(64 - _UNIFORM_BITS), out=space[: draws.size].reshape(draws.shape)
     )
-    del words, pairs
+    del words, pairs, draws
     shape = first_draws.shape
     # [first >= k+1] as int8 0/1: a bool array viewed as int8
     first_above = [
@@ -257,11 +244,10 @@ def _simulate_batch(
         reached -= first_above[j]
         reached *= np.int8(rises[j])
         work += reached
-    if rows is None:
+    if moving is None:
         return work.sum(axis=1, dtype=np.int64)
-    totals = np.zeros(count, np.int64)
-    totals[rows] = work.sum(axis=1, dtype=np.int64)
-    return totals
+    # exact in float64: |total| <= 2 * steps < 2**53
+    return np.bincount(trajectories, weights=work, minlength=count).astype(np.int64)
 
 
 def _power_sums(w: np.ndarray) -> tuple[int, int, int, int]:

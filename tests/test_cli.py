@@ -468,6 +468,20 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
             assert exit_info.value.code == 2, (argv, flag)
 
 
+def test_a_step_count_too_large_for_a_float_exits_2(capsys):
+    # argparse's int takes any length; the per-step angles divide by N as a float
+    n = "1" + "0" * 400
+    for argv in (["q", "--beta", "1", "--theta", "1", "--n", n],
+                 ["sweep", "--beta-grid", "0:1:0.5", "--theta", "1", "--n", n],
+                 ["sample", "--theta", "1", "--n", n, "--trajectories", "10", "--seed", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: n_steps must be finite") and err.count("\n") == 1, (argv, err)
+    with pytest.raises(ValidationError, match="n_steps"):
+        ProtocolConfig(beta=1.0, n_steps=2**1024, total_theta=1.0)
+    assert ProtocolConfig(beta=1.0, n_steps=2**1023, total_theta=1.0).delta_theta == 2.0**-1023
+
+
 # per-step angles for every registry parameter; each kind reads only its own
 ALL_STEP_ANGLES = ["--dtheta", "0.3", "--dphi", "0.2", "--c1", "0.25", "--c2", "-0.1", "--c3", "0.4",
                    "--c", "0.2", "--l", "0.1", "--m", "-0.15", "--nz", "0.3"]

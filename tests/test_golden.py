@@ -99,7 +99,14 @@ def _cases() -> dict[str, tuple[list[str], int]]:
          "--trajectories", "2000", "--seed", "7"],
         0,
     )
-    # 0.8 and 0.6 a step: nearly every trajectory leaves the band, so the batch kernel skips its band filter
+    # 0.1 a step: more than half of the trajectories, but only 1.5% of the steps, leave the band,
+    # so the batch kernel runs the staircase on the flagged steps alone
+    cases["sample_rxx_mid_driving"] = (
+        ["sample", "--beta", "1", "--n", "50", "--entangler", "rxx", "--theta", "5", "--phi", "5",
+         "--trajectories", "2000", "--seed", "7"],
+        0,
+    )
+    # 0.8 and 0.6 a step: two thirds of the steps leave the band, so the batch kernel skips its band filter
     cases["sample_rxx_fast_driving"] = (
         ["sample", "--beta", "1", "--n", "20", "--entangler", "rxx", "--theta", "16", "--phi", "12",
          "--trajectories", "2000", "--seed", "7"],

@@ -52,6 +52,15 @@ def test_kron_rejects_dimension_overflow():
         identity(3)
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (1, 2, 2, 2), (3, 2, 4)])
+def test_every_matrix_function_refuses_a_shape_that_is_no_matrix_or_stack(shape):
+    message = f"expected a square matrix or a (k, d, d) stack, got shape {shape}"
+    for call in (lambda m: kron(m, identity(2)), check_unitary, check_density, hermitian_eigenvalues):
+        with pytest.raises(UnsupportedDimensionError) as refused:
+            call(np.zeros(shape))
+        assert str(refused.value) == message
+
+
 def test_kron_mixed_product_and_trace():
     for _ in range(20):
         a, b, c, d = (random_unitary(2) for _ in range(4))

@@ -319,9 +319,13 @@ def _recorded_estimate(monkeypatch, config, n_trajectories, seed):
     return stats, [calls[i] for i in order], [drawn[i] for i in order]
 
 
-@pytest.mark.parametrize("name", list(EDGE_CONFIGS))
+# 0.1 a step: a step leaves the band with probability 1.5%, a trajectory of 50 steps with 53%
+MID = ProtocolConfig(beta=1.0, n_steps=50, total_theta=5.0, entangler_kind="rxx", total_phi=5.0)
+
+
+@pytest.mark.parametrize("name", [*EDGE_CONFIGS, "rxx_mid_driving"])
 def test_batch_kernel_matches_scalar_oracle_for_any_draw_budget(monkeypatch, name):
-    config = EDGE_CONFIGS[name]
+    config = EDGE_CONFIGS.get(name, MID)
     oracle = [run_protocol(config, i, 31) for i in range(EDGE_COUNT)]
     words = 4 * _blocks_per_trajectory(config.n_steps)
     # one trajectory per batch, 5 per batch (not a divisor of 23), the default budget
@@ -388,7 +392,7 @@ def test_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps):
 @pytest.mark.parametrize("n_steps", [13, 14])
 def test_slow_chunked_trajectories_match_scalar_oracle(monkeypatch, n_steps):
     # slow (0.2 a step), the band filter runs on each chunk and flags about one
-    # in five: some chunks flag no step and return 0 unrun, and some
+    # in five: some chunks flag no step and run the staircase on none, and some
     # trajectories still do work
     config = ProtocolConfig(beta=0.8, n_steps=n_steps, total_theta=0.2 * n_steps, entangler_kind="rxx",
                             total_phi=0.2 * n_steps)
@@ -407,8 +411,8 @@ SLOW = ProtocolConfig(beta=1.0, n_steps=50, total_theta=0.5, entangler_kind="rxx
 
 def test_band_filter_is_exact_at_the_band_edges(monkeypatch):
     # hand-picked raw words: row 4e + f has first outcome f and, at step e, the second
-    # draw edges[e]; every other second draw is mid-band. 48 rows draw only mid-band
-    # words, so the filter keeps at most a third of the rows and they run gathered
+    # draw edges[e]; every other second draw is mid-band. The last 48 rows draw only
+    # mid-band words: no step of theirs is flagged, and each total is still 0
     _, low, high = _band(SLOW)
     assert 0 < low < high < 2**53
     edges = [0, (low << 11) - 1, low << 11, (high << 11) - 1, high << 11, 2**64 - 1]
@@ -442,23 +446,27 @@ def test_band_filter_is_exact_at_the_band_edges(monkeypatch):
     assert expected[4 * 4] == 1 and expected[4 * 1 + 3] == -1  # high itself leaves f = 0, low - 1 leaves f = 3
 
 
-def test_band_filter_runs_the_staircase_on_the_flagged_rows_only():
-    # per-step angles of 0.05: about 7% of 100 trajectories hold a second draw outside the band
-    config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=1.0, entangler_kind="rxx", total_phi=1.0)
+def test_band_filter_runs_the_staircase_on_the_flagged_steps_only():
+    # per-step angles of 0.05 (N = 20) and 0.1 (N = 50): 0.4% and 1.5% of the second draws leave
+    # the band, and the second flags more than half of the trajectories
     count = 100
-    oracle = [run_protocol(config, i, 5) for i in range(count)]
-    assert batch_works(config, 5, 0, count).tolist() == oracle
-    thresholds, low, high = _band(config)
-    words = np.stack([trajectory_stream(5, i, config.n_steps).bit_generator.random_raw(2 * config.n_steps)
-                      for i in range(count)])
-    seconds = words[:, 1::2]
-    flagged = np.flatnonzero(np.any(((seconds >> 11) < low) | ((seconds >> 11) >= high), axis=1))
-    assert 0 < len(flagged) < count // 2 and any(oracle[i] for i in flagged)
-    space = np.empty(words.size, np.uint64)
-    assert sampler._moving_rows(seconds, thresholds, space).tolist() == flagged.tolist()
-    # fast driving (the fast-driving golden's protocol) flags nearly every row: the filter does not run
+    for config in (ProtocolConfig(beta=1.0, n_steps=20, total_theta=1.0, entangler_kind="rxx", total_phi=1.0), MID):
+        oracle = [run_protocol(config, i, 5) for i in range(count)]
+        assert batch_works(config, 5, 0, count).tolist() == oracle
+        thresholds, low, high = _band(config)
+        words = np.stack([trajectory_stream(5, i, config.n_steps).bit_generator.random_raw(2 * config.n_steps)
+                          for i in range(count)])
+        seconds = words[:, 1::2]
+        outside = ((seconds >> 11) < low) | ((seconds >> 11) >= high)
+        flagged = np.flatnonzero(outside)
+        assert 0 < len(flagged) < sampler._FLAGGED_SHARE_MAX * outside.size and any(oracle)
+        space = np.empty(words.size, np.uint64)
+        assert sampler._moving_steps(seconds, thresholds, space).tolist() == flagged.tolist()
+    # a MID trajectory leaves the band with probability 1 - (1 - q)**50 > 1/2
+    assert 1.0 - ((high - low) / 2**53) ** MID.n_steps > 0.5
+    # fast driving (the fast-driving golden's protocol): two thirds of the steps leave the band; the filter does not run
     fast = ProtocolConfig(beta=1.0, n_steps=20, total_theta=16.0, entangler_kind="rxx", total_phi=12.0)
-    assert sampler._moving_rows(seconds, _band(fast)[0], space) is None
+    assert sampler._moving_steps(seconds, _band(fast)[0], space) is None
 
 
 _MC_BETAS = st.sampled_from([0.0, 1e-300, 0.5, 50.0, 700.0]) | st.floats(0.0, 50.0)
