@@ -216,24 +216,22 @@ def cmd_sweep(args) -> int:
                     kind="stable")  # as betas: the default int64 sort's SIMD code costs 0.4 MB of RSS
     if len(betas) * len(steps) > _MAX_GRID_POINTS:
         raise ValidationError(f"sweep has {len(betas)} x {len(steps)} points, more than {_MAX_GRID_POINTS}")
-    # every point before any output, so a refusal prints nothing: 16 bytes a point, 24 a beta, 21 an N
-    starts = np.concatenate([[True], steps[1:] != steps[:-1]])  # where each distinct N starts
-    distinct, order = steps[starts], np.cumsum(starts, dtype=np.int32) - 1  # and each N's index among them
+    # every point before any output, so a refusal prints nothing: 16 bytes a point, 24 a beta, 8 an N
     f, g = np.empty((2, len(betas)))
-    q_value, prediction = np.empty((2, len(distinct), len(betas)))
+    q_value, prediction = np.empty((2, len(steps), len(betas)))
     for start in range(0, len(betas), _SWEEP_BLOCK):
         part = slice(start, start + _SWEEP_BLOCK)
         f[part], g[part] = ws.profiles(betas[part])
         stacked = _SWEEP_BLOCK // len(betas[part])  # N values per stack: at most _SWEEP_BLOCK rows of probabilities
-        for block in (slice(first, first + stacked) for first in range(0, len(distinct), stacked)):
-            columns = _q_reports(p, distinct[block].tolist(), betas[part], f[part], g[part])
+        for block in (slice(first, first + stacked) for first in range(0, len(steps), stacked)):
+            columns = _q_reports(p, steps[block].tolist(), betas[part], f[part], g[part])
             q_value[block, part], prediction[block, part] = columns["q_exact"], columns["small_angle_prediction"]
     total = len(betas) * len(steps)
 
     def blocks():  # row r is (betas[r // len(steps)], steps[r % len(steps)]): sorted beta outer, sorted N inner
         for start in range(0, total, _SWEEP_BLOCK):
             i, k = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, total)), len(steps))
-            q, predicted = q_value[order[k], i], prediction[order[k], i]
+            q, predicted = q_value[k, i], prediction[k, i]
             yield list(zip(betas[i].tolist(), steps[k].tolist(), q.tolist(), predicted.tolist(),
                            f[i].tolist(), g[i].tolist(), ws.relative_gap(q, predicted).tolist()))
 

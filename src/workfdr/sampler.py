@@ -2,14 +2,16 @@
 
 Random streams are counter-based: a Philox generator keyed by the master seed,
 with trajectory i owning counter blocks [i*B, (i+1)*B) where B = ceil(2N/4)
-(one block yields four 64-bit words) and draws ordered (step, outcome) with
-two draws per step. Every trajectory is therefore reproducible in isolation,
-and results depend only on (config, master_seed, trajectory count) -- never on
-batching, scheduling, or worker count. Outcome sampling is inverse-CDF over at
-most four outcomes, drawn from the step's Born moduli (work_stats.born_moduli,
-in float64) rather than from the enumerated work distribution, so statistical
-agreement with the enumeration checks it. A scalar one-step-at-a-time version
-of the batch kernel is kept in the test suite (tests/mc_oracle.py) as its oracle.
+(one block yields four 64-bit words) and draws ordered (step, outcome) with two
+draws per step; a kernel call builds its generator from key and counter alone,
+np.random.Philox(key=master_seed, counter=block). Every trajectory is therefore
+reproducible in isolation, and results depend only on (config, master_seed,
+trajectory count) -- never on batching, scheduling, or worker count. Outcome
+sampling is inverse-CDF over at most four outcomes, drawn from the step's Born
+moduli (work_stats.born_moduli, in float64) rather than from the enumerated
+work distribution, so statistical agreement with the enumeration checks it. A
+scalar one-step-at-a-time version of the batch kernel is kept in the test suite
+(tests/mc_oracle.py) as its oracle.
 
 The batch kernel compares raw Philox words with integer thresholds, which
 picks the same outcomes as the oracle's float uniforms (see _thresholds). One
@@ -55,7 +57,7 @@ import numpy as np
 
 from . import work_stats as ws
 from .entanglers import ProtocolConfig  # what estimate and sample take; callers import it from here too
-from .errors import require_int
+from .errors import ValidationError, require_int
 from .model import TWO_QUBIT_ENERGIES, gibbs_populations
 
 _DRAWS_PER_STEP = 2
@@ -64,6 +66,8 @@ _DRAWS_PER_BATCH = 2**17  # raw words drawn per kernel call, padding included: 1
 _UNIFORM_BITS = 53  # Generator.random keeps the top 53 bits of each raw Philox word
 _FLAGGED_SHARE_MAX = 0.125  # the band filter runs when at most this share of second draws leaves the band
 _HIGH_HALF = 1 if sys.byteorder == "little" else 0  # index of a uint64's high 32 bits in its uint32 view
+_BETA_MAX = 2.0 * math.sqrt(sys.float_info.max)  # the largest beta whose (beta/2)**2 is a finite float
+_RISES = np.diff(np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64))  # E[j+1] - E[j] of the two-qubit levels
 
 
 @dataclass(frozen=True)
@@ -121,19 +125,19 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
 
 
 class _Scratch:
-    """Arrays and the Philox generator that one worker thread reuses from kernel call to kernel call.
+    """Arrays that one worker thread reuses from kernel call to kernel call.
 
-    Allocated afresh on each call, a batch's megabyte-sized arrays come back
-    as fresh pages (glibc malloc hands the freed top of the heap back to the
-    system between calls): about 500 page faults a batch, which took 40% of
-    estimate's time at N = 50 on a 2-vCPU VM. Re-keying one generator through
-    its state takes 8-13 us a call, against 15-27 us for a new np.random.Philox,
-    whose constructor first draws OS entropy that the key then replaces.
+    Allocated afresh on each call, a batch's megabyte-sized arrays partly come
+    back as fresh pages. That shows on the dense path, where every step runs the
+    staircase: sample at the fast-driving golden's protocol with 400,000
+    trajectories takes 10,832 minor faults with fresh arrays and 6,221 with
+    these (medians of 10 runs, 2-vCPU VM; wall times 0.52 and 0.48 s, within
+    the host's noise). Filtered runs allocate less a call: the paper's protocol
+    (N = 50, 0.01 a step) takes 6,240 and 5,947.
     """
 
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
-        self._bits = None
 
     def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """An uninitialised array of this shape, kept under name for the next call."""
@@ -142,18 +146,6 @@ class _Scratch:
         if held is None or held.size < size:
             held = self._arrays[name] = np.empty(size, dtype)
         return held[:size].reshape(shape)
-
-    def words(self, master_seed: int, block: int, size: int) -> np.ndarray:
-        """size raw words of the Philox stream keyed by master_seed, from counter block `block` on:
-        the words of np.random.Philox(key=master_seed) after advance(block)."""
-        if self._bits is None:
-            self._bits = np.random.Philox(key=np.uint64(0))  # numpy loads np.random on this first use
-        state = self._bits.state
-        state["state"] = {"counter": np.zeros(4, np.uint64), "key": np.array([master_seed, 0], np.uint64)}
-        state["buffer_pos"] = _WORDS_PER_BLOCK  # nothing buffered, as in a new generator
-        self._bits.state = state
-        self._bits.advance(block)
-        return self._bits.random_raw(size)
 
 
 def _moving_steps(second_words: np.ndarray, second_thresholds: np.ndarray, space: np.ndarray):
@@ -188,7 +180,6 @@ def _simulate_batch(
     n_steps: int,
     population_cdf: np.ndarray,
     born_cdf_rows: np.ndarray,
-    energies: np.ndarray,
     first_step: int,
     last_step: int,
     scratch: _Scratch,
@@ -204,11 +195,10 @@ def _simulate_batch(
     steps = last_step - first_step
     first_thresholds = _thresholds(population_cdf[:-1])
     second_thresholds = _thresholds(born_cdf_rows[:, :-1])  # [first outcome, j]
-    words = scratch.words(
-        master_seed,
-        start * _blocks_per_trajectory(n_steps) + first_step // _DRAWS_PER_STEP,
-        count * _WORDS_PER_BLOCK * _blocks_per_trajectory(steps),
-    ).reshape(count, -1)
+    block = start * _blocks_per_trajectory(n_steps) + first_step // _DRAWS_PER_STEP
+    size = count * _WORDS_PER_BLOCK * _blocks_per_trajectory(steps)
+    # the stream keyed by master_seed, from counter block `block` on (numpy loads np.random at its first use)
+    words = np.random.Philox(key=np.uint64(master_seed), counter=block).random_raw(size)
     pairs = words.reshape(count, -1, _DRAWS_PER_STEP)[:, :steps]  # [trajectory, step, outcome]
     space = scratch.array("draws", (_DRAWS_PER_STEP * count * steps,), np.uint64)
     moving = _moving_steps(pairs[..., 1], second_thresholds, space)
@@ -231,8 +221,7 @@ def _simulate_batch(
     term = scratch.array("term", shape, np.int8)
     work = scratch.array("work", shape, np.int8)
     work.fill(0)
-    rises = np.diff(energies)
-    for j in np.flatnonzero(rises):
+    for j in np.flatnonzero(_RISES):
         # the staircase: reached goes from c_0 to c_{k+1} where [first >= k+1], so ends at c_f
         column = second_thresholds[:, j]
         np.greater_equal(second_draws, column[0], out=reached.view(np.bool_))
@@ -242,7 +231,7 @@ def _simulate_batch(
             term *= first_above[k]
             reached += term
         reached -= first_above[j]
-        reached *= np.int8(rises[j])
+        reached *= np.int8(_RISES[j])
         work += reached
     if moving is None:
         return work.sum(axis=1, dtype=np.int64)
@@ -304,9 +293,10 @@ def estimate(
 def _run(config, n_trajectories, master_seed, workers, meanwhile) -> tuple[object, SampleStats]:
     """(meanwhile(config), estimate's SampleStats), meanwhile called while the batches run."""
     n_trajectories, master_seed, workers = require_run(n_trajectories, master_seed, workers)
+    if config.beta > _BETA_MAX:  # q_var's half_beta**2 would raise OverflowError after the whole run
+        raise ValidationError(f"beta must be in [0, {_BETA_MAX!r}] for the Monte Carlo, got {config.beta!r}")
     population_cdf = np.cumsum(gibbs_populations(config.beta, TWO_QUBIT_ENERGIES))
     born_cdf_rows = np.cumsum(_born_matrix(config.step_unitary()), axis=0).T.copy()
-    energies = np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64)
 
     n_steps = config.n_steps
     per_batch = max(1, _DRAWS_PER_BATCH // (_WORDS_PER_BLOCK * _blocks_per_trajectory(n_steps)))
@@ -327,7 +317,7 @@ def _run(config, n_trajectories, master_seed, workers, meanwhile) -> tuple[objec
                 if stopped.is_set():  # the calling thread raised; these sums are dropped
                     return sums
                 totals += _simulate_batch(
-                    master_seed, start, count, n_steps, population_cdf, born_cdf_rows, energies,
+                    master_seed, start, count, n_steps, population_cdf, born_cdf_rows,
                     first, min(first + chunk, n_steps), scratch,
                 )
             sums = [a + b for a, b in zip(sums, _power_sums(totals))]

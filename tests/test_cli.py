@@ -249,6 +249,18 @@ def test_a_refused_sample_reference_stops_monte_carlo(capsys, monkeypatch):
     assert len(calls) - at_failure[0] <= 2
 
 
+def test_a_beta_past_the_monte_carlo_range_exits_2_before_any_batch(capsys, monkeypatch):
+    # (beta/2)**2 of the standard-error formula overflows a float past 2.68e154
+    def must_not_run(*args):
+        raise AssertionError("a Monte Carlo batch ran at a refused beta")
+
+    monkeypatch.setattr(sampler, "_simulate_batch", must_not_run)
+    code, out, err = run_cli(capsys, "sample", "--beta", "3e154", "--n", "3", "--theta", "0.1",
+                             "--trajectories", "5", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: beta must be in [0, 2.681561585988519e+154]") and err.count("\n") == 1
+
+
 def test_ctrl_c_stops_a_long_sample_run():
     # most of a day of Monte Carlo on one thread; SIGINT ends it within one kernel call
     argv = ["sample", "--n", "50", "--entangler", "rxx", "--theta", "0.5", "--phi", "0.5",

@@ -1,7 +1,9 @@
 """Monte Carlo sampler: determinism, statistical agreement with the exact pipeline."""
 
 import dataclasses
+import inspect
 import math
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -38,15 +40,27 @@ from workfdr.work_stats import convolve_n, moments, step_distribution
 from mc_oracle import _pick, run_protocol, sample_step, trajectory_stream
 
 
+def kernel_inputs(config):
+    """(population_cdf, born_cdf_rows) of config, as the sampler passes them to its kernel."""
+    population_cdf = np.cumsum(gibbs_populations(config.beta, TWO_QUBIT_ENERGIES))
+    return population_cdf, np.cumsum(_born_matrix(config.step_unitary()), axis=0).T.copy()
+
+
 def batch_works(config, master_seed, start, count):
+    return _simulate_batch(master_seed, start, count, config.n_steps, *kernel_inputs(config), 0, config.n_steps,
+                           _Scratch())
+
+
+def oracle_total(config, pairs):
+    """The scalar oracle's total work over the raw (first, second) words of config's steps, one row a step."""
     population_cdf = np.cumsum(gibbs_populations(config.beta, TWO_QUBIT_ENERGIES))
     born = _born_matrix(config.step_unitary())
-    born_cdf_rows = np.cumsum(born, axis=0).T.copy()
-    energies = np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64)
-    return _simulate_batch(
-        master_seed, start, count, config.n_steps, population_cdf, born_cdf_rows, energies,
-        0, config.n_steps, _Scratch(),
-    )
+    total = 0
+    for first_word, second_word in pairs.tolist():
+        first = _pick(population_cdf, (first_word >> 11) * 2.0**-53)
+        second = _pick(np.cumsum(born[:, first]), (second_word >> 11) * 2.0**-53)
+        total += round(TWO_QUBIT_ENERGIES[second] - TWO_QUBIT_ENERGIES[first])
+    return total
 
 
 def test_identity_dynamics_yields_zero_work():
@@ -308,7 +322,7 @@ def _recorded_estimate(monkeypatch, config, n_trajectories, seed):
 
     def recording(master_seed, start, count, n_steps, *args):
         works = _simulate_batch(master_seed, start, count, n_steps, *args)
-        first_step, last_step = args[3:5]
+        first_step, last_step = args[2:4]
         calls.append((start, count, first_step, last_step, works))
         return works
 
@@ -431,19 +445,33 @@ def test_band_filter_is_exact_at_the_band_edges(monkeypatch):
             return words.reshape(-1).copy()
 
     monkeypatch.setattr(np.random, "Philox", HandPickedPhilox)
-    born = _born_matrix(SLOW.step_unitary())
-
-    def oracle_work(row):
-        total = 0
-        for first_word, second_word in row.tolist():
-            first = _pick(population_cdf, (first_word >> 11) * 2.0**-53)
-            second = _pick(np.cumsum(born[:, first]), (second_word >> 11) * 2.0**-53)
-            total += round(TWO_QUBIT_ENERGIES[second] - TWO_QUBIT_ENERGIES[first])
-        return total
-
-    expected = [oracle_work(row) for row in words]
+    expected = [oracle_total(SLOW, row) for row in words]
     assert batch_works(SLOW, 0, 0, len(words)).tolist() == expected
     assert expected[4 * 4] == 1 and expected[4 * 1 + 3] == -1  # high itself leaves f = 0, low - 1 leaves f = 3
+
+
+def test_stream_positions_past_64_bits(monkeypatch):
+    # the last 16 steps of trajectory 3 at N = 2**66 start at counter block 3 * 2**65 + 2**65 - 8:
+    # the kernel draws the words Philox gives there, with no counter bit dropped
+    n_steps, first_step = 2**66, 2**66 - 16
+    config = ProtocolConfig(beta=1.0, n_steps=n_steps, total_theta=0.8 * n_steps, entangler_kind="rxx",
+                            total_phi=0.6 * n_steps)
+    block = 3 * _blocks_per_trajectory(n_steps) + first_step // 2
+    assert block > 2**64
+    advanced = Philox(key=np.uint64(7))
+    advanced.advance(block)
+    expected = advanced.random_raw(2 * 16)
+    drawn = []
+
+    class RecordingPhilox(Philox):
+        def random_raw(self, size=None, output=True):
+            drawn.append(super().random_raw(size, output))
+            return drawn[-1]
+
+    monkeypatch.setattr(np.random, "Philox", RecordingPhilox)
+    works = _simulate_batch(7, 3, 1, n_steps, *kernel_inputs(config), first_step, n_steps, _Scratch())
+    assert len(drawn) == 1 and drawn[0].tolist() == expected.tolist()
+    assert works.tolist() == [oracle_total(config, expected.reshape(-1, 2))]
 
 
 def test_band_filter_runs_the_staircase_on_the_flagged_steps_only():
@@ -508,6 +536,43 @@ def test_estimate_memory_is_bounded_by_the_draw_budget(n_steps, n_trajectories):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * sampler._DRAWS_PER_BATCH * 8
+
+
+def test_a_second_kernel_call_allocates_only_its_raw_words():
+    # dense (the fast-driving golden's protocol, where the band filter does not run), a full batch: a
+    # second call on one _Scratch reuses its arrays, and the smallest of them, int8, is a byte a step
+    config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=16.0, entangler_kind="rxx", total_phi=12.0)
+    count = sampler._DRAWS_PER_BATCH // (4 * _blocks_per_trajectory(20))
+    words = 4 * _blocks_per_trajectory(20) * count
+    args = (42, 0, count, 20, *kernel_inputs(config), 0, 20)
+    scratch = _Scratch()
+    first = _simulate_batch(*args, scratch)
+    tracemalloc.start()
+    try:
+        second = _simulate_batch(*args, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * words <= peak < 8 * words + count * 20
+    assert second.tolist() == first.tolist()
+
+
+def test_kernel_parameters_read_by_position():
+    # perfbench/layers.py reads count, n_steps and born_cdf_rows from a kernel call's first six arguments
+    names = list(inspect.signature(_simulate_batch).parameters)
+    assert names[:6] == ["master_seed", "start", "count", "n_steps", "population_cdf", "born_cdf_rows"]
+
+
+def test_a_beta_past_the_monte_carlo_range_is_refused_before_any_batch(monkeypatch):
+    # past it, the (beta/2)**2 of q_se raises OverflowError once every batch has run
+    config = ProtocolConfig(beta=2.0 * math.sqrt(sys.float_info.max), n_steps=3, total_theta=0.1)
+    assert estimate(config, 5, 1).q_se == 0.0  # the largest beta still runs
+    calls = []
+    monkeypatch.setattr(sampler, "_simulate_batch", lambda *args: calls.append(args))
+    for beta in (math.nextafter(config.beta, math.inf), 1e200):
+        with pytest.raises(ValidationError, match=r"beta must be in \[0, 2.681561585988519e\+154\]"):
+            estimate(ProtocolConfig(beta=beta, n_steps=3, total_theta=0.1), 5, 1)
+    assert calls == []
 
 
 def test_power_sums_are_exact_past_the_int64_wrap():

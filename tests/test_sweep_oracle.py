@@ -112,8 +112,8 @@ def test_q_is_the_one_point_case(variant):
             assert list(report) == list(expected) and report == expected, (beta, n)
 
 
-def test_one_grid_per_distinct_n(monkeypatch, capsys):
-    # (betas, the unitaries' stack shape) of each grid: the distinct N values are one stack
+def test_one_grid_per_sweep(monkeypatch, capsys):
+    # (betas, the unitaries' stack shape) of each grid: the N values, a repeated one too, are one stack
     calls = []
     grid = work_stats.step_grid
 
@@ -124,7 +124,7 @@ def test_one_grid_per_distinct_n(monkeypatch, capsys):
     monkeypatch.setattr(work_stats, "step_grid", record)
     argv = ["sweep", "--beta-grid", "0:1:0.1", "--n-grid", "5,10,5", "--entangler", "rxx", "--phi", "0.3"]
     assert cli.main(argv) == 0
-    assert calls == [(11, (2,))]
+    assert calls == [(11, (3,))]
     assert len(capsys.readouterr().out.splitlines()) == 1 + 11 * 3
     calls.clear()
     assert verify.check_05_separable_null_result().passed
