@@ -133,7 +133,7 @@ class _Scratch:
     trajectories takes 10,832 minor faults with fresh arrays and 6,221 with
     these (medians of 10 runs, 2-vCPU VM; wall times 0.52 and 0.48 s, within
     the host's noise). Filtered runs allocate less a call: the paper's protocol
-    (N = 50, 0.01 a step) takes 6,240 and 5,947.
+    (N = 50, 0.01 a step, 3 runs) takes 6,240 and 5,947.
     """
 
     def __init__(self) -> None:
@@ -265,7 +265,7 @@ def estimate(
     Parameters
     ----------
     config : ProtocolConfig
-        Protocol to simulate.
+        Protocol to simulate; ValidationError if its beta is above 2.68e154.
     n_trajectories : int
         Number of independent trajectories, >= 2.
     master_seed : int
