@@ -38,8 +38,9 @@ measured break-even: fast-driving protocols run every step.
 A batch holds as many
 trajectories as fit in _DRAWS_PER_BATCH raw words (1 MB); a longer trajectory
 runs alone, in chunks of whole Philox blocks that each fit the budget, and its
-partial totals add up to its exact total. Memory is therefore bounded for any
-N and any trajectory count.
+partial totals add up to its exact total. A call draws its words from its one
+generator in consecutive pieces of at most _DRAWS_PER_PIECE words (128 KB), using each
+as it arrives. Memory is therefore bounded for any N and any trajectory count.
 
 sample computes the exact reference on the calling thread while the workers
 run the batches; they stop within one kernel call if the calling thread raises.
@@ -63,9 +64,9 @@ from .model import TWO_QUBIT_ENERGIES, gibbs_populations
 _DRAWS_PER_STEP = 2
 _WORDS_PER_BLOCK = 4
 _DRAWS_PER_BATCH = 2**17  # raw words drawn per kernel call, padding included: 1 MB
+_DRAWS_PER_PIECE = 2**14  # raw words a kernel call draws at once: 128 KB, which stays in L2
 _UNIFORM_BITS = 53  # Generator.random keeps the top 53 bits of each raw Philox word
 _FLAGGED_SHARE_MAX = 0.125  # the band filter runs when at most this share of second draws leaves the band
-_HIGH_HALF = 1 if sys.byteorder == "little" else 0  # index of a uint64's high 32 bits in its uint32 view
 _BETA_MAX = 2.0 * math.sqrt(sys.float_info.max)  # the largest beta whose (beta/2)**2 is a finite float
 _RISES = np.diff(np.asarray(TWO_QUBIT_ENERGIES, dtype=np.int64))  # E[j+1] - E[j] of the two-qubit levels
 
@@ -130,10 +131,10 @@ class _Scratch:
     Allocated afresh on each call, a batch's megabyte-sized arrays partly come
     back as fresh pages. That shows on the dense path, where every step runs the
     staircase: sample at the fast-driving golden's protocol with 400,000
-    trajectories takes 10,832 minor faults with fresh arrays and 6,221 with
-    these (medians of 10 runs, 2-vCPU VM; wall times 0.52 and 0.48 s, within
-    the host's noise). Filtered runs allocate less a call: the paper's protocol
-    (N = 50, 0.01 a step, 3 runs) takes 6,240 and 5,947.
+    trajectories takes 6,512 minor faults with fresh arrays and 5,772 with
+    these (medians of 10 runs, 2-vCPU VM). Filtered runs hold arrays over the
+    flagged steps only: the paper's protocol (N = 50, 0.01 a step, 5 runs)
+    takes 5,434 and 5,453.
     """
 
     def __init__(self) -> None:
@@ -148,29 +149,24 @@ class _Scratch:
         return held[:size].reshape(shape)
 
 
-def _moving_steps(second_words: np.ndarray, second_thresholds: np.ndarray, space: np.ndarray):
-    """Flat indices trajectory * steps + step of the second draws of second_words [trajectory, step]
-    outside the band every first outcome keeps, or None where the filter does not pay.
-
-    Outcome f is kept by a draw d with T[f, f-1] <= d < T[f, f], so d in [max_f T[f, f-1],
-    min_f T[f, f]) keeps every f: a step with its draw in that band does no work. The band
-    is taken on the raw words' high 32-bit halves, rounded inward, so a draw within 2**-32
-    of an edge may be flagged too; a flagged step gets its exact work. The filter runs when
-    q, the share of words outside the band, is at most _FLAGGED_SHARE_MAX. Its temporaries
-    live in space, a uint64 array of at least one word a step.
+def _band(second_thresholds: np.ndarray) -> tuple[np.uint64, np.uint64] | None:
+    """(low, width) of the raw second words r, low <= r < low + width, whose draw keeps every first
+    outcome, or None where the band filter does not pay: outcome f is kept by a draw d with
+    T[f, f-1] <= d < T[f, f], so a step with d in [max_f T[f, f-1], min_f T[f, f]) does no work, and
+    d >= T exactly when r >= T * 2**11. The filter runs when at most _FLAGGED_SHARE_MAX of words leave it.
     """
     low = int(np.diagonal(second_thresholds, -1).max()) << (64 - _UNIFORM_BITS)
     high = int(np.diagonal(second_thresholds).min()) << (64 - _UNIFORM_BITS)
-    band_low, band_high = -(-low >> 32), min(high >> 32, 2**32 - 1)
-    width = band_high - band_low  # high halves h with band_low <= h < band_high keep every outcome
-    if width <= 0 or 1.0 - width / 2**32 > _FLAGGED_SHARE_MAX:
+    width = min(high, 2**64 - 1) - low  # a band up to 2**64 drops its top word, which is then flagged
+    if width <= 0 or 1.0 - width / 2**64 > _FLAGGED_SHARE_MAX:
         return None
-    shape, size = second_words.shape, second_words.size
-    high_halves = second_words[..., np.newaxis].view(np.uint32)[..., _HIGH_HALF]
-    # a half below band_low wraps past width, so one compare flags both sides of the band
-    offsets = np.subtract(high_halves, np.uint32(band_low), out=space.view(np.uint32)[:size].reshape(shape))
-    outside = np.greater_equal(offsets, np.uint32(width), out=space.view(np.bool_)[-size:].reshape(shape))
-    return np.flatnonzero(outside)
+    return np.uint64(low), np.uint64(width)
+
+
+def _moving_steps(second_words: np.ndarray, band: tuple[np.uint64, np.uint64]) -> np.ndarray:
+    """Flat indices trajectory * steps + step of the raw words of second_words [trajectory, step] outside
+    band = (low, width): a word below low wraps past width, so one compare flags both sides of it."""
+    return np.flatnonzero(second_words - band[0] >= band[1])
 
 
 def _simulate_batch(
@@ -185,9 +181,11 @@ def _simulate_batch(
     scratch: _Scratch,
 ) -> np.ndarray:
     """Integer work of steps [first_step, last_step) of trajectories [start, start+count),
-    vectorized with no Born-row gather, in arrays reused from scratch: at most 22 bytes a step,
-    16 of them the draws' space (which first holds the band filter's temporaries) and 6 in int8
-    arrays over the steps that run, every step or only the flagged ones.
+    vectorized with no Born-row gather, in arrays reused from scratch. The call's words come in
+    pieces of at most _DRAWS_PER_PIECE words (whole trajectories, or an even number of one
+    trajectory's steps), each used as it arrives: filtered, it keeps its flagged steps' words;
+    dense, it is shifted into the draws' space, 16 bytes a step. The staircase's int8 arrays take
+    6 bytes a step that runs.
 
     A partial range must start at an even step (a Philox block holds two steps)
     and is for a single trajectory, whose words are then contiguous.
@@ -195,22 +193,32 @@ def _simulate_batch(
     steps = last_step - first_step
     first_thresholds = _thresholds(population_cdf[:-1])
     second_thresholds = _thresholds(born_cdf_rows[:, :-1])  # [first outcome, j]
+    band = _band(second_thresholds)
     block = start * _blocks_per_trajectory(n_steps) + first_step // _DRAWS_PER_STEP
-    size = count * _WORDS_PER_BLOCK * _blocks_per_trajectory(steps)
+    per_piece = max(1, _DRAWS_PER_PIECE // (_WORDS_PER_BLOCK * _blocks_per_trajectory(steps)))
+    steps_per_piece = min(steps, _DRAWS_PER_PIECE // _DRAWS_PER_STEP)
     # the stream keyed by master_seed, from counter block `block` on (numpy loads np.random at its first use)
-    words = np.random.Philox(key=np.uint64(master_seed), counter=block).random_raw(size)
-    pairs = words.reshape(count, -1, _DRAWS_PER_STEP)[:, :steps]  # [trajectory, step, outcome]
-    space = scratch.array("draws", (_DRAWS_PER_STEP * count * steps,), np.uint64)
-    moving = _moving_steps(pairs[..., 1], second_thresholds, space)
-    if moving is not None:
-        trajectories, moving_steps = np.divmod(moving, steps)
-        pairs = pairs[trajectories, moving_steps]  # [flagged step, outcome]
-    # one pass from interleaved (step, outcome) words to contiguous draws [outcome, ...]
-    draws = np.moveaxis(pairs, -1, 0)
-    first_draws, second_draws = np.right_shift(
-        draws, np.uint64(64 - _UNIFORM_BITS), out=space[: draws.size].reshape(draws.shape)
-    )
-    del words, pairs, draws
+    generator = np.random.Philox(key=np.uint64(master_seed), counter=block)
+    if band is None:
+        draws = scratch.array("draws", (_DRAWS_PER_STEP, count, steps), np.uint64)  # [outcome, trajectory, step]
+    flagged = []  # per piece, the flagged steps' trajectories and [step, outcome] words
+    for begin in range(0, count, per_piece):
+        end = min(begin + per_piece, count)
+        for first in range(0, steps, steps_per_piece):
+            last = min(first + steps_per_piece, steps)
+            words = (end - begin) * _WORDS_PER_BLOCK * _blocks_per_trajectory(last - first)  # padding last
+            pairs = generator.random_raw(words).reshape(end - begin, -1, _DRAWS_PER_STEP)[:, : last - first]
+            if band is None:
+                np.right_shift(np.moveaxis(pairs, -1, 0), np.uint64(64 - _UNIFORM_BITS),
+                               out=draws[:, begin:end, first:last])  # interleaved words to contiguous draws
+            else:
+                trajectories, moving = np.divmod(_moving_steps(pairs[..., 1], band), last - first)
+                flagged.append((trajectories + begin, pairs[trajectories, moving]))
+            del pairs  # one piece at a time: freed before the next is drawn
+    if band is not None:
+        trajectories = np.concatenate([piece[0] for piece in flagged])
+        draws = np.concatenate([piece[1] for piece in flagged]).T >> np.uint64(64 - _UNIFORM_BITS)  # [outcome, step]
+    first_draws, second_draws = draws
     shape = first_draws.shape
     # [first >= k+1] as int8 0/1: a bool array viewed as int8
     first_above = [
@@ -233,7 +241,7 @@ def _simulate_batch(
         reached -= first_above[j]
         reached *= np.int8(_RISES[j])
         work += reached
-    if moving is None:
+    if band is None:
         return work.sum(axis=1, dtype=np.int64)
     # exact in float64: |total| <= 2 * steps < 2**53
     return np.bincount(trajectories, weights=work, minlength=count).astype(np.int64)

@@ -312,15 +312,16 @@ def test_edge_configs_repeat_a_born_threshold(name):
 
 def _recorded_estimate(monkeypatch, config, n_trajectories, seed):
     """Run estimate and return its stats with every kernel call it made, as
-    (start, count, first_step, last_step, works), and the raw words each call drew."""
+    (start, count, first_step, last_step, works), and the sizes of each call's random_raw draws."""
     calls, drawn = [], []
 
     class CountingPhilox(Philox):
         def random_raw(self, size=None, output=True):
-            drawn.append(size)
+            drawn[-1].append(size)
             return super().random_raw(size, output)
 
     def recording(master_seed, start, count, n_steps, *args):
+        drawn.append([])  # one thread: the draws that follow are this call's
         works = _simulate_batch(master_seed, start, count, n_steps, *args)
         first_step, last_step = args[2:4]
         calls.append((start, count, first_step, last_step, works))
@@ -365,8 +366,10 @@ def test_no_batch_draws_more_than_the_budget(monkeypatch, n_steps, n_trajectorie
     _, calls, drawn = _recorded_estimate(monkeypatch, config, n_trajectories, 5)
     words = 4 * _blocks_per_trajectory(n_steps)
     # every call draws within the budget, and no word is drawn twice
-    assert len(drawn) == len(calls) and max(drawn) <= 2**16
-    assert sum(drawn) == n_trajectories * words
+    assert len(drawn) == len(calls) and max(map(sum, drawn)) <= 2**16
+    assert sum(map(sum, drawn)) == n_trajectories * words
+    # no single draw is more than one piece
+    assert max(map(max, drawn)) <= sampler._DRAWS_PER_PIECE
     # batches tile the trajectories in order, and each batch's chunks tile its
     # steps from even step indices (a Philox block holds two steps)
     batches = sorted({(start, count) for start, count, _, _, _ in calls})
@@ -389,7 +392,7 @@ def _assert_chunks_match_scalar_oracle(monkeypatch, config):
     unchunked = estimate(config, 9, 17)
     monkeypatch.setattr(sampler, "_DRAWS_PER_BATCH", 8)
     stats, calls, drawn = _recorded_estimate(monkeypatch, config, 9, 17)
-    assert max(drawn) == 8 and len(calls) == 9 * math.ceil(config.n_steps / 4)
+    assert max(map(sum, drawn)) == 8 and len(calls) == 9 * math.ceil(config.n_steps / 4)
     totals = [sum(int(works[0]) for start, _, _, _, works in calls if start == i) for i in range(9)]
     assert totals == oracle
     assert stats == unchunked
@@ -488,13 +491,12 @@ def test_band_filter_runs_the_staircase_on_the_flagged_steps_only():
         outside = ((seconds >> 11) < low) | ((seconds >> 11) >= high)
         flagged = np.flatnonzero(outside)
         assert 0 < len(flagged) < sampler._FLAGGED_SHARE_MAX * outside.size and any(oracle)
-        space = np.empty(words.size, np.uint64)
-        assert sampler._moving_steps(seconds, thresholds, space).tolist() == flagged.tolist()
+        assert sampler._moving_steps(seconds, sampler._band(thresholds)).tolist() == flagged.tolist()
     # a MID trajectory leaves the band with probability 1 - (1 - q)**50 > 1/2
     assert 1.0 - ((high - low) / 2**53) ** MID.n_steps > 0.5
     # fast driving (the fast-driving golden's protocol): two thirds of the steps leave the band; the filter does not run
     fast = ProtocolConfig(beta=1.0, n_steps=20, total_theta=16.0, entangler_kind="rxx", total_phi=12.0)
-    assert sampler._moving_steps(seconds, _band(fast)[0], space) is None
+    assert sampler._band(_band(fast)[0]) is None
 
 
 _MC_BETAS = st.sampled_from([0.0, 1e-300, 0.5, 50.0, 700.0]) | st.floats(0.0, 50.0)
@@ -524,10 +526,11 @@ def test_batch_kernel_is_the_oracle_and_stats_ignore_workers_and_budget(
 
 @pytest.mark.parametrize(("n_steps", "n_trajectories"), [(50, 20_000), (300_000, 2)])
 def test_estimate_memory_is_bounded_by_the_draw_budget(n_steps, n_trajectories):
-    # numpy reports its array buffers to tracemalloc. One batch's words (16 bytes a step) and
-    # kernel arrays (at most 22 bytes a step: the draws' space, which first holds the band
-    # filter's temporaries and the flagged rows' words, and int8 arrays over the rows that
-    # run) come to about 2.4 times the budget's bytes; both runs here are slow enough to filter
+    # numpy reports its array buffers to tracemalloc. Both runs here are slow enough to filter,
+    # and the second runs its one trajectory in chunks of 65,536 steps, each drawn in pieces of
+    # 8,192: one piece's words (8 bytes a word), the band test's uint64 subtract and bool flags
+    # (4.5 bytes a word), the flagged steps' words and int8 arrays, and a batch's totals come to
+    # about 13.6 times the piece size, a fifth of the budget's bytes, at any N
     config = ProtocolConfig(beta=1.0, n_steps=n_steps, total_theta=0.3)
     tracemalloc.start()
     try:
@@ -535,16 +538,13 @@ def test_estimate_memory_is_bounded_by_the_draw_budget(n_steps, n_trajectories):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * sampler._DRAWS_PER_BATCH * 8
+    assert peak <= 16 * sampler._DRAWS_PER_PIECE
 
 
-def test_a_second_kernel_call_allocates_only_its_raw_words():
-    # dense (the fast-driving golden's protocol, where the band filter does not run), a full batch: a
-    # second call on one _Scratch reuses its arrays, and the smallest of them, int8, is a byte a step
-    config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=16.0, entangler_kind="rxx", total_phi=12.0)
-    count = sampler._DRAWS_PER_BATCH // (4 * _blocks_per_trajectory(20))
-    words = 4 * _blocks_per_trajectory(20) * count
-    args = (42, 0, count, 20, *kernel_inputs(config), 0, 20)
+def _second_call_peak(config):
+    """(tracemalloc peak, works) of a second full-batch kernel call on one _Scratch, and its first call's works."""
+    count = sampler._DRAWS_PER_BATCH // (4 * _blocks_per_trajectory(config.n_steps))
+    args = (42, 0, count, config.n_steps, *kernel_inputs(config), 0, config.n_steps)
     scratch = _Scratch()
     first = _simulate_batch(*args, scratch)
     tracemalloc.start()
@@ -553,8 +553,25 @@ def test_a_second_kernel_call_allocates_only_its_raw_words():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 8 * words <= peak < 8 * words + count * 20
     assert second.tolist() == first.tolist()
+    return peak, count
+
+
+def test_a_second_kernel_call_allocates_only_its_raw_words():
+    # dense (the fast-driving golden's protocol, where the band filter does not run), a full batch: a
+    # second call on one _Scratch reuses its arrays and holds one piece of raw words at a time, and
+    # the smallest of the reused arrays, int8, is a byte a step
+    peak, count = _second_call_peak(ProtocolConfig(beta=1.0, n_steps=20, total_theta=16.0, entangler_kind="rxx",
+                                                   total_phi=12.0))
+    assert peak < 8 * sampler._DRAWS_PER_PIECE + count * 20
+
+
+def test_a_filtered_kernel_call_holds_one_piece_of_words_at_a_time():
+    # the paper's protocol, a full batch of 1 MB of words: the call keeps only the flagged steps'
+    # words of each piece, so its peak is one piece's words (8 bytes a word) and the band test's
+    # uint64 subtract and bool flags (8 and 1 bytes a step, two words), with 16 KB for the rest
+    peak, _ = _second_call_peak(SLOW)
+    assert peak <= 8 * sampler._DRAWS_PER_PIECE + 9 * sampler._DRAWS_PER_PIECE // 2 + 2**14
 
 
 def test_kernel_parameters_read_by_position():
