@@ -201,7 +201,8 @@ def _simulate_batch(
     generator = np.random.Philox(key=np.uint64(master_seed), counter=block)
     if band is None:
         draws = scratch.array("draws", (_DRAWS_PER_STEP, count, steps), np.uint64)  # [outcome, trajectory, step]
-    flagged = []  # per piece, the flagged steps' trajectories and [step, outcome] words
+    # per piece with a flagged step, those steps' flat indices trajectory * steps + step and [step, outcome] words
+    flagged = [(np.empty(0, np.intp), np.empty((0, _DRAWS_PER_STEP), np.uint64))]
     for begin in range(0, count, per_piece):
         end = min(begin + per_piece, count)
         for first in range(0, steps, steps_per_piece):
@@ -211,12 +212,12 @@ def _simulate_batch(
             if band is None:
                 np.right_shift(np.moveaxis(pairs, -1, 0), np.uint64(64 - _UNIFORM_BITS),
                                out=draws[:, begin:end, first:last])  # interleaved words to contiguous draws
-            else:
-                trajectories, moving = np.divmod(_moving_steps(pairs[..., 1], band), last - first)
-                flagged.append((trajectories + begin, pairs[trajectories, moving]))
+            elif (moving := _moving_steps(pairs[..., 1], band)).size:
+                # a piece is whole trajectories (first is 0) or steps of one (moving < last - first)
+                flagged.append((moving + (begin * steps + first), pairs.reshape(-1, _DRAWS_PER_STEP)[moving]))
             del pairs  # one piece at a time: freed before the next is drawn
     if band is not None:
-        trajectories = np.concatenate([piece[0] for piece in flagged])
+        trajectories = np.concatenate([piece[0] for piece in flagged]) // steps
         draws = np.concatenate([piece[1] for piece in flagged]).T >> np.uint64(64 - _UNIFORM_BITS)  # [outcome, step]
     first_draws, second_draws = draws
     shape = first_draws.shape

@@ -507,14 +507,19 @@ _MC_TOTALS = st.sampled_from([0.0, -0.0]) | st.integers(-4, 4).map(lambda k: k *
 @given(kind=st.sampled_from(list(ENTANGLERS)), beta=_MC_BETAS, theta=_MC_TOTALS,
        totals=st.lists(_MC_TOTALS, min_size=4, max_size=4), n_steps=st.integers(1, 40),
        seed=st.integers(0, 2**64 - 1), start=st.integers(0, 10**6), batches=st.integers(0, 7),
-       extra=st.integers(2, 300), workers=st.integers(1, 3), budget_bits=st.integers(15, 21))
+       extra=st.integers(2, 300), workers=st.integers(1, 3), budget_bits=st.integers(15, 21),
+       piece_bits=st.integers(2, 14))
 def test_batch_kernel_is_the_oracle_and_stats_ignore_workers_and_budget(
-    kind, beta, theta, totals, n_steps, seed, start, batches, extra, workers, budget_bits
+    kind, beta, theta, totals, n_steps, seed, start, batches, extra, workers, budget_bits, piece_bits
 ):
     names = [f"total_{spec.total}" for spec in ENTANGLERS[kind].params]
     config = ProtocolConfig(beta, n_steps, theta, kind, **dict(zip(names, totals)))
     oracle = [run_protocol(config, start + i, seed) for i in range(3)]
     assert batch_works(config, seed, start, 3).tolist() == oracle
+    # pieces from one Philox block (2 steps of one trajectory) up to several whole trajectories
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "_DRAWS_PER_PIECE", 2**piece_bits)
+        assert batch_works(config, seed, start, 3).tolist() == oracle
     # `batches` full batches and a partial one at the smallest budget, 2**15 words
     n_trajectories = batches * (2**15 // (4 * _blocks_per_trajectory(n_steps))) + extra
     reference = estimate(config, n_trajectories, seed)
