@@ -207,8 +207,8 @@ def _simulate_batch(
         end = min(begin + per_piece, count)
         for first in range(0, steps, steps_per_piece):
             last = min(first + steps_per_piece, steps)
-            words = (end - begin) * _WORDS_PER_BLOCK * _blocks_per_trajectory(last - first)  # padding last
-            pairs = generator.random_raw(words).reshape(end - begin, -1, _DRAWS_PER_STEP)[:, : last - first]
+            size = (end - begin) * _WORDS_PER_BLOCK * _blocks_per_trajectory(last - first)  # padding last
+            pairs = generator.random_raw(size).reshape(end - begin, -1, _DRAWS_PER_STEP)[:, : last - first]
             if band is None:
                 np.right_shift(np.moveaxis(pairs, -1, 0), np.uint64(64 - _UNIFORM_BITS),
                                out=draws[:, begin:end, first:last])  # interleaved words to contiguous draws
