@@ -35,12 +35,12 @@ staircase, and a trajectory's total is the sum of its flagged steps' work. It
 runs when at most an eighth of the second draws leave the band, just below the
 measured break-even: fast-driving protocols run every step.
 
-A batch holds as many
-trajectories as fit in _DRAWS_PER_BATCH raw words (1 MB); a longer trajectory
-runs alone, in chunks of whole Philox blocks that each fit the budget, and its
-partial totals add up to its exact total. A call draws its words from its one
-generator in consecutive pieces of at most _DRAWS_PER_PIECE words (128 KB), using each
-as it arrives. Memory is therefore bounded for any N and any trajectory count.
+One rule (_tile) cuts a run into kernel calls of at most _DRAWS_PER_BATCH raw
+words (1 MB) and a call into pieces of at most _DRAWS_PER_PIECE (128 KB): whole
+trajectories, at least one, or whole Philox blocks of one trajectory's steps. A
+chunk's partial totals add up to its trajectory's exact total. A call draws its
+pieces from its one generator, uses each as it arrives, and frees every array it
+allocates when it returns, so memory is bounded for any N and trajectory count.
 
 sample computes the exact reference on the calling thread while the workers
 run the batches; they stop within one kernel call if the calling thread raises.
@@ -102,6 +102,15 @@ def _blocks_per_trajectory(n_steps: int) -> int:
     return (_DRAWS_PER_STEP * n_steps + _WORDS_PER_BLOCK - 1) // _WORDS_PER_BLOCK
 
 
+def _tile(budget: int, n_steps: int) -> tuple[int, int]:
+    """(trajectories, steps) of a tile of at most budget raw words: as many whole trajectories of
+    n_steps as fit, at least one, or for a longer trajectory as many whole Philox blocks of its steps."""
+    words = _WORDS_PER_BLOCK * _blocks_per_trajectory(n_steps)
+    if words <= budget:
+        return budget // words, n_steps
+    return 1, min(n_steps, _WORDS_PER_BLOCK // _DRAWS_PER_STEP * max(1, budget // _WORDS_PER_BLOCK))
+
+
 def require_run(n_trajectories: int, master_seed: int, workers: int = 1) -> tuple[int, int, int]:
     """Check the trajectory count (>= 2), the master seed (a 64-bit Philox key) and the
     worker count (>= 1) of a Monte Carlo run; return them as ints."""
@@ -123,30 +132,6 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     """uint64 t with (r >> 11) >= t exactly when (r >> 11) * 2**-53 >= cdf, the
     uniform Generator.random makes from the raw Philox word r."""
     return np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.uint64)
-
-
-class _Scratch:
-    """Arrays that one worker thread reuses from kernel call to kernel call.
-
-    Allocated afresh on each call, a batch's megabyte-sized arrays partly come
-    back as fresh pages. That shows on the dense path, where every step runs the
-    staircase: sample at the fast-driving golden's protocol with 400,000
-    trajectories takes 6,512 minor faults with fresh arrays and 5,772 with
-    these (medians of 10 runs, 2-vCPU VM). Filtered runs hold arrays over the
-    flagged steps only: the paper's protocol (N = 50, 0.01 a step, 5 runs)
-    takes 5,434 and 5,453.
-    """
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """An uninitialised array of this shape, kept under name for the next call."""
-        size = math.prod(shape)
-        held = self._arrays.get(name)
-        if held is None or held.size < size:
-            held = self._arrays[name] = np.empty(size, dtype)
-        return held[:size].reshape(shape)
 
 
 def _band(second_thresholds: np.ndarray) -> tuple[np.uint64, np.uint64] | None:
@@ -178,14 +163,12 @@ def _simulate_batch(
     born_cdf_rows: np.ndarray,
     first_step: int,
     last_step: int,
-    scratch: _Scratch,
 ) -> np.ndarray:
     """Integer work of steps [first_step, last_step) of trajectories [start, start+count),
-    vectorized with no Born-row gather, in arrays reused from scratch. The call's words come in
-    pieces of at most _DRAWS_PER_PIECE words (whole trajectories, or an even number of one
-    trajectory's steps), each used as it arrives: filtered, it keeps its flagged steps' words;
-    dense, it is shifted into the draws' space, 16 bytes a step. The staircase's int8 arrays take
-    6 bytes a step that runs.
+    vectorized with no Born-row gather; every array is allocated here and freed on return. Each
+    piece of words is used as it arrives: filtered, it keeps its flagged steps' words; dense, it is
+    shifted into the draws' space, 16 bytes a step. The staircase's int8 arrays take 6 bytes a step
+    that runs.
 
     A partial range must start at an even step (a Philox block holds two steps)
     and is for a single trajectory, whose words are then contiguous.
@@ -195,12 +178,11 @@ def _simulate_batch(
     second_thresholds = _thresholds(born_cdf_rows[:, :-1])  # [first outcome, j]
     band = _band(second_thresholds)
     block = start * _blocks_per_trajectory(n_steps) + first_step // _DRAWS_PER_STEP
-    per_piece = max(1, _DRAWS_PER_PIECE // (_WORDS_PER_BLOCK * _blocks_per_trajectory(steps)))
-    steps_per_piece = min(steps, _DRAWS_PER_PIECE // _DRAWS_PER_STEP)
+    per_piece, steps_per_piece = _tile(_DRAWS_PER_PIECE, steps)
     # the stream keyed by master_seed, from counter block `block` on (numpy loads np.random at its first use)
     generator = np.random.Philox(key=np.uint64(master_seed), counter=block)
     if band is None:
-        draws = scratch.array("draws", (_DRAWS_PER_STEP, count, steps), np.uint64)  # [outcome, trajectory, step]
+        draws = np.empty((_DRAWS_PER_STEP, count, steps), np.uint64)  # [outcome, trajectory, step]
     # per piece with a flagged step, those steps' flat indices trajectory * steps + step and [step, outcome] words
     flagged = [(np.empty(0, np.intp), np.empty((0, _DRAWS_PER_STEP), np.uint64))]
     for begin in range(0, count, per_piece):
@@ -220,16 +202,10 @@ def _simulate_batch(
         trajectories = np.concatenate([piece[0] for piece in flagged]) // steps
         draws = np.concatenate([piece[1] for piece in flagged]).T >> np.uint64(64 - _UNIFORM_BITS)  # [outcome, step]
     first_draws, second_draws = draws
-    shape = first_draws.shape
     # [first >= k+1] as int8 0/1: a bool array viewed as int8
-    first_above = [
-        np.greater_equal(first_draws, threshold, out=scratch.array(f"above{j}", shape, np.bool_)).view(np.int8)
-        for j, threshold in enumerate(first_thresholds)
-    ]
-    reached = scratch.array("reached", shape, np.int8)
-    term = scratch.array("term", shape, np.int8)
-    work = scratch.array("work", shape, np.int8)
-    work.fill(0)
+    first_above = [(first_draws >= threshold).view(np.int8) for threshold in first_thresholds]
+    reached, term = np.empty((2, *first_draws.shape), np.int8)
+    work = np.zeros(first_draws.shape, np.int8)
     for j in np.flatnonzero(_RISES):
         # the staircase: reached goes from c_0 to c_{k+1} where [first >= k+1], so ends at c_f
         column = second_thresholds[:, j]
@@ -308,16 +284,11 @@ def _run(config, n_trajectories, master_seed, workers, meanwhile) -> tuple[objec
     born_cdf_rows = np.cumsum(_born_matrix(config.step_unitary()), axis=0).T.copy()
 
     n_steps = config.n_steps
-    per_batch = max(1, _DRAWS_PER_BATCH // (_WORDS_PER_BLOCK * _blocks_per_trajectory(n_steps)))
+    per_batch, chunk = _tile(_DRAWS_PER_BATCH, n_steps)  # chunk: steps per kernel call
     threads = min(workers, -(-n_trajectories // per_batch))
-    # steps per kernel call: all of them, or for a trajectory past the budget as
-    # many whole Philox blocks as the budget holds
-    steps_per_block = _WORDS_PER_BLOCK // _DRAWS_PER_STEP
-    chunk = min(n_steps, steps_per_block * max(1, _DRAWS_PER_BATCH // _WORDS_PER_BLOCK))
     stopped = threading.Event()
 
     def power_sums(thread: int) -> list[int]:
-        scratch = _Scratch()
         sums = [0, 0, 0, 0]
         for start in range(thread * per_batch, n_trajectories, threads * per_batch):
             count = min(per_batch, n_trajectories - start)
@@ -327,12 +298,11 @@ def _run(config, n_trajectories, master_seed, workers, meanwhile) -> tuple[objec
                     return sums
                 totals += _simulate_batch(
                     master_seed, start, count, n_steps, population_cdf, born_cdf_rows,
-                    first, min(first + chunk, n_steps), scratch,
+                    first, min(first + chunk, n_steps),
                 )
             sums = [a + b for a, b in zip(sums, _power_sums(totals))]
         return sums
 
-    # one task, and so one scratch space, per thread
     with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
             tasks = [pool.submit(power_sums, thread) for thread in range(threads)]

@@ -27,7 +27,6 @@ from workfdr import sampler
 from workfdr.entanglers import ENTANGLERS
 from workfdr.model import TWO_QUBIT_ENERGIES, gibbs_populations
 from workfdr.sampler import (
-    _Scratch,
     _blocks_per_trajectory,
     _born_matrix,
     _power_sums,
@@ -47,8 +46,7 @@ def kernel_inputs(config):
 
 
 def batch_works(config, master_seed, start, count):
-    return _simulate_batch(master_seed, start, count, config.n_steps, *kernel_inputs(config), 0, config.n_steps,
-                           _Scratch())
+    return _simulate_batch(master_seed, start, count, config.n_steps, *kernel_inputs(config), 0, config.n_steps)
 
 
 def oracle_total(config, pairs):
@@ -472,7 +470,7 @@ def test_stream_positions_past_64_bits(monkeypatch):
             return drawn[-1]
 
     monkeypatch.setattr(np.random, "Philox", RecordingPhilox)
-    works = _simulate_batch(7, 3, 1, n_steps, *kernel_inputs(config), first_step, n_steps, _Scratch())
+    works = _simulate_batch(7, 3, 1, n_steps, *kernel_inputs(config), first_step, n_steps)
     assert len(drawn) == 1 and drawn[0].tolist() == expected.tolist()
     assert works.tolist() == [oracle_total(config, expected.reshape(-1, 2))]
 
@@ -508,17 +506,18 @@ _MC_TOTALS = st.sampled_from([0.0, -0.0]) | st.integers(-4, 4).map(lambda k: k *
        totals=st.lists(_MC_TOTALS, min_size=4, max_size=4), n_steps=st.integers(1, 40),
        seed=st.integers(0, 2**64 - 1), start=st.integers(0, 10**6), batches=st.integers(0, 7),
        extra=st.integers(2, 300), workers=st.integers(1, 3), budget_bits=st.integers(15, 21),
-       piece_bits=st.integers(2, 14))
+       piece_words=st.sampled_from([6, 10]) | st.integers(4, 2**14))
 def test_batch_kernel_is_the_oracle_and_stats_ignore_workers_and_budget(
-    kind, beta, theta, totals, n_steps, seed, start, batches, extra, workers, budget_bits, piece_bits
+    kind, beta, theta, totals, n_steps, seed, start, batches, extra, workers, budget_bits, piece_words
 ):
     names = [f"total_{spec.total}" for spec in ENTANGLERS[kind].params]
     config = ProtocolConfig(beta, n_steps, theta, kind, **dict(zip(names, totals)))
     oracle = [run_protocol(config, start + i, seed) for i in range(3)]
     assert batch_works(config, seed, start, 3).tolist() == oracle
-    # pieces from one Philox block (2 steps of one trajectory) up to several whole trajectories
+    # pieces from one Philox block (2 steps of one trajectory) up to several whole trajectories, of
+    # any word count: a budget that is not a multiple of 4 words still cuts a trajectory at whole blocks
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampler, "_DRAWS_PER_PIECE", 2**piece_bits)
+        patch.setattr(sampler, "_DRAWS_PER_PIECE", piece_words)
         assert batch_works(config, seed, start, 3).tolist() == oracle
     # `batches` full batches and a partial one at the smallest budget, 2**15 words
     n_trajectories = batches * (2**15 // (4 * _blocks_per_trajectory(n_steps))) + extra
@@ -546,36 +545,32 @@ def test_estimate_memory_is_bounded_by_the_draw_budget(n_steps, n_trajectories):
     assert peak <= 16 * sampler._DRAWS_PER_PIECE
 
 
-def _second_call_peak(config):
-    """(tracemalloc peak, works) of a second full-batch kernel call on one _Scratch, and its first call's works."""
+def _full_batch_call_peak(config):
+    """(tracemalloc peak, steps) of one full-batch kernel call of config."""
     count = sampler._DRAWS_PER_BATCH // (4 * _blocks_per_trajectory(config.n_steps))
-    args = (42, 0, count, config.n_steps, *kernel_inputs(config), 0, config.n_steps)
-    scratch = _Scratch()
-    first = _simulate_batch(*args, scratch)
     tracemalloc.start()
     try:
-        second = _simulate_batch(*args, scratch)
+        _simulate_batch(42, 0, count, config.n_steps, *kernel_inputs(config), 0, config.n_steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert second.tolist() == first.tolist()
-    return peak, count
+    return peak, count * config.n_steps
 
 
-def test_a_second_kernel_call_allocates_only_its_raw_words():
-    # dense (the fast-driving golden's protocol, where the band filter does not run), a full batch: a
-    # second call on one _Scratch reuses its arrays and holds one piece of raw words at a time, and
-    # the smallest of the reused arrays, int8, is a byte a step
-    peak, count = _second_call_peak(ProtocolConfig(beta=1.0, n_steps=20, total_theta=16.0, entangler_kind="rxx",
-                                                   total_phi=12.0))
-    assert peak < 8 * sampler._DRAWS_PER_PIECE + count * 20
+def test_a_dense_kernel_call_holds_its_arrays_and_one_piece_of_words():
+    # dense (the fast-driving golden's protocol, where the band filter does not run), a full batch: the
+    # call allocates the draws' space (16 bytes a step) and six int8 arrays (6 bytes a step), and holds
+    # one piece of raw words at a time
+    peak, steps = _full_batch_call_peak(ProtocolConfig(beta=1.0, n_steps=20, total_theta=16.0,
+                                                       entangler_kind="rxx", total_phi=12.0))
+    assert peak <= 22 * steps + 8 * sampler._DRAWS_PER_PIECE
 
 
 def test_a_filtered_kernel_call_holds_one_piece_of_words_at_a_time():
     # the paper's protocol, a full batch of 1 MB of words: the call keeps only the flagged steps'
     # words of each piece, so its peak is one piece's words (8 bytes a word) and the band test's
     # uint64 subtract and bool flags (8 and 1 bytes a step, two words), with 16 KB for the rest
-    peak, _ = _second_call_peak(SLOW)
+    peak, _ = _full_batch_call_peak(SLOW)
     assert peak <= 8 * sampler._DRAWS_PER_PIECE + 9 * sampler._DRAWS_PER_PIECE // 2 + 2**14
 
 
