@@ -35,12 +35,12 @@ staircase, and a trajectory's total is the sum of its flagged steps' work. It
 runs when at most an eighth of the second draws leave the band, just below the
 measured break-even: fast-driving protocols run every step.
 
-One rule (_tile) cuts a run into kernel calls of at most _DRAWS_PER_BATCH raw
-words (1 MB) and a call into pieces of at most _DRAWS_PER_PIECE (128 KB): whole
-trajectories, at least one, or whole Philox blocks of one trajectory's steps. A
-chunk's partial totals add up to its trajectory's exact total. A call draws its
-pieces from its one generator, uses each as it arrives, and frees every array it
-allocates when it returns, so memory is bounded for any N and trajectory count.
+One rule, _tile, cuts a run into kernel calls of at most _DRAWS_PER_BATCH raw
+words (1 MB), a trajectory past that budget into chunks whose partial totals add
+up to its exact total, and a call into pieces of at most _DRAWS_PER_PIECE words
+(128 KB). A call draws its pieces from its one generator, uses each as it
+arrives, and frees every array it allocates when it returns, so memory is
+bounded for any N and any trajectory count.
 
 sample computes the exact reference on the calling thread while the workers
 run the batches; they stop within one kernel call if the calling thread raises.
@@ -259,11 +259,10 @@ def estimate(
     workers : int
         Most threads to use, >= 1: a run uses min(workers, batch count), and
         thread w runs every threads-th batch from batch w, so the schedule
-        holds no per-batch or per-worker state. A batch holds as many
-        trajectories as fit in a fixed budget of raw Philox words (at least
-        one, in chunks of steps when one does not fit), so its memory depends
-        on neither N nor n_trajectories. Exact integer power sums make the
-        result identical for any worker count or batch schedule.
+        holds no per-batch or per-worker state. A batch is cut to a fixed
+        budget of raw Philox words (see the module docstring), so its memory
+        depends on neither N nor n_trajectories. Exact integer power sums make
+        the result identical for any worker count or batch schedule.
 
     Returns
     -------
