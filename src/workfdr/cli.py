@@ -19,13 +19,12 @@ import numpy as np
 
 from . import __version__
 from . import work_stats as ws
-from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT, Entangler, Param, ProtocolConfig, all_params
+from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT, Entangler, ProtocolConfig, all_params
 from .errors import WorkFdrError, ValidationError, require_finite, require_int
 
 _MAX_GRID_POINTS = 1_000_000  # per grid, and per sweep
 _SWEEP_BLOCK = 8192  # betas per grid and rows per output block of a sweep: it bounds memory; no row depends on it
 _MODEL_FLAGS = ("--beta", "--entangler", "--two-qubit", "--format", "--degrees")  # what dist, q and sweep read
-_QUENCH = Param("dtheta", "theta", "local quench angle")  # every kind's, named like an entangler angle
 
 
 def _write_output(pieces, path: str | None) -> None:
@@ -309,7 +308,7 @@ _COMMON_DEFAULTS = {
 
 def _params(args) -> dict:
     """Merge defaults, --config file values, and explicit flags (flags win)."""
-    specs = [_QUENCH, *all_params()]
+    specs = all_params()
     angles = dict.fromkeys([*(s.step for s in specs), *(s.total for s in specs)], 0.0)
     merged = {**_COMMON_DEFAULTS, **angles}
     if getattr(args, "config", None):
@@ -374,7 +373,7 @@ def _add_angles(parser: argparse.ArgumentParser, per_step: bool) -> None:
     """The quench and entangler angles, per step or as totals; totals come with --n."""
     if not per_step:
         parser.add_argument("--n", type=int, default=None, help="number of protocol steps N")
-    _add_params(parser, [_QUENCH, *all_params()], per_step)
+    _add_params(parser, all_params(), per_step)
 
 
 def _add_params(parser: argparse.ArgumentParser, specs, per_step: bool) -> None:

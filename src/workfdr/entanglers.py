@@ -127,8 +127,9 @@ SINGLE_QUBIT = Entangler(
 
 
 def all_params() -> list[Param]:
-    """Every parameter spec of the registry once, in registry order."""
-    return list(dict.fromkeys(spec for entry in ENTANGLERS.values() for spec in entry.params))
+    """Every parameter spec once: the local quench's, which every kind has, then the registry's in registry order."""
+    quench = Param("dtheta", "theta", "local quench angle")  # ProtocolConfig's total_theta and delta_theta
+    return list(dict.fromkeys([quench, *(spec for entry in ENTANGLERS.values() for spec in entry.params)]))
 
 
 @dataclass(frozen=True, init=False)

@@ -28,24 +28,29 @@ class NumericFailureError(WorkFdrError):
     """An internal numerical routine failed to converge or failed a self-check."""
 
 
+def _echo(value, show=repr) -> str:
+    """show(value) as a refusal shows it: at most 40 characters, a longer text as its head, "…" and its length."""
+    text = show(value)
+    return text if len(text) <= 40 else f"{text[:39]}… ({len(text)} characters)"
+
+
 def require_finite(**values: float) -> None:
     """Raise ValidationError naming the first keyword value that is not a finite real number.
 
-    A bool is not a number here, and an int too large for a float is not finite. Of a non-empty
-    real numpy array, its first non-finite element is the value checked.
+    A bool is not a number here, and an int too large for a float is refused by its range. Of a
+    non-empty real numpy array, its first non-finite element is the value checked.
     """
     for name, value in values.items():
         if isinstance(value, np.ndarray) and value.dtype.kind in "fiu" and value.size:
             value = value.flat[np.argmin(np.isfinite(value))]
         # float and int listed first: the abstract numbers.Real check alone takes about 1 us
         if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
+            raise ValidationError(f"{name} must be a real number, got {_echo(value)}")
         try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {_echo(value)}")
+        except OverflowError:  # an int that rounds to 2**1024 or past it, the largest float being 2**1024 - 2**971
+            raise ValidationError(f"{name} must be below 2**1024 in magnitude, got {_echo(value)}") from None
 
 
 def require_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
@@ -59,12 +64,12 @@ def require_int(name: str, value, minimum: int | None = None, maximum: int | Non
         or isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
     )
     if not integral:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {_echo(value)}")
     result = int(value)
     if minimum is not None and result < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+        raise ValidationError(f"{name} must be >= {minimum}, got {_echo(value)}")
     if maximum is not None and result > maximum:
-        raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
+        raise ValidationError(f"{name} must be <= {maximum}, got {_echo(value)}")
     return result
 
 
@@ -72,7 +77,7 @@ def require_beta(beta: float) -> float:
     """Check an inverse temperature (finite, >= 0) and return it as a float."""
     require_finite(beta=beta)
     if beta < 0.0:
-        raise ValidationError(f"beta must be non-negative, got {beta}")
+        raise ValidationError(f"beta must be non-negative, got {_echo(beta, str)}")
     return float(beta)
 
 

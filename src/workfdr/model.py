@@ -23,7 +23,7 @@ PAULI_X = _freeze(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 PAULI_Y = _freeze(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
 PAULI_Z = _freeze(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 # the entangler generators sigma_k (x) sigma_k, built once
-XX, YY, ZZ = (_freeze(np.kron(pauli, pauli)) for pauli in (PAULI_X, PAULI_Y, PAULI_Z))
+XX, YY, ZZ = (kron(pauli, pauli) for pauli in (PAULI_X, PAULI_Y, PAULI_Z))
 
 # Hamiltonian spectra in the computational basis, in units of the splitting: one
 # qubit (ground 0, excited 1), and two non-interacting qubits on |00>,|01>,|10>,|11>

@@ -26,14 +26,12 @@ is that of the first outcome f's Born row, taken by a staircase, not a gather:
 compared with row k's threshold j; k < f exactly where [first >= k+1], and a
 term whose two rows share the threshold is 0 and skipped.
 
-Slowly driven, a step keeps its first outcome f with probability 1 - O(dtheta**2).
-A second draw d with T[f, f-1] <= d < T[f, f] (T the Born thresholds) keeps f, so
-one in [max_f T[f, f-1], min_f T[f, f]) keeps every f and does no work whatever the
-first draw was. The band filter (_moving_steps) flags, in one pass over the raw
-second words, the steps whose draw is outside that band; only those run the
-staircase, and a trajectory's total is the sum of its flagged steps' work. It
-runs when at most an eighth of the second draws leave the band, just below the
-measured break-even: fast-driving protocols run every step.
+Slowly driven, a step keeps its first outcome with probability 1 - O(dtheta**2), and
+most second draws lie in a band that keeps every first outcome and so does no work.
+The band filter, whose rule _band alone states, flags in one pass over the raw second
+words the steps outside it; only those run the staircase, and a trajectory's total is
+the sum of its flagged steps' work. It runs when at most an eighth of the draws leave
+the band, just below the measured break-even: fast-driving protocols run every step.
 
 One rule, _tile, cuts a run into kernel calls of at most _DRAWS_PER_BATCH raw
 words (1 MB), a trajectory past that budget into chunks whose partial totals add
@@ -134,24 +132,18 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     return np.ceil(cdf * 2.0**_UNIFORM_BITS).astype(np.uint64)
 
 
-def _band(second_thresholds: np.ndarray) -> tuple[np.uint64, np.uint64] | None:
-    """(low, width) of the raw second words r, low <= r < low + width, whose draw keeps every first
-    outcome, or None where the band filter does not pay: outcome f is kept by a draw d with
-    T[f, f-1] <= d < T[f, f], so a step with d in [max_f T[f, f-1], min_f T[f, f]) does no work, and
-    d >= T exactly when r >= T * 2**11. The filter runs when at most _FLAGGED_SHARE_MAX of words leave it.
-    """
+def _band(second_thresholds: np.ndarray):
+    """The band filter's flag test: of raw second words r [trajectory, step], the flat indices trajectory
+    * steps + step of the words outside the band that keeps every first outcome. A draw d keeps f when
+    T[f, f-1] <= d < T[f, f], so one in [max_f T[f, f-1], min_f T[f, f]) does no work, and d >= T exactly
+    when r >= T * 2**11. None where more than _FLAGGED_SHARE_MAX of the words leave the band."""
     low = int(np.diagonal(second_thresholds, -1).max()) << (64 - _UNIFORM_BITS)
     high = int(np.diagonal(second_thresholds).min()) << (64 - _UNIFORM_BITS)
     width = min(high, 2**64 - 1) - low  # a band up to 2**64 drops its top word, which is then flagged
     if width <= 0 or 1.0 - width / 2**64 > _FLAGGED_SHARE_MAX:
         return None
-    return np.uint64(low), np.uint64(width)
-
-
-def _moving_steps(second_words: np.ndarray, band: tuple[np.uint64, np.uint64]) -> np.ndarray:
-    """Flat indices trajectory * steps + step of the raw words of second_words [trajectory, step] outside
-    band = (low, width): a word below low wraps past width, so one compare flags both sides of it."""
-    return np.flatnonzero(second_words - band[0] >= band[1])
+    low, width = np.uint64(low), np.uint64(width)
+    return lambda second_words: np.flatnonzero(second_words - low >= width)  # a word below low wraps past width
 
 
 def _simulate_batch(
@@ -176,12 +168,12 @@ def _simulate_batch(
     steps = last_step - first_step
     first_thresholds = _thresholds(population_cdf[:-1])
     second_thresholds = _thresholds(born_cdf_rows[:, :-1])  # [first outcome, j]
-    band = _band(second_thresholds)
+    flag = _band(second_thresholds)
     block = start * _blocks_per_trajectory(n_steps) + first_step // _DRAWS_PER_STEP
     per_piece, steps_per_piece = _tile(_DRAWS_PER_PIECE, steps)
     # the stream keyed by master_seed, from counter block `block` on (numpy loads np.random at its first use)
     generator = np.random.Philox(key=np.uint64(master_seed), counter=block)
-    if band is None:
+    if flag is None:
         draws = np.empty((_DRAWS_PER_STEP, count, steps), np.uint64)  # [outcome, trajectory, step]
     # per piece with a flagged step, those steps' flat indices trajectory * steps + step and [step, outcome] words
     flagged = [(np.empty(0, np.intp), np.empty((0, _DRAWS_PER_STEP), np.uint64))]
@@ -191,14 +183,14 @@ def _simulate_batch(
             last = min(first + steps_per_piece, steps)
             size = (end - begin) * _WORDS_PER_BLOCK * _blocks_per_trajectory(last - first)  # padding last
             pairs = generator.random_raw(size).reshape(end - begin, -1, _DRAWS_PER_STEP)[:, : last - first]
-            if band is None:
+            if flag is None:
                 np.right_shift(np.moveaxis(pairs, -1, 0), np.uint64(64 - _UNIFORM_BITS),
                                out=draws[:, begin:end, first:last])  # interleaved words to contiguous draws
-            elif (moving := _moving_steps(pairs[..., 1], band)).size:
+            elif (moving := flag(pairs[..., 1])).size:
                 # a piece is whole trajectories (first is 0) or steps of one (moving < last - first)
                 flagged.append((moving + (begin * steps + first), pairs.reshape(-1, _DRAWS_PER_STEP)[moving]))
             del pairs  # one piece at a time: freed before the next is drawn
-    if band is not None:
+    if flag is not None:
         trajectories = np.concatenate([piece[0] for piece in flagged]) // steps
         draws = np.concatenate([piece[1] for piece in flagged]).T >> np.uint64(64 - _UNIFORM_BITS)  # [outcome, step]
     first_draws, second_draws = draws
@@ -218,7 +210,7 @@ def _simulate_batch(
         reached -= first_above[j]
         reached *= np.int8(_RISES[j])
         work += reached
-    if band is None:
+    if flag is None:
         return work.sum(axis=1, dtype=np.int64)
     # exact in float64: |total| <= 2 * steps < 2**53
     return np.bincount(trajectories, weights=work, minlength=count).astype(np.int64)

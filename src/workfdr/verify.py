@@ -57,14 +57,15 @@ def check_01_single_qubit_exact_q() -> CheckResult:
 def check_02_small_angle_convergence() -> CheckResult:
     beta, grid, f, g = 1.0, (25, 50, 100, 200), ws.f_beta(1.0), ws.g_beta(1.0)
 
-    def gap(model, n: int, totals: dict) -> float:  # theta = 1 and the entangler totals, by step name
-        dth, params = 1.0 / n, {name: total / n for name, total in totals.items()}
+    def gap(model, kind: str, n: int, totals: dict) -> float:  # theta = 1 and the entangler totals
+        config = ProtocolConfig(beta, n, 1.0, kind, **totals)
+        dth, params = config.delta_theta, config.step_params()
         q = ws.q_correction(model.step_distribution(beta, dth, params), beta, n)
         return float(ws.relative_gap(q, sum(model.small_angle(n, f, g, dth, params))))
 
-    families = {"single": (SINGLE_QUBIT, {}), "rxx": (ENTANGLERS["rxx"], {"dphi": 1.0}),
-                "cartan": (ENTANGLERS["cartan"], {"c1": 0.8, "c2": 0.3, "c3": 0.2})}
-    gaps = {name: [gap(model, n, totals) for n in grid] for name, (model, totals) in families.items()}
+    families = {"single": (SINGLE_QUBIT, DEFAULT_KIND, {}), "rxx": (ENTANGLERS["rxx"], "rxx", {"total_phi": 1.0}),
+                "cartan": (ENTANGLERS["cartan"], "cartan", {"total_c1": 0.8, "total_c2": 0.3, "total_c3": 0.2})}
+    gaps = {name: [gap(model, kind, n, totals) for n in grid] for name, (model, kind, totals) in families.items()}
     ratios = {name: [g[i] / g[i + 1] for i in range(len(g) - 1)] for name, g in gaps.items()}
     ok = all(3.5 <= r <= 4.5 for rs in ratios.values() for r in rs)
     detail = "; ".join(
@@ -117,11 +118,10 @@ def check_04_distribution_invariances() -> CheckResult:
 
 
 def check_05_separable_null_result() -> CheckResult:
-    n = 200
-    dth, c, l, m, nz = 1.0 / n, 0.4 / n, 0.3 / n, 0.6 / n, 0.2 / n
-    separable, params = ENTANGLERS["separable_xzx"], {"c": c, "l": l, "m": m, "nz": nz}
+    config = ProtocolConfig(1.0, 200, 1.0, "separable_xzx", total_c=0.4, total_l=0.3, total_m=0.6, total_nz=0.2)
+    separable, dth, params = ENTANGLERS[config.entangler_kind], config.delta_theta, config.step_params()
     betas = np.arange(0.2, 5.0 + 1e-9, 0.05).tolist()
-    per_step_q = ws.q_grid(*ws.step_grid(betas, separable.step_unitary(dth, params)), betas, 1)[2]
+    per_step_q = ws.q_grid(*ws.step_grid(betas, config.step_unitary()), betas, 1)[2]
     (coef_f, coef_g), *_ = np.linalg.lstsq(np.column_stack(ws.profiles(betas)), per_step_q, rcond=None)
     predicted_f = separable.small_angle(1, 1.0, 0.0, dth, params)[0]  # the f coefficient of one step
     g_small = abs(coef_g) < 1e-3 * coef_f

@@ -1,5 +1,7 @@
 """Every count, index and seed of the public API goes through one integer check."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from workfdr import (
     q_single_exact,
 )
 from workfdr.entanglers import SINGLE_QUBIT
-from workfdr.errors import require_finite, require_int
+from workfdr.errors import require_beta, require_finite, require_int
 from workfdr.work_stats import q_grid
 
 STEP = SINGLE_QUBIT.step_distribution(1.0, 0.3, {})
@@ -72,5 +74,28 @@ def test_require_int_bounds_are_inclusive_and_named():
 
 def test_require_finite_rejects_an_int_too_large_for_a_float():
     require_finite(beta=10**300)
-    with pytest.raises(ValidationError, match="beta must be finite"):
+    with pytest.raises(ValidationError, match=r"beta must be below 2\*\*1024 in magnitude, got 1"):
         require_finite(beta=10**400)
+    with pytest.raises(ValidationError, match=r"beta must be below 2\*\*1024 in magnitude, got -1"):
+        require_finite(beta=-(10**400))
+
+
+def test_a_refusal_echoes_at_most_40_characters_of_the_refused_value():
+    # a repr of 40 characters is shown whole, a longer one as its first 39, "…" and its length
+    with pytest.raises(ValidationError, match=r"^k must be <= 2, got 1{40}$"):
+        require_int("k", int("1" * 40), maximum=2)
+    with pytest.raises(ValidationError, match=r"^k must be <= 2, got 1{39}… \(41 characters\)$"):
+        require_int("k", int("1" * 41), maximum=2)
+    with pytest.raises(ValidationError, match=r"^k must be >= 0, got -1{38}… \(402 characters\)$"):
+        require_int("k", -int("1" * 401), minimum=0)
+    with pytest.raises(ValidationError, match=r"^k must be an integer, got 'x{38}… \(1002 characters\)$"):
+        require_int("k", "x" * 1000)
+    with pytest.raises(ValidationError, match=r"^angle must be a real number, got 'y{38}… \(502 characters\)$"):
+        require_finite(angle="y" * 500)
+    with pytest.raises(ValidationError, match=r"^n must be below 2\*\*1024 in magnitude, got 10{38}… \(401 chara"):
+        require_finite(n=10**400)
+    # beta's sign refusal shows str(beta), as before: a Fraction as p/q
+    with pytest.raises(ValidationError, match=r"^beta must be non-negative, got -1/3$"):
+        require_beta(Fraction(-1, 3))
+    with pytest.raises(ValidationError, match=r"^beta must be non-negative, got -1/10{35}… \(54 characters\)$"):
+        require_beta(Fraction(-1, 10**50))

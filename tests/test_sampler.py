@@ -214,6 +214,41 @@ def test_estimate_matches_exact_cumulants():
     assert abs(result.var_w - var_ref) <= 5.0 * result.se_var
 
 
+def _born_orientation_z_scores(monkeypatch, unitary, beta, n_steps, n_trajectories):
+    """z-scores (mean, var) of estimate's run of n_steps of unitary against the exact N-step law of
+    unitary and against the law of its transposed Born matrix, the law of unitary^dagger."""
+    monkeypatch.setattr(ProtocolConfig, "step_unitary", lambda self: unitary)
+    stats = estimate(ProtocolConfig(beta=beta, n_steps=n_steps, total_theta=0.0), n_trajectories, 3)
+    scores = []
+    for law in (unitary, unitary.conj().T):
+        mean, var = (n_steps * m for m in moments(step_distribution(beta, law)))  # cumulants add over steps
+        scores.append(((stats.mean_w - mean) / stats.se_mean, (stats.var_w - var) / stats.se_var))
+    return scores
+
+
+def test_the_monte_carlo_draws_the_second_outcome_from_the_born_column_of_the_first(monkeypatch):
+    # every registry kind's law is the same for U and U^dagger, so only a unitary whose Born matrix is
+    # not symmetric shows the Monte Carlo reading T[second, first] = |U[second, first]|**2 the right way
+    def complex_gaussian(seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+
+    q, r = np.linalg.qr(complex_gaussian(2026))
+    dense = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar random
+    generator = complex_gaussian(4)
+    values, vectors = np.linalg.eigh(generator + generator.conj().T)
+    near_identity = (vectors * np.exp(-0.066j * values)) @ vectors.conj().T  # its asymmetry is third order
+    for unitary, n_steps, n_trajectories, filtered in ((dense, 1, 200_000, False),
+                                                       (near_identity, 50, 200_000, True)):
+        born = _born_matrix(unitary)
+        assert np.max(np.abs(born - born.T)) > 1e-3
+        assert (sampler._band(sampler._thresholds(np.cumsum(born, axis=0).T[:, :-1])) is not None) == filtered
+        (z_mean, z_var), (z_mean_t, z_var_t) = _born_orientation_z_scores(
+            monkeypatch, unitary, 2.0, n_steps, n_trajectories)
+        assert abs(z_mean) <= 5.0 and abs(z_var) <= 5.0, (n_steps, z_mean, z_var)
+        assert abs(z_mean_t) >= 10.0 and abs(z_var_t) >= 10.0, (n_steps, z_mean_t, z_var_t)
+
+
 def test_se_scales_like_inverse_sqrt_n():
     config = ProtocolConfig(beta=1.0, n_steps=10, total_theta=0.6, entangler_kind="rxx", total_phi=0.4)
     ratios = []
@@ -489,7 +524,7 @@ def test_band_filter_runs_the_staircase_on_the_flagged_steps_only():
         outside = ((seconds >> 11) < low) | ((seconds >> 11) >= high)
         flagged = np.flatnonzero(outside)
         assert 0 < len(flagged) < sampler._FLAGGED_SHARE_MAX * outside.size and any(oracle)
-        assert sampler._moving_steps(seconds, sampler._band(thresholds)).tolist() == flagged.tolist()
+        assert sampler._band(thresholds)(seconds).tolist() == flagged.tolist()
     # a MID trajectory leaves the band with probability 1 - (1 - q)**50 > 1/2
     assert 1.0 - ((high - low) / 2**53) ** MID.n_steps > 0.5
     # fast driving (the fast-driving golden's protocol): two thirds of the steps leave the band; the filter does not run
