@@ -8,8 +8,6 @@ Angles are radians unless --degrees is given. Exit codes: 0 success, 1 verificat
 failure, 2 invalid input, 130 interrupted (Ctrl-C).
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os

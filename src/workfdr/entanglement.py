@@ -6,8 +6,6 @@ negative eigenvalues and (||rho^PT||_1 - 1)/2 -- are computed and
 cross-checked on every call.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

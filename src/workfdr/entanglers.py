@@ -16,8 +16,6 @@ functions up on their modules at call time, so a replaced module attribute (a
 test's mutant, a profiler's wrapper) is seen here too.
 """
 
-from __future__ import annotations
-
 import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping

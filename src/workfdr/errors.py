@@ -1,7 +1,5 @@
 """Exception types shared across the package, and the input checks that raise them."""
 
-from __future__ import annotations
-
 import math
 import numbers
 

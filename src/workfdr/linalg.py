@@ -6,8 +6,6 @@ immutable and results are fresh arrays with the write flag cleared, so all
 operations are safe under unrestricted concurrent use.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .errors import ContractViolationError, NumericFailureError, UnsupportedDimensionError

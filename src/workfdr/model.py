@@ -9,8 +9,6 @@ angles, and a (k, d, d) stack for arrays of k angles, each matrix with the bits
 its angles give alone (numpy's cos, sin and % round as math's do; the tests pin it).
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

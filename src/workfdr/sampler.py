@@ -44,8 +44,6 @@ sample computes the exact reference on the calling thread while the workers
 run the batches; they stop within one kernel call if the calling thread raises.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 import threading

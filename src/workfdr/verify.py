@@ -11,8 +11,6 @@ of 2 only like 2 + 2/(beta - 2), so a 1e-3 window would need beta > 2000. The
 check is implemented as stated and reports the measured value honestly.
 """
 
-from __future__ import annotations
-
 import math
 import time
 from dataclasses import dataclass

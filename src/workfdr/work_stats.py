@@ -20,8 +20,6 @@ of, so plain doubles in the enumeration pipeline would already spend the
 1e-12 relative budget on representation noise.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from itertools import compress
