@@ -12,36 +12,6 @@ moduli (work_stats.born_moduli, in float64) rather than from the enumerated
 work distribution, so statistical agreement with the enumeration checks it. A
 scalar one-step-at-a-time version of the batch kernel is kept in the test suite
 (tests/mc_oracle.py) as its oracle.
-
-The batch kernel compares raw Philox words with integer thresholds, which
-picks the same outcomes as the oracle's float uniforms (see _thresholds). One
-pass copies the interleaved (step, outcome) words into contiguous first and
-second draws; every compare after it is with one scalar threshold. A step's work
-is a sum over energy rises: with the levels in ascending energy, an outcome
-lies at or above level j+1 exactly when its draw reaches threshold j, so
-W = sum_j (E[j+1] - E[j]) * ([second >= j+1] - [first >= j+1]), and the
-degenerate |01>/|10> rise of 0 costs nothing. The second draw's threshold j
-is that of the first outcome f's Born row, taken by a staircase, not a gather:
-[second >= j+1] = c_0 + sum_{k<f} (c_{k+1} - c_k) = c_f, with c_k the draw
-compared with row k's threshold j; k < f exactly where [first >= k+1], and a
-term whose two rows share the threshold is 0 and skipped.
-
-Slowly driven, a step keeps its first outcome with probability 1 - O(dtheta**2), and
-most second draws lie in a band that keeps every first outcome and so does no work.
-The band filter, whose rule _band alone states, flags in one pass over the raw second
-words the steps outside it; only those run the staircase, and a trajectory's total is
-the sum of its flagged steps' work. It runs when at most an eighth of the draws leave
-the band, just below the measured break-even: fast-driving protocols run every step.
-
-One rule, _tile, cuts a run into kernel calls of at most _DRAWS_PER_BATCH raw
-words (1 MB), a trajectory past that budget into chunks whose partial totals add
-up to its exact total, and a call into pieces of at most _DRAWS_PER_PIECE words
-(128 KB). A call draws its pieces from its one generator, uses each as it
-arrives, and frees every array it allocates when it returns, so memory is
-bounded for any N and any trajectory count.
-
-sample computes the exact reference on the calling thread while the workers
-run the batches; they stop within one kernel call if the calling thread raises.
 """
 
 import math
@@ -160,6 +130,10 @@ def _simulate_batch(
     shifted into the draws' space, 16 bytes a step. The staircase's int8 arrays take 6 bytes a step
     that runs.
 
+    A step's work is a sum over the rises of the levels in ascending energy,
+    W = sum_j (E[j+1] - E[j]) * ([second >= j+1] - [first >= j+1]): an outcome lies at or above level
+    j+1 exactly when its draw reaches threshold j. The degenerate |01>/|10> rise of 0 is skipped.
+
     A partial range must start at an even step (a Philox block holds two steps)
     and is for a single trajectory, whose words are then contiguous.
     """
@@ -197,7 +171,8 @@ def _simulate_batch(
     reached, term = np.empty((2, *first_draws.shape), np.int8)
     work = np.zeros(first_draws.shape, np.int8)
     for j in np.flatnonzero(_RISES):
-        # the staircase: reached goes from c_0 to c_{k+1} where [first >= k+1], so ends at c_f
+        # the staircase: [second >= j+1] is c_f, f the first outcome and c_k the second draw against row k's
+        # threshold j; reached goes from c_0 to c_{k+1} where [first >= k+1], skipping rows that share j
         column = second_thresholds[:, j]
         np.greater_equal(second_draws, column[0], out=reached.view(np.bool_))
         for k in np.flatnonzero(column[1:] != column[:-1]):
@@ -250,9 +225,9 @@ def estimate(
         Most threads to use, >= 1: a run uses min(workers, batch count), and
         thread w runs every threads-th batch from batch w, so the schedule
         holds no per-batch or per-worker state. A batch is cut to a fixed
-        budget of raw Philox words (see the module docstring), so its memory
-        depends on neither N nor n_trajectories. Exact integer power sums make
-        the result identical for any worker count or batch schedule.
+        budget of raw Philox words (see _tile), so its memory depends on
+        neither N nor n_trajectories. Exact integer power sums make the
+        result identical for any worker count or batch schedule.
 
     Returns
     -------
