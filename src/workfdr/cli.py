@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from . import work_stats as ws
 from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT, Entangler, ProtocolConfig, all_params
-from .errors import WorkFdrError, ValidationError, require_finite, require_int
+from .errors import WorkFdrError, ValidationError, _echo, require_finite, require_int
 
 _MAX_GRID_POINTS = 1_000_000  # per grid, and per sweep
 _SWEEP_BLOCK = 8192  # betas per grid and rows per output block of a sweep: it bounds memory; no row depends on it
@@ -173,26 +173,26 @@ def _parse_grid(text: str, integral: bool):
     try:
         items = [_grid_value(x, integral) for x in text.split(":" if is_range else ",") if x.strip()]
     except ValueError:
-        raise ValidationError(f"grid values must be numbers, got {text!r}") from None
+        raise ValidationError(f"grid values must be numbers, got {_echo(text)}") from None
     for item in items:
-        require_finite(**{f"grid {text!r} value": item})
+        require_finite(**{f"grid {_echo(text)} value": item})
     if not is_range:
         if not items:
-            raise ValidationError(f"grid {text!r} is empty")
+            raise ValidationError(f"grid {_echo(text)} is empty")
         if not integral:
             return np.array(items)
         values = [require_int("n-grid value", item) for item in items]
         return np.array(values, dtype=np.int64 if all(value in _INT64 for value in values) else object)
     if len(items) != 3:
-        raise ValidationError(f"grid must be start:stop:step, got {text!r}")
+        raise ValidationError(f"grid must be start:stop:step, got {_echo(text)}")
     start, stop, step = items
     if step <= 0 or stop < start:
-        raise ValidationError(f"grid needs stop >= start and step > 0, got {text!r}")
+        raise ValidationError(f"grid needs stop >= start and step > 0, got {_echo(text)}")
     if integral:  # counted and built in ints
         start, stop, step = require_int("n-grid value", start), math.floor(stop), require_int("n-grid value", step)
     span = (stop - start) // step if integral else (stop - start) / step + 1e-9
     if span >= _MAX_GRID_POINTS:
-        raise ValidationError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        raise ValidationError(f"grid {_echo(text)} has more than {_MAX_GRID_POINTS} points")
     count = int(span) + 1
     if integral and not (start in _INT64 and step in _INT64 and start + (count - 1) * step in _INT64):
         return np.array([start + k * step for k in range(count)], dtype=object)

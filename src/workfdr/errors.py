@@ -27,8 +27,15 @@ class NumericFailureError(WorkFdrError):
 
 
 def _echo(value, show=repr) -> str:
-    """show(value) as a refusal shows it: at most 40 characters, a longer text as its head, "…" and its length."""
-    text = show(value)
+    """show(value) as a refusal shows it: at most 40 characters, a longer text as its head, "…" and its length.
+    Python turns no int of more than sys.get_int_max_str_digits() digits (4,300 by default) into text, so
+    such an int shows its bit length, and another value holding one (a Fraction, ...) its type."""
+    try:
+        text = show(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            return f"{'a negative' if value < 0 else 'an'} int of {int(value).bit_length()} bits"
+        return f"a {type(value).__name__} too long to show"
     return text if len(text) <= 40 else f"{text[:39]}… ({len(text)} characters)"
 
 

@@ -10,7 +10,9 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from workfdr import ProtocolConfig, ValidationError, cli, model, sampler, verify, work_stats
 from workfdr.cli import build_parser, main
@@ -490,9 +492,33 @@ def test_a_step_count_too_large_for_a_float_exits_2(capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("error: n_steps must be below 2**1024 in magnitude") and err.count("\n") == 1, (argv, err)
         assert err.endswith("… (401 characters)\n") and len(err.encode()) < 200, (argv, err)
+    # a grid is named by its text, clipped as the value it refuses is
+    for flag, scalar in (("--n-grid", ["--beta", "1"]), ("--beta-grid", ["--n", "3"])):
+        code, out, err = run_cli(capsys, "sweep", "--theta", "1", *scalar, flag, "1," + n)
+        assert code == 2 and out == "", flag
+        assert err.startswith(f"error: grid '1,{n[:36]}… (405 characters) value must be"), (flag, err)
+        assert err.count("\n") == 1 and len(err.encode()) < 200, (flag, err)
     with pytest.raises(ValidationError, match="n_steps"):
         ProtocolConfig(beta=1.0, n_steps=2**1024, total_theta=1.0)
     assert ProtocolConfig(beta=1.0, n_steps=2**1023, total_theta=1.0).delta_theta == 2.0**-1023
+
+
+# short grid texts, and texts holding one 401-digit item, as --beta-grid and as --n-grid
+_GRID_TEXT = st.text("0123456789+-.eE:, x_", max_size=24)
+_LONG_ITEM = st.sampled_from(["1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 400 + ".5"])
+_LONG_GRID_TEXT = st.builds("{}{}{}{}{}".format, _GRID_TEXT, st.sampled_from(",:"), _LONG_ITEM,
+                            st.sampled_from(["", ",", ":"]), _GRID_TEXT)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(text=_GRID_TEXT | _LONG_GRID_TEXT, integral=st.booleans())
+def test_a_grid_text_parses_or_is_refused_in_at_most_200_characters(text, integral):
+    try:
+        values = cli._parse_grid(text, integral)
+    except ValidationError as error:
+        assert len(str(error)) <= 200, (text, str(error))
+    else:
+        assert isinstance(values, np.ndarray) and values.size, text
 
 
 # per-step angles for every registry parameter; each kind reads only its own

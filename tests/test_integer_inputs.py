@@ -94,6 +94,17 @@ def test_a_refusal_echoes_at_most_40_characters_of_the_refused_value():
         require_finite(angle="y" * 500)
     with pytest.raises(ValidationError, match=r"^n must be below 2\*\*1024 in magnitude, got 10{38}… \(401 chara"):
         require_finite(n=10**400)
+    # Python turns no int of more than 4,300 digits into text: such an int shows its bit length
+    with pytest.raises(ValidationError, match=r"^k must be <= 1, got an int of 16610 bits$"):
+        require_int("k", 10**5000, maximum=1)
+    with pytest.raises(ValidationError, match=r"^k must be >= 0, got a negative int of 16610 bits$"):
+        require_int("k", -(10**5000), minimum=0)
+    with pytest.raises(ValidationError, match=r"^n must be below 2\*\*1024 in magnitude, got an int of 16610 bits$"):
+        require_finite(n=10**5000)
+    with pytest.raises(ValidationError, match=r"^n_steps must be below 2\*\*1024 in magnitude, got an int of 16610 bits$"):
+        ProtocolConfig(1.0, 10**5000, 1.0)
+    with pytest.raises(ValidationError, match=r"^x must be below 2\*\*1024 in magnitude, got a Fraction too long to show$"):
+        require_finite(x=Fraction(10**5000, 3))
     # beta's sign refusal shows str(beta), as before: a Fraction as p/q
     with pytest.raises(ValidationError, match=r"^beta must be non-negative, got -1/3$"):
         require_beta(Fraction(-1, 3))
