@@ -174,8 +174,9 @@ def _parse_grid(text: str, integral: bool):
         items = [_grid_value(x, integral) for x in text.split(":" if is_range else ",") if x.strip()]
     except ValueError:
         raise ValidationError(f"grid values must be numbers, got {_echo(text)}") from None
+    name = f"grid {_echo(text)} value"  # once: a name built per item made a long list quadratic in its length
     for item in items:
-        require_finite(**{f"grid {_echo(text)} value": item})
+        require_finite(**{name: item})
     if not is_range:
         if not items:
             raise ValidationError(f"grid {_echo(text)} is empty")
