@@ -11,6 +11,7 @@ failure, 2 invalid input, 130 interrupted (Ctrl-C).
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -154,12 +155,16 @@ def cmd_q(args) -> int:
 
 
 def _grid_value(text: str, integral: bool):
-    """float(text), or of an integral grid int(text) where it parses: float() rounds an int past 2**53."""
+    """float(text), or of an integral grid int(text) where it parses: float() rounds an int past 2**53.
+    int() refuses an int text of more than sys.get_int_max_str_digits() digits, which Decimal reads."""
     if integral:
         try:
             return int(text)
         except ValueError:
-            pass
+            if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # int()'s syntax, refused for its length: past 2**1024
+                import decimal
+
+                return int(decimal.Decimal(text))
     return float(text)
 
 
@@ -352,10 +357,23 @@ def _spec_echo(p: dict) -> dict:
     return {k: p[k] for k in sorted(p) if p[k] is not None}
 
 
+def _flag_type(convert):
+    """A flag's type= that converts its text by int or float, and echoes a refused text to 40 characters
+    (argparse's own message echoes all of it): "invalid int value: '12x'"."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {_echo(text)}") from None
+
+    return parse
+
+
 def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
     """The named shared flags, then --output and --config, which every subcommand reads."""
     definitions = {
-        "--beta": {"type": float, "help": "inverse bath temperature (>= 0)"},
+        "--beta": {"type": _flag_type(float), "help": "inverse bath temperature (>= 0)"},
         "--entangler": {"choices": list(ENTANGLERS)},
         "--two-qubit": {"dest": "two_qubit", "action": "store_const", "const": True,
                         "help": "use two qubits even without an entangler"},
@@ -371,7 +389,7 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
 def _add_angles(parser: argparse.ArgumentParser, per_step: bool) -> None:
     """The quench and entangler angles, per step or as totals; totals come with --n."""
     if not per_step:
-        parser.add_argument("--n", type=int, default=None, help="number of protocol steps N")
+        parser.add_argument("--n", type=_flag_type(int), default=None, help="number of protocol steps N")
     _add_params(parser, all_params(), per_step)
 
 
@@ -379,7 +397,7 @@ def _add_params(parser: argparse.ArgumentParser, specs, per_step: bool) -> None:
     """One float flag per parameter spec, named by its per-step or its total name."""
     for spec in specs:
         name, which = (spec.step, "per-step") if per_step else (spec.total, "total")
-        parser.add_argument(f"--{name}", type=float, default=None, help=f"{which} {spec.help}")
+        parser.add_argument(f"--{name}", type=_flag_type(float), default=None, help=f"{which} {spec.help}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,15 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="seeded Monte Carlo estimate with exact references")
     _add_angles(p_sample, per_step=False)
-    p_sample.add_argument("--trajectories", type=int, default=None)
-    p_sample.add_argument("--seed", type=int, default=None)
-    p_sample.add_argument("--workers", type=int, default=None)
+    p_sample.add_argument("--trajectories", type=_flag_type(int), default=None)
+    p_sample.add_argument("--seed", type=_flag_type(int), default=None)
+    p_sample.add_argument("--workers", type=_flag_type(int), default=None)
     _add_shared(p_sample, "--beta", "--entangler", "--degrees")  # JSON only, always two qubits
     p_sample.set_defaults(func=cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run the full acceptance suite (exit 1 on any failure)")
-    p_verify.add_argument("--trajectories", type=int, default=None, help="Monte Carlo trajectory count")
-    p_verify.add_argument("--seed", type=int, default=None, help="Monte Carlo master seed")
+    p_verify.add_argument("--trajectories", type=_flag_type(int), default=None, help="Monte Carlo trajectory count")
+    p_verify.add_argument("--seed", type=_flag_type(int), default=None, help="Monte Carlo master seed")
     _add_shared(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -442,5 +460,17 @@ def main(argv=None) -> int:
         return 130
 
 
+def run() -> None:
+    """main() as a process, ended by os._exit once stdout and stderr are flushed, skipping the interpreter's teardown:
+    sampler._run joined its worker threads, _write_output closed and renamed any --output file, no atexit is set."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or stream: exit through the teardown, as before
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

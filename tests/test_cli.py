@@ -284,6 +284,82 @@ def test_ctrl_c_stops_a_long_sample_run():
     assert err == b"error: interrupted\n" and b"Traceback" not in err, err
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_module(*argv):
+    """`python -m workfdr.cli argv` as the benchmark runs it: from the source tree, with no bytecode cache,
+    and with buffered streams, so that an exit before their flush loses bytes."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "workfdr.cli", *argv], env=env, capture_output=True,
+                          timeout=60, check=False)
+
+
+@pytest.mark.parametrize("argv, golden, code", [
+    (["sweep", "--beta-grid", "0:2:0.5", "--n-grid", "10,20", "--entangler", "cartan", "--theta", "0.8",
+      "--c1", "0.9", "--c2", "0.2", "--c3", "0.5", "--format", "csv"], "sweep_cartan_csv.out", 0),
+    (["sample", "--config", str(GOLDEN / "config_cartan.json"), "--workers", "3"], "sample_config_workers.out", 0),
+    (["verify", "--trajectories", "4000", "--seed", "42"], "verify.out", 1),
+], ids=["sweep", "sample", "verify"])
+def test_the_module_entry_prints_the_golden_bytes_and_exit_code(argv, golden, code):
+    # run() ends the process by os._exit once both streams are flushed: no byte may be lost to it
+    run = run_module(*argv)
+    assert (run.returncode, run.stderr) == (code, b""), run.stderr.decode()
+    assert run.stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_the_module_entry_writes_an_output_file_and_a_refusal_line(tmp_path):
+    target = tmp_path / "negativity.csv"
+    run = run_module("negativity", "--c1", "0.3", "--c2", "0.1", "--c3", "0.37", "--output", str(target))
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"", b""), run.stderr.decode()
+    assert target.read_bytes() == (GOLDEN / "negativity_csv.out").read_bytes()
+    assert [path.name for path in tmp_path.iterdir()] == ["negativity.csv"]  # the temp file was renamed
+    run = run_module("q", "--beta", "-1", "--n", "10", "--theta", "0.1")
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr == b"error: beta must be non-negative, got -1.0\n", run.stderr
+
+
+def test_run_exits_by_os_exit_after_a_flush_and_by_sys_exit_when_it_fails(monkeypatch):
+    class Exited(BaseException):
+        pass
+
+    def os_exit(code):
+        raise Exited(code)
+
+    class Stream:
+        def __init__(self, error=None):
+            self.error, self.flushes = error, 0
+
+        def flush(self):
+            self.flushes += 1
+            if self.error:
+                raise self.error
+
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(os, "_exit", os_exit)
+    monkeypatch.setattr(sys, "stdout", Stream())
+    monkeypatch.setattr(sys, "stderr", Stream())
+    with pytest.raises(Exited) as exit_info:
+        cli.run()
+    assert exit_info.value.args == (1,) and sys.stdout.flushes == sys.stderr.flushes == 1
+    for error in (BrokenPipeError(), ValueError("I/O operation on closed file.")):
+        monkeypatch.setattr(sys, "stdout", Stream(error))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 1, error
+
+
+def test_main_returns_with_every_thread_it_started_joined(capsys):
+    # run() skips the interpreter's teardown, which would join a thread left running: none may be left
+    before = threading.enumerate()
+    assert main(["sample", "--config", str(GOLDEN / "config_cartan.json"), "--workers", "3"]) == 0
+    assert main(["verify", "--trajectories", "4000", "--seed", "42"]) == 1
+    capsys.readouterr()
+    assert threading.enumerate() == before
+
+
 def test_an_interrupted_command_prints_one_line_and_leaves_no_file(capsys, monkeypatch, tmp_path):
     def interrupted(header, blocks):
         yield ",".join(header) + "\n"
@@ -498,9 +574,35 @@ def test_a_step_count_too_large_for_a_float_exits_2(capsys):
         assert code == 2 and out == "", flag
         assert err.startswith(f"error: grid '1,{n[:36]}… (405 characters) value must be"), (flag, err)
         assert err.count("\n") == 1 and len(err.encode()) < 200, (flag, err)
+    # an item past int()'s 4,300 digits is refused for the same reason, not read as a float's inf
+    code, out, err = run_cli(capsys, "sweep", "--theta", "1", "--beta", "1", "--n-grid", "1,1" + "0" * 5000)
+    assert code == 2 and out == ""
+    assert err.startswith("error: grid '1,1") and "value must be below 2**1024 in magnitude, got" in err, err
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
     with pytest.raises(ValidationError, match="n_steps"):
         ProtocolConfig(beta=1.0, n_steps=2**1024, total_theta=1.0)
     assert ProtocolConfig(beta=1.0, n_steps=2**1023, total_theta=1.0).delta_theta == 2.0**-1023
+
+
+def test_a_flag_value_argparse_refuses_is_echoed_to_40_characters(capsys):
+    # argparse's own int and float types echoed the whole text: 5,389 bytes for the first, 3,393 for the second
+    for argv in (["q", "--n", "1" + "0" * 5000], ["q", "--beta", "x" * 3000]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2 and "Traceback" not in err, argv[1]
+        line = err.splitlines()[-1]
+        assert line.startswith(f"workfdr q: error: argument {argv[1]}: invalid ") and len(line.encode()) < 200, line
+        assert line.endswith(f"… ({len(argv[2]) + 2} characters)"), line
+    # a text of at most 40 characters prints argparse's own bytes
+    for argv, line in ((["q", "--n", "12x"], "workfdr q: error: argument --n: invalid int value: '12x'\n"),
+                       (["sample", "--seed", "1.5"], "workfdr sample: error: argument --seed: invalid int value: '1.5'\n"),
+                       (["dist", "--dtheta", "0.1.2"],
+                        "workfdr dist: error: argument --dtheta: invalid float value: '0.1.2'\n")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2 and err.startswith(f"usage: workfdr {argv[0]} ") and err.endswith(line), err
 
 
 # short grid texts, and texts holding one 401-digit item, as --beta-grid and as --n-grid
