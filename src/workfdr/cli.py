@@ -30,6 +30,8 @@ def _write_output(pieces, path: str | None) -> None:
     """Write an iterable of text pieces as they come: to stdout, or to a temporary file
     that then atomically replaces the target file (temp + rename)."""
     if path is None:
+        if sys.stdout is None:  # the process started with stdout closed (>&-)
+            raise OSError("stdout is closed")
         sys.stdout.writelines(pieces)
         return
     import tempfile
@@ -463,10 +465,11 @@ def main(argv=None) -> int:
 def run() -> None:
     """main() as a process, ended by os._exit once stdout and stderr are flushed, skipping the interpreter's teardown:
     sampler._run joined its worker threads, _write_output closed and renamed any --output file, no atexit is set."""
+    sys.stderr = sys.stderr or open(os.devnull, "w")  # 2>&-: main's error line is dropped, not printed to stdout
     code = main()
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # a stream closed at start (>&-) is None
+            stream.flush()
     except (OSError, ValueError):  # a closed pipe or stream: exit through the teardown, as before
         sys.exit(code)
     os._exit(code)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -287,22 +288,28 @@ def test_ctrl_c_stops_a_long_sample_run():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_module(*argv):
+def run_module(*argv, closing=""):
     """`python -m workfdr.cli argv` as the benchmark runs it: from the source tree, with no bytecode cache,
-    and with buffered streams, so that an exit before their flush loses bytes."""
+    and with buffered streams, so that an exit before their flush loses bytes. A `closing` redirection
+    (">&-" or "2>&-") starts it through `sh -c` with that stream closed."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, "-m", "workfdr.cli", *argv], env=env, capture_output=True,
-                          timeout=60, check=False)
+    command = [sys.executable, "-m", "workfdr.cli", *argv]
+    if closing:
+        command = ["sh", "-c", f"{shlex.join(command)} {closing}"]
+    return subprocess.run(command, env=env, capture_output=True, timeout=60, check=False)
 
 
 @pytest.mark.parametrize("argv, golden, code", [
     (["sweep", "--beta-grid", "0:2:0.5", "--n-grid", "10,20", "--entangler", "cartan", "--theta", "0.8",
       "--c1", "0.9", "--c2", "0.2", "--c3", "0.5", "--format", "csv"], "sweep_cartan_csv.out", 0),
+    (["negativity", "--c1", "0.3", "--c2", "0.1", "--c3", "0.37", "--format", "csv"], "negativity_csv.out", 0),
+    (["sample", "--beta", "1.3", "--n", "20", "--entangler", "rxx", "--theta", "0.8", "--phi", "0.6",
+      "--trajectories", "2000", "--seed", "7"], "sample_rxx.out", 0),
     (["sample", "--config", str(GOLDEN / "config_cartan.json"), "--workers", "3"], "sample_config_workers.out", 0),
     (["verify", "--trajectories", "4000", "--seed", "42"], "verify.out", 1),
-], ids=["sweep", "sample", "verify"])
+], ids=["sweep", "negativity", "sample_rxx", "sample", "verify"])
 def test_the_module_entry_prints_the_golden_bytes_and_exit_code(argv, golden, code):
     # run() ends the process by os._exit once both streams are flushed: no byte may be lost to it
     run = run_module(*argv)
@@ -344,11 +351,34 @@ def test_run_exits_by_os_exit_after_a_flush_and_by_sys_exit_when_it_fails(monkey
     with pytest.raises(Exited) as exit_info:
         cli.run()
     assert exit_info.value.args == (1,) and sys.stdout.flushes == sys.stderr.flushes == 1
+    monkeypatch.setattr(sys, "stdout", None)  # started with stdout closed: its flush is skipped
+    with pytest.raises(Exited) as exit_info:
+        cli.run()
+    assert exit_info.value.args == (1,) and sys.stderr.flushes == 2
     for error in (BrokenPipeError(), ValueError("I/O operation on closed file.")):
         monkeypatch.setattr(sys, "stdout", Stream(error))
         with pytest.raises(SystemExit) as exit_info:
             cli.run()
         assert exit_info.value.code == 1, error
+
+
+def test_a_closed_stdout_refuses_the_output_with_one_error_line():
+    run = run_module("q", "--n", "5", "--theta", "0.3", closing=">&-")
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", b"error: stdout is closed\n"), run.stderr.decode()
+
+
+def test_a_closed_stdout_leaves_an_output_file_run_to_exit_0(tmp_path):
+    target = tmp_path / "negativity.csv"
+    run = run_module("negativity", "--c1", "0.3", "--c2", "0.1", "--c3", "0.37", "--output", str(target),
+                     closing=">&-")
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"", b""), run.stderr.decode()
+    assert target.read_bytes() == (GOLDEN / "negativity_csv.out").read_bytes()
+
+
+def test_a_closed_stderr_refusal_exits_2_and_prints_nothing():
+    # print(file=None) writes to stdout: run() gives a closed stderr a sink instead
+    run = run_module("q", "--beta", "-1", "--n", "5", "--theta", "0.3", closing="2>&-")
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", b"")
 
 
 def test_main_returns_with_every_thread_it_started_joined(capsys):
