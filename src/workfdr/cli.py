@@ -27,23 +27,34 @@ _MODEL_FLAGS = ("--beta", "--entangler", "--two-qubit", "--format", "--degrees")
 
 
 def _write_output(pieces, path: str | None) -> None:
-    """Write an iterable of text pieces as they come: to stdout, or to a temporary file
-    that then atomically replaces the target file (temp + rename)."""
+    """Write an iterable of text pieces as they come: to stdout, or to a temporary file in the target's
+    directory that then atomically replaces the target file (temp + rename). The file keeps an existing
+    target's mode, else gets a new file's (0o666 less the umask). An error names the path, not the temp file."""
     if path is None:
         if sys.stdout is None:  # the process started with stdout closed (>&-)
             raise OSError("stdout is closed")
         sys.stdout.writelines(pieces)
         return
+    import errno
     import tempfile
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".workfdr-", suffix=".tmp")
+    tmp_path = None
     try:
+        if not os.path.basename(path) or os.path.isdir(path):  # '', '.', 'out/' or a directory: no file to replace
+            raise OSError(errno.EISDIR if path else errno.ENOENT, "")
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or os.curdir, prefix=".workfdr-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="\n") as handle:
+            os.fchmod(fd, mode)  # mkstemp made it 0o600
             handle.writelines(pieces)
         os.replace(tmp_path, path)
-    except BaseException:
-        os.unlink(tmp_path)
+    except BaseException as error:
+        if tmp_path:
+            os.unlink(tmp_path)
+        if isinstance(error, OSError) and error.errno:
+            raise OSError(f"cannot write --output {_echo(path)}: {os.strerror(error.errno)}") from None
         raise
 
 
@@ -215,9 +226,10 @@ def cmd_sweep(args) -> int:
     for scalar, grid in (("beta", "beta_grid"), ("n", "n_grid")):
         if getattr(args, scalar) is not None and getattr(args, grid) is not None:
             raise ValidationError(f"sweep takes --{scalar} or --{grid.replace('_', '-')}, not both")
-    betas = _parse_grid(args.beta_grid, integral=False) if args.beta_grid else np.array([p["beta"]])
+    betas = _parse_grid(args.beta_grid, integral=False) if args.beta_grid is not None else np.array([p["beta"]])
     betas.sort(kind="stable")  # stable: -0.0 and 0.0 keep their order, as sorted() keeps it
-    steps = np.sort(_parse_grid(args.n_grid, integral=True) if args.n_grid else np.array([p["n"]], dtype=object),
+    steps = np.sort(_parse_grid(args.n_grid, integral=True) if args.n_grid is not None
+                    else np.array([p["n"]], dtype=object),
                     kind="stable")  # as betas: the default int64 sort's SIMD code costs 0.4 MB of RSS
     if len(betas) * len(steps) > _MAX_GRID_POINTS:
         raise ValidationError(f"sweep has {len(betas)} x {len(steps)} points, more than {_MAX_GRID_POINTS}")

@@ -1,10 +1,12 @@
-"""The process gates: `workfdr` runs at the program's limits, each reaped alone by `os.wait4` so that its peak
-RSS is its own. One line a gate; the exit status names every gate outside its bound. Run: python tests/ci_gates.py"""
+"""The process gates: `workfdr` runs at the program's limits, each process reaped alone by `os.wait4` so that its
+peak RSS is its own, then runs each golden command line of tests/test_golden.py. One line a gate; the exit
+status names every gate that failed. Run: python tests/ci_gates.py"""
 
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 # At the 1,000,000-point cap a sweep streams its rows: a header and 1,000,000 lines, in under 100 MB.
@@ -22,10 +24,11 @@ SWEEPS = {
 MONTE_CARLO = {"paper": ("--n 50 --theta 0.5 --phi 0.5", 8), "dense": ("--n 20 --theta 16 --phi 12", 16)}
 
 
-def run(command, keep_stdout=False):
-    """`workfdr command` run to its end: exit code, stdout (else its line count), peak RSS in MB, wall seconds."""
+def run(argv, keep_stdout=False, stderr=None):
+    """`workfdr *argv` run to its end, its stderr to the file `stderr` (default: this process's):
+    exit code, stdout (else its line count), peak RSS in MB, wall seconds."""
     started = time.perf_counter()
-    with subprocess.Popen(["workfdr", *command.split()], stdout=subprocess.PIPE) as proc:
+    with subprocess.Popen(["workfdr", *argv], stdout=subprocess.PIPE, stderr=stderr) as proc:
         chunks = iter(lambda: proc.stdout.read(1 << 20), b"")
         stdout = b"".join(chunks) if keep_stdout else sum(chunk.count(b"\n") for chunk in chunks)
         _, status, usage = os.wait4(proc.pid, 0)
@@ -36,18 +39,30 @@ def run(command, keep_stdout=False):
 def main():
     failed = []
     for name, command in SWEEPS.items():
-        code, lines, peak_mb, seconds = run(command)
+        code, lines, peak_mb, seconds = run(command.split())
         print(f"{name}: exit {code}, {lines} lines, peak RSS {peak_mb:.1f} MB, {seconds:.1f} s", flush=True)
         failed += [] if code == 0 and lines == 1_000_001 and peak_mb < 100 else [name]
     for name, (protocol, bound_mb) in MONTE_CARLO.items():
-        command = f"sample --beta 1 --entangler rxx {protocol} --trajectories 400000 --seed 42 --workers"
-        (code_1, out_1, peak_1, _), (code_8, out_8, peak_8, _) = (run(f"{command} {n}", True) for n in (1, 8))
+        command = f"sample --beta 1 --entangler rxx {protocol} --trajectories 400000 --seed 42 --workers".split()
+        (code_1, out_1, peak_1, _), (code_8, out_8, peak_8, _) = (run([*command, n], True) for n in ("1", "8"))
         same = code_1 == code_8 == 0 and json.loads(out_1)["results"] == json.loads(out_8)["results"]
         print(f"Monte Carlo {name}: exit {code_1} and {code_8}, peak RSS {peak_1:.1f} and {peak_8:.1f} MB, 8 workers "
               f"{peak_8 - peak_1:+.1f} MB over 1 (bound {bound_mb} MB), results {'equal' if same else 'differ'}",
               flush=True)
         failed += [] if same and peak_8 - peak_1 < bound_mb else [f"Monte Carlo {name}"]
-    sys.exit(f"outside its bound: {', '.join(failed)}" if failed else 0)
+    # imported after the memory gates: a child's peak RSS counts its parent's at the fork (43 MB once
+    # test_golden has loaded numpy, pytest and mpmath, where the Monte Carlo runs peak near 38 MB)
+    from test_golden import CASES, GOLDEN
+
+    started, differ = time.perf_counter(), []
+    for name, (argv, code) in CASES.items():  # each golden: its exit code, its stdout bytes and an empty stderr
+        with tempfile.TemporaryFile() as stderr:
+            same = run(argv, True, stderr)[:2] == (code, (GOLDEN / f"{name}.out").read_bytes())
+            differ += [] if same and os.fstat(stderr.fileno()).st_size == 0 else [name]
+    print(f"goldens: {len(CASES) - len(differ)}/{len(CASES)} equal, {time.perf_counter() - started:.1f} s"
+          + "".join(f"; {name} differs" for name in differ), flush=True)
+    failed += ["goldens"] if differ else []
+    sys.exit(f"failed: {', '.join(failed)}" if failed else 0)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import math
 import os
 import shlex
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_golden import CASES
 
 from workfdr import ProtocolConfig, ValidationError, cli, model, sampler, verify, work_stats
 from workfdr.cli import build_parser, main
@@ -301,20 +303,13 @@ def run_module(*argv, closing=""):
     return subprocess.run(command, env=env, capture_output=True, timeout=60, check=False)
 
 
-@pytest.mark.parametrize("argv, golden, code", [
-    (["sweep", "--beta-grid", "0:2:0.5", "--n-grid", "10,20", "--entangler", "cartan", "--theta", "0.8",
-      "--c1", "0.9", "--c2", "0.2", "--c3", "0.5", "--format", "csv"], "sweep_cartan_csv.out", 0),
-    (["negativity", "--c1", "0.3", "--c2", "0.1", "--c3", "0.37", "--format", "csv"], "negativity_csv.out", 0),
-    (["sample", "--beta", "1.3", "--n", "20", "--entangler", "rxx", "--theta", "0.8", "--phi", "0.6",
-      "--trajectories", "2000", "--seed", "7"], "sample_rxx.out", 0),
-    (["sample", "--config", str(GOLDEN / "config_cartan.json"), "--workers", "3"], "sample_config_workers.out", 0),
-    (["verify", "--trajectories", "4000", "--seed", "42"], "verify.out", 1),
-], ids=["sweep", "negativity", "sample_rxx", "sample", "verify"])
-def test_the_module_entry_prints_the_golden_bytes_and_exit_code(argv, golden, code):
+@pytest.mark.parametrize("name", ["sweep_cartan_csv", "negativity_csv", "sample_rxx", "sample_config_workers", "verify"])
+def test_the_module_entry_prints_the_golden_bytes_and_exit_code(name):
     # run() ends the process by os._exit once both streams are flushed: no byte may be lost to it
+    argv, code = CASES[name]
     run = run_module(*argv)
     assert (run.returncode, run.stderr) == (code, b""), run.stderr.decode()
-    assert run.stdout == (GOLDEN / golden).read_bytes()
+    assert run.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def test_the_module_entry_writes_an_output_file_and_a_refusal_line(tmp_path):
@@ -439,6 +434,46 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert not list(tmp_path.glob(".workfdr-*"))  # no temp litter
 
 
+def test_an_output_file_gets_the_mode_a_redirection_gives_it(capsys, tmp_path):
+    # as `> m.csv`: a new target gets 0o666 less the umask (mkstemp makes the temp file 0o600), and an
+    # existing target keeps its mode
+    target = tmp_path / "m.csv"
+    argv = ["q", "--n", "5", "--theta", "0.3", "--output", str(target)]
+    umask = os.umask(0o022)
+    try:
+        for mask, mode in ((0o022, 0o644), (0o027, 0o640)):
+            target.unlink(missing_ok=True)
+            os.umask(mask)
+            assert run_cli(capsys, *argv) == (0, "", "")
+            assert stat.S_IMODE(target.stat().st_mode) == mode, oct(mask)
+        os.umask(0o022)
+        for mode in (0o640, 0o604):
+            target.chmod(mode)
+            assert run_cli(capsys, *argv) == (0, "", "")
+            assert stat.S_IMODE(target.stat().st_mode) == mode, oct(mode)
+    finally:
+        os.umask(umask)
+    assert [path.name for path in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_an_output_error_names_the_path_and_not_the_temp_file(capsys, tmp_path, monkeypatch):
+    # one line naming the path, never the temp file's random name; '', '.' and a directory are refused before
+    # a temp file is made
+    work = tmp_path / "work"
+    (work / "out").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    q = ["q", "--n", "5", "--theta", "0.3", "--output"]
+    for path, reason in (("/nonexistent/dir/m.csv", "No such file or directory"), ("", "No such file or directory"),
+                         (".", "Is a directory"), ("out", "Is a directory"), ("out/", "Is a directory"),
+                         (str(work / "out"), "Is a directory")):
+        runs = [run_cli(capsys, *q, path) for _ in range(2)]
+        assert runs[0] == runs[1], path  # the same bytes on every run
+        code, out, err = runs[0]
+        assert code == 2 and out == "" and err == f"error: cannot write --output {cli._echo(path)}: {reason}\n", err
+        assert path[:30] in err and ".workfdr-" not in err, err
+    assert [path.name for path in tmp_path.rglob("*")] == ["work", "out"]  # no temp file anywhere
+
+
 @pytest.mark.parametrize("two_qubit", [False, True])
 def test_refused_sweep_writes_nothing(capsys, tmp_path, two_qubit):
     # the small-angle f term (N = 1) overflows at the last beta only, a block of betas after the first
@@ -560,12 +595,15 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
                        ("--n-grid", "2.5"), ("--beta-grid", "0:1e308:1e-308"), ("--beta-grid", "1:2"),
                        ("--beta-grid", "2:1:1"), ("--n-grid", ",")):
         bad.append(["sweep", "--theta", "1", flag, grid])
+    # an empty grid is refused, as a grid of spaces is, not read as no grid
+    for argv in (["--beta-grid", "", "--n", "7"], ["--beta-grid", "", "--n-grid", ""], ["--n-grid", "", "--beta", "1"]):
+        assert run_cli(capsys, "sweep", "--theta", "1", *argv) == (2, "", "error: grid '' is empty\n"), argv
     # a scalar flag next to its own grid would be ignored
     bad += [["sweep", "--theta", "1", "--beta", "2", "--beta-grid", "1,2"],
             ["sweep", "--theta", "1", "--n", "5", "--n-grid", "5,10"]]
     # each grid within the cap, their product of 1,500,003 points above it
     bad.append(["sweep", "--theta", "1", "--beta-grid", "0:1:2e-6", "--n-grid", "1,2,3"])
-    # an --output that names a directory: the rename onto it fails after the temp file is written
+    # an --output that names a directory is refused before any temp file is made
     directory = tmp_path / "out"
     directory.mkdir()
     bad.append(["dist", "--beta", "1", "--dtheta", "0.3", "--output", str(directory)])
