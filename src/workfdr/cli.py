@@ -22,26 +22,31 @@ from .entanglers import DEFAULT_KIND, ENTANGLERS, SINGLE_QUBIT, Entangler, Proto
 from .errors import WorkFdrError, ValidationError, _echo, require_finite, require_int
 
 _MAX_GRID_POINTS = 1_000_000  # per grid, and per sweep
-_SWEEP_BLOCK = 8192  # betas per grid and rows per output block of a sweep: it bounds memory; no row depends on it
+_SWEEP_BLOCK = 8192  # betas per grid and probability rows per N stack of a sweep: it bounds their memory
+_SWEEP_ROWS = 1024  # rows per output block of a sweep, its largest Python objects; no printed byte depends on either
 _MODEL_FLAGS = ("--beta", "--entangler", "--two-qubit", "--format", "--degrees")  # what dist, q and sweep read
 
 
 def _write_output(pieces, path: str | None) -> None:
-    """Write an iterable of text pieces as they come: to stdout, or to a temporary file in the target's
-    directory that then atomically replaces the target file (temp + rename). The file keeps an existing
-    target's mode, else gets a new file's (0o666 less the umask). An error names the path, not the temp file."""
+    """Write an iterable of text pieces as they come: to stdout, to a temporary file in the target's directory
+    that then atomically replaces the target, keeping its mode (a new file gets 0o666 less the umask), or as `>`
+    writes, through an existing symlink, FIFO or device. An error names the path, not the temp file."""
     if path is None:
         if sys.stdout is None:  # the process started with stdout closed (>&-)
             raise OSError("stdout is closed")
         sys.stdout.writelines(pieces)
         return
     import errno
+    import stat
     import tempfile
 
     tmp_path = None
     try:
-        if not os.path.basename(path) or os.path.isdir(path):  # '', '.', 'out/' or a directory: no file to replace
+        if not os.path.basename(path):  # '' or 'out/': no file to replace
             raise OSError(errno.EISDIR if path else errno.ENOENT, "")
+        if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):  # a directory fails with EISDIR here
+            with open(path, "w", newline="\n") as handle:
+                return handle.writelines(pieces)
         umask = os.umask(0o022)
         os.umask(umask)
         mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
@@ -246,8 +251,8 @@ def cmd_sweep(args) -> int:
     total = len(betas) * len(steps)
 
     def blocks():  # row r is (betas[r // len(steps)], steps[r % len(steps)]): sorted beta outer, sorted N inner
-        for start in range(0, total, _SWEEP_BLOCK):
-            i, k = np.divmod(np.arange(start, min(start + _SWEEP_BLOCK, total)), len(steps))
+        for start in range(0, total, _SWEEP_ROWS):
+            i, k = np.divmod(np.arange(start, min(start + _SWEEP_ROWS, total)), len(steps))
             q, predicted = q_value[k, i], prediction[k, i]
             yield list(zip(betas[i].tolist(), steps[k].tolist(), q.tolist(), predicted.tolist(),
                            f[i].tolist(), g[i].tolist(), ws.relative_gap(q, predicted).tolist()))

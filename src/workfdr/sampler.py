@@ -17,7 +17,6 @@ scalar one-step-at-a-time version of the batch kernel is kept in the test suite
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,29 +251,39 @@ def _run(config, n_trajectories, master_seed, workers, meanwhile) -> tuple[objec
     threads = min(workers, -(-n_trajectories // per_batch))
     stopped = threading.Event()
 
-    def power_sums(thread: int) -> list[int]:
-        sums = [0, 0, 0, 0]
-        for start in range(thread * per_batch, n_trajectories, threads * per_batch):
-            count = min(per_batch, n_trajectories - start)
-            totals = 0
-            for first in range(0, n_steps, chunk):
-                if stopped.is_set():  # the calling thread raised; these sums are dropped
-                    return sums
-                totals += _simulate_batch(
-                    master_seed, start, count, n_steps, population_cdf, born_cdf_rows,
-                    first, min(first + chunk, n_steps),
-                )
-            sums = [a + b for a, b in zip(sums, _power_sums(totals))]
-        return sums
+    sums, failures = [[0, 0, 0, 0] for _ in range(threads)], []  # each worker's power sums; what workers raised
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    def power_sums(thread: int) -> None:
         try:
-            tasks = [pool.submit(power_sums, thread) for thread in range(threads)]
-            reference = meanwhile(config)
-            s1, s2, s3, s4 = (sum(column) for column in zip(*(task.result() for task in tasks)))
-        except BaseException:
-            stopped.set()  # every worker returns before its next kernel call
-            raise
+            for start in range(thread * per_batch, n_trajectories, threads * per_batch):
+                count = min(per_batch, n_trajectories - start)
+                totals = 0
+                for first in range(0, n_steps, chunk):
+                    if stopped.is_set():  # a thread raised; these sums are dropped
+                        return
+                    totals += _simulate_batch(
+                        master_seed, start, count, n_steps, population_cdf, born_cdf_rows,
+                        first, min(first + chunk, n_steps),
+                    )
+                sums[thread] = [a + b for a, b in zip(sums[thread], _power_sums(totals))]
+        except BaseException as error:  # raised again on the calling thread once every worker is joined
+            failures.append(error)
+            stopped.set()
+
+    batch_threads = [threading.Thread(target=power_sums, args=(thread,)) for thread in range(threads)]
+    try:
+        for worker in batch_threads:
+            worker.start()
+        reference = meanwhile(config)
+        for worker in batch_threads:
+            worker.join()
+    finally:  # after an exception (a refused reference, Ctrl-C), every worker returns before its next kernel call
+        stopped.set()
+        for worker in filter(threading.Thread.is_alive, batch_threads):  # started and not yet ended
+            worker.join()
+    if failures:
+        raise failures[0]
+    s1, s2, s3, s4 = (sum(column) for column in zip(*sums))
 
     n = n_trajectories
     mean = s1 / n

@@ -101,12 +101,12 @@ def profiles(betas) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_rows(support, probs: np.ndarray) -> np.ndarray:
     """Every row (the last axis, over support) of a probability array within PROB_CLAMP of [0, 1],
-    clamped into it, and summing to 1 within NORMALIZATION_TOL; returns the clamped rows."""
+    clamped into it in place, and summing to 1 within NORMALIZATION_TOL; returns the clamped rows."""
     outside = ~((probs >= -PROB_CLAMP) & (probs <= 1.0 + PROB_CLAMP))
     if outside.any():
         where = tuple(np.argwhere(outside)[0])
         raise ValidationError(f"probability {float(probs[where])!r} at work {support[where[-1]]} is outside [0, 1]")
-    probs = np.minimum(np.maximum(probs, _LD(0.0)), _LD(1.0))
+    np.minimum(np.maximum(probs, _LD(0.0), out=probs), _LD(1.0), out=probs)
     totals = np.sum(probs, axis=-1)
     off = ~(np.abs(totals.astype(np.float64) - 1.0) <= NORMALIZATION_TOL)
     if off.any():
@@ -122,8 +122,9 @@ def _enumerate(populations: np.ndarray, transition: np.ndarray, energies) -> tup
     works = [[int(round(energies[second] - energies[first])) for second in range(dim)] for first in range(dim)]
     support = sorted({w for row in works for w in row})
     probs = np.zeros(np.broadcast(populations[..., 0], transition[..., 0, 0, None]).shape + (len(support),), dtype=_LD)
+    terms = np.empty(probs.shape[:-1] + (dim,), dtype=_LD)  # [..., beta, second], one buffer for every first
     for first in range(dim):
-        terms = populations[..., first, None] * transition[..., None, :, first]  # [..., beta, second]
+        np.multiply(populations[..., first, None], transition[..., None, :, first], out=terms)
         for second in range(dim):
             probs[..., support.index(works[first][second])] += terms[..., second]
     return tuple(support), _checked_rows(support, probs)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import runpy
 import shlex
 import signal
 import stat
@@ -290,14 +291,14 @@ def test_ctrl_c_stops_a_long_sample_run():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_module(*argv, closing=""):
-    """`python -m workfdr.cli argv` as the benchmark runs it: from the source tree, with no bytecode cache,
-    and with buffered streams, so that an exit before their flush loses bytes. A `closing` redirection
-    (">&-" or "2>&-") starts it through `sh -c` with that stream closed."""
+def run_module(*argv, closing="", module="workfdr.cli"):
+    """`python -m workfdr.cli argv` as the benchmark runs it (or `python -m module argv`): from the source tree,
+    with no bytecode cache, and with buffered streams, so that an exit before their flush loses bytes. A
+    `closing` redirection (">&-" or "2>&-") starts it through `sh -c` with that stream closed."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONUNBUFFERED", None)
-    command = [sys.executable, "-m", "workfdr.cli", *argv]
+    command = [sys.executable, "-m", module, *argv]
     if closing:
         command = ["sh", "-c", f"{shlex.join(command)} {closing}"]
     return subprocess.run(command, env=env, capture_output=True, timeout=60, check=False)
@@ -310,6 +311,24 @@ def test_the_module_entry_prints_the_golden_bytes_and_exit_code(name):
     run = run_module(*argv)
     assert (run.returncode, run.stderr) == (code, b""), run.stderr.decode()
     assert run.stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_the_package_runs_as_the_workfdr_command():
+    argv, code = CASES["q_rxx_csv"]
+    run = run_module(*argv, module="workfdr")
+    assert (run.returncode, run.stderr) == (code, b""), run.stderr.decode()
+    assert run.stdout == (GOLDEN / "q_rxx_csv.out").read_bytes()
+
+
+def test_the_package_entry_prints_one_line_for_ctrl_c_while_loading(capsys, monkeypatch):
+    class Loading:  # a module whose names are read as Ctrl-C arrives
+        def __getattr__(self, name):
+            raise KeyboardInterrupt
+
+    monkeypatch.setitem(sys.modules, "workfdr.cli", Loading())
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("workfdr", run_name="__main__")
+    assert exit_info.value.code == 130 and capsys.readouterr() == ("", "error: interrupted\n")
 
 
 def test_the_module_entry_writes_an_output_file_and_a_refusal_line(tmp_path):
@@ -456,6 +475,31 @@ def test_an_output_file_gets_the_mode_a_redirection_gives_it(capsys, tmp_path):
     assert [path.name for path in tmp_path.iterdir()] == ["m.csv"]
 
 
+def test_an_output_path_that_is_not_a_regular_file_is_written_through(capsys, tmp_path):
+    # as `>` writes it, with no temp file and no rename: a symlink stays a link and its target gets the
+    # bytes; a FIFO stays a FIFO and its reader gets them
+    argv, _ = CASES["q_rxx_csv"]
+    expected = (GOLDEN / "q_rxx_csv.out").read_bytes()
+    target, link, fifo = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fifo"
+    target.write_text("old bytes\n")
+    link.symlink_to(target)
+    assert run_cli(capsys, *argv, "--output", str(link)) == (0, "", "")
+    assert link.is_symlink() and target.read_bytes() == expected
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        assert run_cli(capsys, *argv, "--output", str(fifo)) == (0, "", "")
+    finally:
+        reader.join(10)
+        if reader.is_alive():  # the command never opened the FIFO: a writer's close ends the reader's wait
+            fifo.write_bytes(b"")
+            reader.join()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode) and received == [expected]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "link.csv", "target.csv"]
+
+
 def test_an_output_error_names_the_path_and_not_the_temp_file(capsys, tmp_path, monkeypatch):
     # one line naming the path, never the temp file's random name; '', '.' and a directory are refused before
     # a temp file is made
@@ -501,15 +545,15 @@ def test_refused_sweep_writes_nothing(capsys, tmp_path, two_qubit):
 
 def test_numpy_random_is_loaded_on_first_use():
     # each command loads only the modules it runs: the exact commands leave the Monte Carlo, negativity,
-    # acceptance-suite and JSON modules unloaded; negativity loads entanglement, and sample the sampler
+    # acceptance-suite and JSON modules unloaded; negativity loads entanglement, and sample the sampler,
+    # whose plain threads leave concurrent.futures and the logging it imports unloaded
     golden = Path(__file__).parent / "golden"
     script = """if True:
         import contextlib, io, sys
         import workfdr
         assert not [name for name in sys.modules if name.startswith("workfdr.")], "import workfdr"
         import workfdr.cli
-        lazy = ["workfdr.sampler", "workfdr.entanglement", "workfdr.verify", "concurrent.futures", "json",
-                "numpy.random"]
+        lazy = ["workfdr.sampler", "workfdr.entanglement", "workfdr.verify", "json", "numpy.random"]
         loaded = lambda: [name for name in lazy if name in sys.modules]
         assert not loaded(), ("import", loaded())
         with contextlib.redirect_stdout(io.StringIO()):
@@ -528,6 +572,7 @@ def test_numpy_random_is_loaded_on_first_use():
         assert workfdr.cli.main(["sample", "--beta", "1.3", "--n", "20", "--entangler", "rxx", "--theta", "0.8",
                                  "--phi", "0.6", "--trajectories", "2000", "--seed", "7"]) == 0
         assert loaded() == [name for name in lazy if name != "workfdr.verify"], ("sample", loaded())
+        assert not {"concurrent.futures", "logging"} & set(sys.modules), "sample"
     """
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -7,7 +7,6 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -96,13 +95,18 @@ def test_estimate_is_independent_of_worker_count():
 
 
 def test_estimate_uses_no_more_threads_than_batches(monkeypatch):
-    pools = []
+    starts, start, run = [], threading.Thread.start, sampler._run  # the threads each run starts
 
-    def recording(max_workers):
-        pools.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
+    def counted_start(thread):
+        starts[-1] += 1
+        start(thread)
 
-    monkeypatch.setattr(sampler, "ThreadPoolExecutor", recording)
+    def counted_run(*args):
+        starts.append(0)
+        return run(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(sampler, "_run", counted_run)
     config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=0.5, entangler_kind="rxx", total_phi=0.5)
     estimate(config, 2, 7, workers=50)
     estimate(config, 30000, 42, workers=50)
@@ -110,7 +114,26 @@ def test_estimate_uses_no_more_threads_than_batches(monkeypatch):
     # workers counts Monte Carlo threads: the calling thread, which computes the reference, is not one
     sample(config, 30000, 42, workers=4)
     sample(config, 2, 7, workers=50)
-    assert pools == [1, 10, 4, 4, 1]
+    assert starts == [1, 10, 4, 4, 1]
+
+
+def test_a_worker_exception_is_raised_once_every_worker_is_joined(monkeypatch):
+    # the first batch fails on its worker thread: the other workers stop within a kernel call or two, where
+    # unstopped they would make 306 calls
+    kernel, calls = sampler._simulate_batch, []
+
+    def failing(*args):
+        calls.append(args[1])  # the batch start
+        if args[1] == 0:
+            raise MemoryError("the first batch")
+        return kernel(*args)
+
+    monkeypatch.setattr(sampler, "_simulate_batch", failing)
+    config = ProtocolConfig(beta=1.0, n_steps=20, total_theta=0.5, entangler_kind="rxx", total_phi=0.5)
+    before = threading.enumerate()
+    with pytest.raises(MemoryError, match="the first batch"):
+        estimate(config, 10**6, 42, workers=4)
+    assert threading.enumerate() == before and len(calls) < 50, len(calls)
 
 
 @pytest.mark.parametrize("kind", list(ENTANGLERS))
